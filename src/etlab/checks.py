@@ -8,6 +8,8 @@ suite is sized to finish in a few minutes on one core.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from . import codes, eth, experiments, output
@@ -27,6 +29,7 @@ from .qcore import (
     evolve_unitary,
     fidelity,
     normalize,
+    pauli_action,
     pauli_decompose,
     pauli_mul,
     pure_density,
@@ -64,8 +67,13 @@ def check_pauli_closure() -> str:
         p, q = _random_pauli(rng, n), _random_pauli(rng, n)
         dev = np.max(np.abs(to_dense(pauli_mul(p, q)) - to_dense(p) @ to_dense(q)))
         worst = max(worst, float(dev))
+        v = rng.standard_normal((2**n, 2)) + 1j * rng.standard_normal((2**n, 2))
+        _require(
+            np.array_equal(pauli_action(p, v), to_dense(p) @ v),
+            f"signed-permutation action of {p!r} differs from its dense matrix",
+        )
     _require(worst <= 1e-12, f"group closure violated: {worst:.3e}")
-    return f"max deviation {worst:.1e} over 120 random products"
+    return f"max deviation {worst:.1e} over 120 random products; action = dense exactly"
 
 
 def check_decompose_roundtrip() -> str:
@@ -103,12 +111,14 @@ def check_unitary_evolution() -> str:
     return f"norm {worst_norm:.1e}, composition {worst_comp:.1e}"
 
 
-def _all_codes():
-    return [codes.build_bitflip3(), codes.build_perfect5(), codes.build_steane7()]
+def _code_table(*names: str) -> list[tuple[codes.StabilizerCode, codes.ErrorSet]]:
+    """(code, designed error set) for the named built-in codes, all by default."""
+    built = [codes.build_code(name) for name in names or codes.DESIGNED_KINDS]
+    return [(code, codes.error_set(code, codes.DESIGNED_KINDS[code.name])) for code in built]
 
 
 def check_code_structure() -> str:
-    for code in _all_codes():
+    for code, _ in _code_table():
         gens = code.generators
         for i, g in enumerate(gens):
             for h in gens[i + 1 :]:
@@ -135,12 +145,7 @@ def check_code_structure() -> str:
 
 
 def check_syndromes() -> str:
-    for code, kinds in (
-        (codes.build_bitflip3(), "X"),
-        (codes.build_perfect5(), "XYZ"),
-        (codes.build_steane7(), "XYZ"),
-    ):
-        es = codes.error_set(code, kinds)
+    for code, es in _code_table():
         syn = [codes.syndrome(code, e) for e in es]
         _require(len(set(syn)) == len(es), f"{code.name}: syndromes collide")
         _require(all(any(s) for s in syn), f"{code.name}: zero syndrome for an error")
@@ -148,8 +153,7 @@ def check_syndromes() -> str:
 
 
 def check_distance3() -> str:
-    for code in (codes.build_perfect5(), codes.build_steane7()):
-        es = codes.error_set(code, "XYZ")
+    for code, es in _code_table("perfect5", "steane7"):
         worst = 0.0
         for e1 in es:
             m1 = to_dense(e1)
@@ -168,12 +172,7 @@ def _random_logical(code, rng) -> np.ndarray:
 def check_recovery_identity() -> str:
     rng = np.random.default_rng(17)
     worst = 1.0
-    for code, kinds in (
-        (codes.build_bitflip3(), "X"),
-        (codes.build_perfect5(), "XYZ"),
-        (codes.build_steane7(), "XYZ"),
-    ):
-        es = codes.error_set(code, kinds)
+    for code, es in _code_table():
         states = [_random_logical(code, rng) for _ in range(20)]
         for e in es:
             m = to_dense(e)
@@ -187,12 +186,7 @@ def check_recovery_identity() -> str:
 def check_eth_soundness() -> str:
     rng = np.random.default_rng(23)
     worst = 0.0
-    for code, kinds in (
-        (codes.build_bitflip3(), "X"),
-        (codes.build_perfect5(), "XYZ"),
-        (codes.build_steane7(), "XYZ"),
-    ):
-        es = codes.error_set(code, kinds)
+    for code, es in _code_table():
         for _ in range(4):
             lh = eth.LogicalHamiltonian(
                 rng.uniform(-2, 2),
@@ -208,12 +202,7 @@ def check_eth_soundness() -> str:
 
 def check_restriction_identity() -> str:
     worst = 0.0
-    for code, kinds in (
-        (codes.build_bitflip3(), "X"),
-        (codes.build_perfect5(), "XYZ"),
-        (codes.build_steane7(), "XYZ"),
-    ):
-        es = codes.error_set(code, kinds)
+    for code, es in _code_table():
         h0 = eth.encode_logical(code, eth.LogicalHamiltonian(1.3, -0.4, 0.7 + 0.2j))
         h = eth.make_eth(code, h0, es)
         p0 = code.projector()
@@ -225,11 +214,7 @@ def check_restriction_identity() -> str:
 def check_first_order_commutation() -> str:
     rng = np.random.default_rng(29)
     worst = 0.0
-    for code, kinds in (
-        (codes.build_bitflip3(), "X"),
-        (codes.build_perfect5(), "XYZ"),
-    ):
-        es = codes.error_set(code, kinds)
+    for code, es in _code_table("bitflip3", "perfect5"):
         h0 = eth.encode_logical(code, eth.LogicalHamiltonian(1.0, -1.0, 0.3))
         h = eth.make_eth(code, h0, es)
         for e in es.errors[:: max(1, len(es) // 5)]:
@@ -245,11 +230,9 @@ def check_first_order_commutation() -> str:
 
 
 def check_bodyness_bounds() -> str:
-    c3, c5, c7 = _all_codes()
     lh = eth.LogicalHamiltonian(1.0, -1.0, 0)
     values = {}
-    for code, kinds in ((c3, "X"), (c5, "XYZ"), (c7, "XYZ")):
-        es = codes.error_set(code, kinds)
+    for code, es in _code_table():
         h = eth.make_eth(code, eth.encode_logical(code, lh), es)
         b = eth.bodyness(h)
         values[code.name] = b
@@ -265,12 +248,7 @@ def check_bodyness_bounds() -> str:
 
 def check_eth_hermiticity() -> str:
     worst = 0.0
-    for code, kinds in (
-        (codes.build_bitflip3(), "X"),
-        (codes.build_perfect5(), "XYZ"),
-        (codes.build_steane7(), "XYZ"),
-    ):
-        es = codes.error_set(code, kinds)
+    for code, es in _code_table():
         h0 = eth.encode_logical(code, eth.LogicalHamiltonian(0.9, -1.1, 0.4 - 0.6j))
         for h in (eth.make_eth(code, h0, es), eth.controlled_eth(code, es, 1.0)):
             worst = max(worst, float(np.max(np.abs(h - h.conj().T))))
@@ -386,8 +364,7 @@ def check_monotonicity() -> str:
 
 
 def check_two_error_cancellation() -> str:
-    code = codes.build_bitflip3()
-    es = codes.error_set(code, "X")
+    [(code, es)] = _code_table("bitflip3")
     h0 = eth.encode_logical(code, eth.LogicalHamiltonian(1.0, -1.0, 0))
     h = eth.make_eth(code, h0, es)
     psi = normalize(code.codeword0 + code.codeword1)
@@ -518,20 +495,22 @@ CHECKS = [
 
 
 class CheckOutcome:
-    def __init__(self, name: str, passed: bool, detail: str):
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
         self.name = name
         self.passed = passed
         self.detail = detail
+        self.seconds = seconds
 
 
 def run_all(progress=None) -> list[CheckOutcome]:
     outcomes = []
     for name, fn in CHECKS:
+        start = perf_counter()
         try:
-            detail = fn()
-            outcomes.append(CheckOutcome(name, True, detail))
+            passed, detail = True, fn()
         except Exception as exc:  # noqa: BLE001 - verify reports, never crashes
-            outcomes.append(CheckOutcome(name, False, f"{type(exc).__name__}: {exc}"))
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        outcomes.append(CheckOutcome(name, passed, detail, perf_counter() - start))
         if progress is not None:
             progress(outcomes[-1])
     return outcomes

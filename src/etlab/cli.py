@@ -60,13 +60,21 @@ class RunConfig:
     max_workers: int | None = None
 
     def gamma_grid(self) -> np.ndarray:
-        if self.gamma_min <= 0 or self.gamma_max < self.gamma_min:
-            raise ConfigError("gamma_min must be positive and gamma_max >= gamma_min")
+        _require_finite_positive("--gamma-min", self.gamma_min)
+        _require_finite_positive("--gamma-max", self.gamma_max)
+        if self.gamma_max < self.gamma_min:
+            raise ConfigError("--gamma-max must be at least --gamma-min")
         if self.gamma_points < 1:
             raise ConfigError("gamma_points must be at least 1")
         return experiments.default_gamma_grid(
             points=self.gamma_points, lo=self.gamma_min, hi=self.gamma_max
         )
+
+
+def _require_finite_positive(flag: str, value: float | None) -> None:
+    """Reject NaN, infinities and nonpositive values; None means unset."""
+    if value is not None and not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be finite and positive, got {value!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,8 +201,8 @@ def _sweep_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("traj must be at least 1")
     if config.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if config.omega <= 0:
-        raise ConfigError("omega must be positive")
+    _require_finite_positive("--omega", config.omega)
+    _require_finite_positive("--dt", config.dt_override)
     return config
 
 
@@ -237,7 +245,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(_args: argparse.Namespace) -> int:
     def progress(outcome):
         status = "PASS" if outcome.passed else "FAIL"
-        print(f"[{status}] {outcome.name}: {outcome.detail}", flush=True)
+        print(f"[{status}] {outcome.name}: {outcome.detail} ({outcome.seconds:.2f} s)", flush=True)
 
     outcomes = checks.run_all(progress=progress)
     failed = [o for o in outcomes if not o.passed]

@@ -1,6 +1,11 @@
 """Stabilizer codes: built-in definitions, syndromes, error-space geometry,
 and the ideal recovery channel.
 
+Error-space geometry and recovery work on one sector basis
+W = [V0 | E_1 V0 | ... | E_m V0] of an orthonormal code-space basis V0 and
+its images under the errors, applied as signed permutations
+(:func:`~etlab.qcore.pauli_action`), never as dense matrices.
+
 Built-ins cover one logical qubit each:
 
 * ``bitflip3`` -- |0_L> = |000>, |1_L> = |111>; corrects bit flips only.
@@ -23,8 +28,8 @@ from .qcore import (
     PauliString,
     anticommutes,
     basis_state,
+    pauli_action,
     pure_density,
-    to_dense,
     weight,
 )
 
@@ -40,7 +45,6 @@ __all__ = [
     "error_set",
     "syndrome",
     "error_spaces_orthogonal",
-    "recovery_projectors",
     "recover",
     "recover_adjoint",
 ]
@@ -128,14 +132,14 @@ def codewords_from_stabilizers(
     n = gens[0].n
     psi = basis_state(n, seed_basis_state)
     for g in gens:
-        psi = (psi + to_dense(g) @ psi) / 2.0
+        psi = (psi + pauli_action(g, psi)) / 2.0
     nrm = np.linalg.norm(psi)
     if nrm < 1e-9:
         raise ValueError(
             f"stabilizer projector annihilates basis state {seed_basis_state}; pick another seed"
         )
     psi0 = _fix_global_phase(psi / nrm)
-    psi1 = _fix_global_phase(to_dense(logical_x) @ psi0)
+    psi1 = _fix_global_phase(pauli_action(logical_x, psi0))
     return psi0, psi1
 
 
@@ -238,6 +242,35 @@ def syndrome(code: StabilizerCode, e: PauliString) -> tuple[int, ...]:
     return tuple(1 if anticommutes(e, g) else 0 for g in code.generators)
 
 
+def _code_basis(code: StabilizerCode) -> np.ndarray:
+    """V0: the two codewords as the columns of a (d, 2) matrix."""
+    return np.stack([code.codeword0, code.codeword1], axis=1)
+
+
+_OVERLAP_TOL = 1e-8
+
+
+def _sectors(basis: np.ndarray, errors: Sequence[PauliString]) -> np.ndarray:
+    """W = [V0 | E_1 V0 | ... | E_m V0] for a (d, k) code-space basis V0."""
+    return np.concatenate([basis] + [pauli_action(e, basis) for e in errors], axis=1)
+
+
+def _orthonormal_sectors(basis: np.ndarray, errors: Sequence[PauliString]) -> np.ndarray:
+    """W, checked to have mutually orthogonal (hence orthonormal) sectors."""
+    w = _sectors(basis, errors)
+    overlap = _max_overlap(w, basis.shape[1])
+    if overlap > _OVERLAP_TOL:
+        raise ValueError(f"error spaces are not orthogonal (max overlap {overlap:.3e})")
+    return w
+
+
+def _max_overlap(w: np.ndarray, k: int) -> float:
+    """Largest |entry| of W^dag W outside its k x k diagonal blocks."""
+    block = np.arange(w.shape[1]) // k
+    gram = np.abs(w.conj().T @ w)
+    return float(gram[block[:, None] != block[None, :]].max(initial=0.0))
+
+
 def error_spaces_orthogonal(
     code: StabilizerCode, errors: "ErrorSet | Iterable[PauliString]"
 ) -> float:
@@ -247,37 +280,7 @@ def error_spaces_orthogonal(
     bounds each error space's overlap with the code space.  Zero (to
     rounding) means the recovery channel of :func:`recover` is well posed.
     """
-    errs = _as_errors(errors)
-    sectors = [np.stack([code.codeword0, code.codeword1])]
-    for e in errs:
-        m = to_dense(e)
-        sectors.append(np.stack([m @ code.codeword0, m @ code.codeword1]))
-    worst = 0.0
-    for i in range(len(sectors)):
-        for j in range(i + 1, len(sectors)):
-            overlap = np.abs(sectors[i].conj() @ sectors[j].T)
-            worst = max(worst, float(overlap.max()))
-    return worst
-
-
-def recovery_projectors(
-    code: StabilizerCode, errors: "ErrorSet | Iterable[PauliString]"
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """(code projector, [(E_j dense, error-space projector)], residual projector)."""
-    errs = _as_errors(errors)
-    p0 = code.projector()
-    pairs = []
-    total = p0.copy()
-    for e in errs:
-        m = to_dense(e)
-        pj = m @ p0 @ m.conj().T
-        pairs.append((m, pj))
-        total += pj
-    p_rest = np.eye(code.dim, dtype=complex) - total
-    return p0, pairs, p_rest
-
-
-_RECOVER_OVERLAP_TOL = 1e-8
+    return _max_overlap(_sectors(_code_basis(code), _as_errors(errors)), 2)
 
 
 def recover(
@@ -291,18 +294,19 @@ def recover(
     where P_j projects onto error space j.  Components outside the code and
     single-error spaces are left untouched (the channel stays trace
     preserving), so multi-error inputs pass through and may miscorrect.
+
+    With V_j = E_j V0, E_j P_j = E_j^2 V0 V_j^dag and E_j^2 is a phase, so
+    sector j contributes V0 (V_j^dag rho V_j) V0^dag, and
+    P_rest = I - W W^dag.
     """
-    overlap = error_spaces_orthogonal(code, errors)
-    if overlap > _RECOVER_OVERLAP_TOL:
-        raise ValueError(
-            f"error spaces overlap (max overlap {overlap:.3e}); recovery is ill-defined"
-        )
-    p0, pairs, p_rest = recovery_projectors(code, errors)
-    out = p0 @ rho @ p0 + p_rest @ rho @ p_rest
-    for m, pj in pairs:
-        half = pj @ rho @ pj
-        out += m @ half @ m.conj().T
-    return out
+    v0 = _code_basis(code)
+    w = _orthonormal_sectors(v0, _as_errors(errors))
+    d, k = v0.shape
+    blocks = np.einsum(
+        "ask,asl->kl", w.conj().reshape(d, -1, k), (rho @ w).reshape(d, -1, k)
+    )
+    p_rest = np.eye(d) - w @ w.conj().T
+    return v0 @ blocks @ v0.conj().T + p_rest @ rho @ p_rest
 
 
 def recover_adjoint(
@@ -314,15 +318,12 @@ def recover_adjoint(
 
     Used to fold ideal recovery into a measured observable, e.g. for
     trajectory simulations that never materialize the recovered state.
+    Sector j receives V_j (V0^dag B V0) V_j^dag.
     """
-    overlap = error_spaces_orthogonal(code, errors)
-    if overlap > _RECOVER_OVERLAP_TOL:
-        raise ValueError(
-            f"error spaces overlap (max overlap {overlap:.3e}); recovery is ill-defined"
-        )
-    p0, pairs, p_rest = recovery_projectors(code, errors)
-    out = p0 @ observable @ p0 + p_rest @ observable @ p_rest
-    for m, pj in pairs:
-        md = m.conj().T
-        out += pj @ (md @ observable @ m) @ pj
-    return out
+    v0 = _code_basis(code)
+    w = _orthonormal_sectors(v0, _as_errors(errors))
+    d, k = v0.shape
+    logical = v0.conj().T @ observable @ v0
+    lifted = (w.reshape(d, -1, k) @ logical).reshape(d, -1)
+    p_rest = np.eye(d) - w @ w.conj().T
+    return lifted @ w.conj().T + p_rest @ observable @ p_rest

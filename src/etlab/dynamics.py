@@ -72,8 +72,8 @@ class NoiseChannel:
     label: str = ""
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"rate must be nonnegative, got {self.rate}")
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,10 @@ class IntegrationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (np.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError(f"t_final must be finite and nonnegative, got {self.t_final}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
@@ -142,8 +142,8 @@ class TrajectoryConfig:
             raise ValueError("n_traj must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,32 @@ acts exactly as H0 acts on the code space, so evolution and a single error
 commute.  The dagger ordering keeps the construction correct even for
 non-self-inverse conjugators; for Pauli errors it coincides with the plain
 sandwich E_i H0 E_i.
+
+Errors are never densified: E H0 E^dag is H0 with rows and columns
+signed-permuted, which is exact, and the other checks use the sector basis
+of :mod:`etlab.codes`; a controlled ETH uses the joint basis V0 (x) I_2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import ErrorSet, StabilizerCode, _as_errors, error_spaces_orthogonal
+from .codes import (
+    ErrorSet,
+    StabilizerCode,
+    _as_errors,
+    _code_basis,
+    _orthonormal_sectors,
+    _sectors,
+)
+from .dynamics import SIGMA_PLUS
 from .qcore import (
     PauliString,
     basis_state,
+    pauli_action,
     pauli_decompose,
     spanning_logical_states,
     to_dense,
@@ -41,10 +54,6 @@ __all__ = [
     "css7_counterexample",
     "eth_report",
 ]
-
-_SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |e><g| with g=|0>, e=|1>
-_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class LogicalHamiltonian:
@@ -89,30 +98,25 @@ def deduplicate_errors(
     where distinct physical errors implement the same logical mapping.
     Returns (representatives, number dropped).
     """
+    return _deduplicate(_code_basis(code), _as_errors(errors))
+
+
+def _deduplicate(
+    basis: np.ndarray, errors: Sequence[PauliString]
+) -> tuple[list[PauliString], int]:
+    d, k = basis.shape
+    images = _sectors(basis, errors)[:, k:].reshape(d, -1, k)
     reps: list[PauliString] = []
-    images: list[tuple[np.ndarray, np.ndarray]] = []
-    dropped = 0
-    for e in _as_errors(errors):
-        m = to_dense(e)
-        v0 = m @ code.codeword0
-        v1 = m @ code.codeword1
-        duplicate = False
-        for w0, w1 in images:
-            ph = np.vdot(w0, v0)
-            if abs(abs(ph) - 1.0) < 1e-9 and (
-                np.allclose(v0, ph * w0, atol=1e-9) and np.allclose(v1, ph * w1, atol=1e-9)
-            ):
-                duplicate = True
+    kept: list[np.ndarray] = []
+    for e, v in zip(errors, np.moveaxis(images, 1, 0)):
+        for u in kept:
+            ph = np.vdot(u[:, 0], v[:, 0])
+            if abs(abs(ph) - 1.0) < 1e-9 and np.allclose(v, ph * u, atol=1e-9):
                 break
-        if duplicate:
-            dropped += 1
         else:
             reps.append(e)
-            images.append((v0, v1))
-    return reps, dropped
-
-
-_CODE_OVERLAP_TOL = 1e-8
+            kept.append(v)
+    return reps, len(errors) - len(reps)
 
 
 def make_eth(
@@ -125,21 +129,20 @@ def make_eth(
     Requires the (deduplicated) error spaces to be mutually orthogonal and
     orthogonal to the code space, and H0 to be supported on the code space.
     """
+    return _eth(_code_basis(code), h0, _as_errors(errors))
+
+
+def _eth(basis: np.ndarray, h0: np.ndarray, errors: Sequence[PauliString]) -> np.ndarray:
+    """make_eth for the code space spanned by the orthonormal columns of basis."""
     h0 = np.asarray(h0, dtype=complex)
-    p0 = code.projector()
+    p0 = basis @ basis.conj().T
     if np.max(np.abs(p0 @ h0 @ p0 - h0)) > 1e-10:
         raise ValueError("H0 must be supported on the code space")
-    reps, _ = deduplicate_errors(code, errors)
-    overlap = error_spaces_orthogonal(code, reps)
-    if overlap > _CODE_OVERLAP_TOL:
-        raise ValueError(
-            f"error spaces are not orthogonal (max overlap {overlap:.3e}); "
-            "no exact ETH exists for this error set"
-        )
+    reps, _ = _deduplicate(basis, errors)
+    _orthonormal_sectors(basis, reps)
     h = h0.copy()
-    for e in reps:
-        m = to_dense(e)
-        h += m @ h0 @ m.conj().T
+    for e in reps:  # E h0 E^dag = (E (E h0)^dag)^dag
+        h += pauli_action(e, pauli_action(e, h0).conj().T).conj().T
     return h
 
 
@@ -174,14 +177,11 @@ def verify_et(
     """
     h = np.asarray(h, dtype=complex)
     h0 = np.asarray(h0, dtype=complex)
-    states = _spanning_states(code, h0.shape[0])
-    worst = 0.0
-    for e in _as_errors(errors):
-        m = to_dense(e)
-        for psi in states:
-            resid = h @ (m @ psi) - m @ (h0 @ psi)
-            worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
+    states = np.stack(_spanning_states(code, h0.shape[0]), axis=1)
+    errs = _as_errors(errors)
+    # column block j >= 1 holds H E_j psi - E_j H0 psi for every state psi
+    resid = h @ _sectors(states, errs) - _sectors(h0 @ states, errs)
+    return float(np.linalg.norm(resid[:, states.shape[1] :], axis=0).max(initial=0.0))
 
 
 def bodyness(h: np.ndarray, tol: float = 1e-10) -> int:
@@ -198,7 +198,7 @@ def swap_hamiltonian(code: StabilizerCode, omega: float) -> np.ndarray:
     t = pi / (2 omega).
     """
     l_minus = np.outer(code.codeword0, code.codeword1.conj())
-    term = np.kron(l_minus, _SIGMA_PLUS)
+    term = np.kron(l_minus, SIGMA_PLUS)
     return omega * (term + term.conj().T)
 
 
@@ -220,36 +220,8 @@ def controlled_eth(
     controller error.
     """
     h0 = swap_hamiltonian(code, omega)
-    joint = _JointCode(code)
-    return make_eth(joint, h0, extend_to_target(errors))
-
-
-class _JointCode:
-    """Adapter presenting code (x) target as a 4-dimensional 'code space'.
-
-    Only the pieces make_eth needs: a projector and the codeword pair used
-    by deduplication / orthogonality checks.  The codeword attributes carry
-    the target ground state; the projector spans both target levels.
-    """
-
-    def __init__(self, code: StabilizerCode):
-        self._code = code
-        self.n = code.n + 1
-        self.dim = 2 * code.dim
-        g = basis_state(1, 0)
-        e = basis_state(1, 1)
-        self.codeword0 = np.kron(code.codeword0, g)
-        self.codeword1 = np.kron(code.codeword1, g)
-        self._extra = (
-            np.kron(code.codeword0, e),
-            np.kron(code.codeword1, e),
-        )
-
-    def projector(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim), dtype=complex)
-        for v in (self.codeword0, self.codeword1) + self._extra:
-            p += np.outer(v, v.conj())
-        return p
+    joint = np.kron(_code_basis(code), np.eye(2))
+    return _eth(joint, h0, extend_to_target(errors))
 
 
 def conjugation_sign(conjugator: PauliString, operator: PauliString) -> int:

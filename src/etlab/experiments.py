@@ -373,15 +373,15 @@ def suggested_mc_sample(
     times smaller than the raw event count).  The estimate below bounds the
     event probability per trajectory and asks for ``target_events`` of them.
     """
+    # every physical qubit of the code (one bare qubit without a code) is noisy
+    n_noisy = codes.build_code(spec.code_name).n if spec.code_name else 1
     if spec.family == "fig1a":
         tau = np.pi / spec.omega
-        n_noisy = 3 if spec.code_name else 1
         lam = n_noisy * spec.gamma * spec.rate_factor * tau
         p_event = 0.4 * lam * lam if spec.use_eth else 0.5 * lam
     else:
         tau = np.pi / (2 * spec.omega)
-        n_ctrl = {None: 1, "bitflip3": 3, "perfect5": 5, "steane7": 7}[spec.code_name]
-        lam = 0.5 * n_ctrl * spec.gamma * tau
+        lam = 0.5 * n_noisy * spec.gamma * tau
         p_target = (TARGET_EXCITATION_RATE + TARGET_DAMPING_RATE) * spec.omega * tau
         if spec.use_eth:
             p_event = 0.4 * lam * lam + p_target

@@ -24,6 +24,7 @@ __all__ = [
     "anticommutes",
     "weight",
     "to_dense",
+    "pauli_action",
     "pauli_decompose",
     "evolve_unitary",
     "fidelity",
@@ -128,6 +129,32 @@ def to_dense(p: PauliString) -> np.ndarray:
     """Dense (2^n, 2^n) matrix: phase times the Kronecker product of letters."""
     mats = [PAULI_MATS[ch] for ch in p.letters]
     return p.phase * reduce(np.kron, mats)
+
+
+def pauli_action(p: PauliString, v: np.ndarray) -> np.ndarray:
+    """P @ v as a signed permutation of rows; v is (2^n,) or (2^n, k).
+
+    With bit masks x (X or Y letters) and z (Y or Z letters), qubit 0 the
+    most significant bit, P|b> = phase i^{#Y} (-1)^{popcount(b & z)} |b ^ x>
+    (Aaronson & Gottesman, PRA 70, 052328 (2004)).  Every factor is +-1 or
+    +-i, so the result equals to_dense(p) @ v exactly.
+    """
+    v = np.asarray(v)
+    if v.shape[0] != 1 << p.n:
+        raise ValueError(f"{p.n}-qubit Pauli cannot act on leading dimension {v.shape[0]}")
+    x = z = 0
+    for ch in p.letters:
+        x = (x << 1) | (ch in "XY")
+        z = (z << 1) | (ch in "YZ")
+    b = np.arange(1 << p.n)
+    # popcount parity by a bit loop: np.bitwise_count needs numpy >= 2
+    parity = np.zeros_like(b)
+    for k in range(p.n):
+        parity ^= ((b & z) >> k) & 1
+    base = p.phase * (1, 1j, -1, -1j)[p.letters.count("Y") % 4]
+    coef = np.where(parity == 1, -base, base)
+    src = b ^ x  # row b of P v is coef(b ^ x) v[b ^ x]
+    return coef[src].reshape((-1,) + (1,) * (v.ndim - 1)) * v[src]
 
 
 def num_qubits(dim: int) -> int:

@@ -1,5 +1,9 @@
 """CLI behavior: commands, config handling, exit codes, determinism."""
 
+import re
+
+import pytest
+
 import etlab.checks as checks
 import etlab.cli as cli
 
@@ -138,7 +142,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(checks, "CHECKS", [("fake.pass", lambda: "ok")])
         assert run_cli(["verify"]) == 0
         out = capsys.readouterr().out
-        assert "[PASS] fake.pass" in out
+        assert re.search(r"^\[PASS\] fake\.pass: ok \(\d+\.\d\d s\)$", out, re.MULTILINE)
         assert "1/1" in out
 
     def test_exit_3_on_invariant_failure(self, monkeypatch, capsys):
@@ -163,3 +167,13 @@ class TestConfigValidation:
 
     def test_zero_traj(self, capsys):
         assert run_cli(["sweep", "fig1a", "--method", "mc", "--traj", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gamma-min", "nan"), ("--omega", "nan"), ("--dt", "-1"), ("--gamma-max", "inf")],
+    )
+    def test_nonfinite_or_nonpositive_input_exit_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r"
+        assert run_cli(["sweep", "fig1a", flag, value, "--out", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))

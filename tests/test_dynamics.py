@@ -34,6 +34,20 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseChannel(SX, -0.1, "bad")
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NoiseChannel(SX, float("nan"), "nan"),
+            lambda: NoiseChannel(SX, float("inf"), "inf"),
+            lambda: IntegrationConfig(dt=float("nan"), t_final=1.0),
+            lambda: IntegrationConfig(dt=0.1, t_final=float("inf")),
+            lambda: TrajectoryConfig(n_traj=1, seed=0, dt=float("nan")),
+        ],
+    )
+    def test_nonfinite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel((NoiseChannel(SX, 1.0, "a"), NoiseChannel(np.eye(4), 1.0, "b")))

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from etlab.codes import build_bitflip3, build_perfect5, build_steane7, error_set
+from etlab.codes import (
+    DESIGNED_KINDS,
+    build_bitflip3,
+    build_code,
+    build_perfect5,
+    build_steane7,
+    error_set,
+)
 from etlab.eth import (
     LogicalHamiltonian,
     bodyness,
@@ -47,6 +54,25 @@ def kron_chain(*mats):
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def dense_eth(h0, errors):
+    """Reference: h0 + sum_e E h0 E^dag with every error as a dense matrix."""
+    h = h0.copy()
+    for e in errors:
+        m = to_dense(e)
+        h += m @ h0 @ m.conj().T
+    return h
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNED_KINDS))
+def test_eth_equals_dense_formula_bitwise(name):
+    code = build_code(name)
+    es = error_set(code, DESIGNED_KINDS[name])
+    h0 = encode_logical(code, LogicalHamiltonian(0.8, -1.3, 0.4 - 0.2j))
+    assert np.array_equal(make_eth(code, h0, es), dense_eth(h0, es))
+    swap = swap_hamiltonian(code, 0.9)
+    assert np.array_equal(controlled_eth(code, es, 0.9), dense_eth(swap, extend_to_target(es)))
 
 
 class TestEncodeLogical:

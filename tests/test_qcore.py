@@ -17,6 +17,7 @@ from etlab.qcore import (
     evolve_unitary,
     fidelity,
     normalize,
+    pauli_action,
     pauli_decompose,
     pauli_mul,
     pure_density,
@@ -137,6 +138,25 @@ class TestToDense:
         p = PauliString("XYZI", 1j)
         m = to_dense(p)
         assert np.allclose(m @ m.conj().T, np.eye(16))
+
+
+class TestPauliAction:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_dense_product_exactly(self, n):
+        rng = np.random.default_rng(100 + n)
+        d = 2**n
+        for phase in (1, -1, 1j, -1j):
+            for _ in range(3):
+                p = PauliString("".join(rng.choice(list("IXYZ"), n)), phase)
+                m = to_dense(p)
+                vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                mat = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+                for v in (vec, mat):
+                    assert np.array_equal(pauli_action(p, v), m @ v)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            pauli_action(PauliString("XX"), np.ones(8))
 
 
 def brute_force_decompose(a):
