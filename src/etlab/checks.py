@@ -38,9 +38,6 @@ from .qcore import (
 
 __all__ = ["CheckFailure", "CheckOutcome", "CHECKS", "run_all"]
 
-# coarse-but-validated step for 256-dim master-equation runs inside verify;
-# agrees with the default fine step to ~1e-10 on the scenarios used here
-_FIG1B_DT = np.pi / 2 / 256
 _FIG1B_MC_DT = np.pi / 2 / 128
 
 
@@ -286,6 +283,29 @@ def check_rk4_order() -> str:
     return f"dt-halving error ratio {ratio:.1f}"
 
 
+def check_exact_propagation() -> str:
+    # two qubits under H = (omega/2)(X1 + X2) and X noise at rate gamma on
+    # each: per qubit z(t) = exp(-2 gamma t) cos(omega t), so
+    # P00(t) = ((1 + z(t))/2)^2
+    omega, gamma, t = 1.3, 0.4, 2.0
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    h = 0.5 * omega * (np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx))
+    noise = NoiseModel(tuple(site_channels(2, sx, gamma, "X")))
+    rho0 = pure_density(basis_state(2, 0))
+
+    def run(dt):
+        cfg = IntegrationConfig(dt=dt, t_final=t, record_stride=10**9)
+        return integrate_lindblad(rho0, h, noise, cfg).final
+
+    exact = run(None)
+    z = np.exp(-2 * gamma * t) * np.cos(omega * t)
+    err_analytic = abs(exact[0, 0].real - ((1 + z) / 2) ** 2)
+    err_rk4 = float(np.max(np.abs(exact - run(1e-3))))
+    _require(err_analytic <= 1e-12, f"exact path off the analytic P00 by {err_analytic:.3e}")
+    _require(err_rk4 <= 1e-10, f"exact path off RK4 at dt=1e-3 by {err_rk4:.3e}")
+    return f"|P00 - analytic| = {err_analytic:.1e}, max |exact - RK4(dt=1e-3)| = {err_rk4:.1e}"
+
+
 def check_lindblad_positivity() -> str:
     worst = 0.0
     cases = [s for s in experiments.fig1a_scenarios(0.05, 1.0)] + [
@@ -293,7 +313,7 @@ def check_lindblad_positivity() -> str:
     ]
     for spec in cases:
         realized = experiments._realize(spec)
-        dt = _FIG1B_DT if spec.family == "fig1b" else realized.duration / 1000
+        dt = realized.duration / (256 if spec.family == "fig1b" else 1000)
         cfg = IntegrationConfig(dt=dt, t_final=realized.duration, record_stride=50)
         res = integrate_lindblad(
             pure_density(realized.psi0), realized.hamiltonian, realized.noise, cfg
@@ -327,10 +347,9 @@ def check_mc_lindblad_agreement() -> str:
     for family, make in (("fig1a", experiments.fig1a_scenarios), ("fig1b", experiments.fig1b_scenarios)):
         for g in gammas:
             for spec in make(g, 1.0):
-                dt_l = _FIG1B_DT if family == "fig1b" else None
                 dt_m = _FIG1B_MC_DT if family == "fig1b" else None
                 n_traj = max(1000, experiments.suggested_mc_sample(spec))
-                p_l, _ = experiments.run_scenario(spec, method="lindblad", dt=dt_l)
+                p_l, _ = experiments.run_scenario(spec, method="lindblad")
                 p_m, se = experiments.run_scenario(
                     spec, method="mc", n_traj=n_traj, seed=314, dt=dt_m
                 )
@@ -350,7 +369,7 @@ def check_monotonicity() -> str:
     grid_a = [0.0, 1e-3, 3e-3, 0.01, 0.03, 0.1]
     res_a = experiments.fig1a_sweep(grid_a, 1.0, method="lindblad")
     grid_b = [0.0, 0.01, 0.05, 0.1]
-    res_b = experiments.fig1b_sweep(grid_b, 1.0, method="lindblad", dt=_FIG1B_DT)
+    res_b = experiments.fig1b_sweep(grid_b, 1.0, method="lindblad")
     for res, tag in ((res_a, "fig1a"), (res_b, "fig1b")):
         for label in res.scenarios():
             series = res.series(label)
@@ -383,7 +402,7 @@ def check_method_agreement() -> str:
     worst = 0.0
     for g in grid:
         spec = experiments.fig1b_scenarios(g, 1.0)[2]  # eth-5
-        p_l, _ = experiments.run_scenario(spec, method="lindblad", dt=_FIG1B_DT)
+        p_l, _ = experiments.run_scenario(spec, method="lindblad")
         p_m, se = experiments.run_scenario(
             spec,
             method="mc",
@@ -482,6 +501,7 @@ CHECKS = [
     ("eth.hermiticity", check_eth_hermiticity),
     ("dynamics.analytic-xnoise", check_analytic_xnoise),
     ("dynamics.rk4-order", check_rk4_order),
+    ("dynamics.exact-propagation", check_exact_propagation),
     ("dynamics.positivity", check_lindblad_positivity),
     ("dynamics.trajectory-norms", check_trajectory_norms),
     ("dynamics.mc-lindblad-agreement", check_mc_lindblad_agreement),

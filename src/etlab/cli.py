@@ -141,7 +141,12 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--gamma-max", type=float, dest="gamma_max")
     sweep.add_argument("--gamma-points", type=int, dest="gamma_points")
     sweep.add_argument("--omega", type=float, help="drive frequency (default 1.0)")
-    sweep.add_argument("--dt", type=float, help="integrator step override")
+    sweep.add_argument(
+        "--dt",
+        type=float,
+        help="RK4 step for lindblad, jump-placement step for mc; "
+        "default: exact lindblad propagation",
+    )
     sweep.add_argument("--workers", type=int, help="process pool size")
     sweep.add_argument(
         "--no-recovery",
@@ -265,8 +270,11 @@ def _cmd_eth_inspect(args: argparse.Namespace) -> int:
         errorset = codes.error_set(code, kinds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = eth.eth_report(code, eth.LogicalHamiltonian(1.0, -1.0, 0), errorset)
-    controlled = eth.controlled_eth(code, errorset, 1.0)
+    try:
+        report = eth.eth_report(code, eth.LogicalHamiltonian(1.0, -1.0, 0), errorset)
+        controlled = eth.controlled_eth(code, errorset, 1.0)
+    except ValueError as exc:
+        raise ConfigError(f"no ETH for code {code.name} with kinds {kinds}: {exc}") from exc
     print(f"code: {code.name}  (n={code.n}, {len(errorset)} errors, kinds={''.join(errorset.kinds)})")
     print(f"  terms in ETH:        {report.term_count}")
     print(f"  body-ness:           {report.bodyness}")

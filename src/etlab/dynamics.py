@@ -2,11 +2,16 @@
 
 Two engines cross-validate each other:
 
-* :func:`integrate_lindblad` -- deterministic fixed-step RK4 on the density
-  matrix.  The dissipator application exploits the fact that every jump
-  operator used here (Pauli letters, raising/lowering on one site) has at
-  most one nonzero per column, so L rho L^dag is a gather/scatter instead
-  of two dense matmuls; arbitrary dense jumps fall back to matmuls.
+* :func:`integrate_lindblad` -- deterministic evolution of the density
+  matrix.  The generator is time independent, so by default the state is
+  propagated exactly: a scaled Taylor series of exp(t L) applied to rho
+  (the action-of-the-exponential method of Al-Mohy & Higham, SIAM J. Sci.
+  Comput. 33, 488 (2011)), summed to machine precision.  An explicit step
+  selects fixed-step RK4 instead, guarded against steps beyond its
+  stability region.  Both apply the generator through one fast path: every
+  jump operator used here (Pauli letters, raising/lowering on one site) has
+  at most one nonzero per column, so L rho L^dag is a gather/scatter
+  instead of two dense matmuls; arbitrary dense jumps fall back to matmuls.
 * :func:`mc_trajectories` -- quantum-jump unravelling.  Deterministic
   segments use a precomputed one-step propagator exp((-iH - K/2) dt) and
   jumps fire when the decaying norm crosses a per-trajectory uniform
@@ -116,14 +121,16 @@ def site_channels(
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IntegrationConfig:
-    dt: float
+    """dt=None propagates exactly; a float dt selects RK4 with that step."""
+
+    dt: float | None = None
     t_final: float
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (np.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError(f"t_final must be finite and nonnegative, got {self.t_final}")
@@ -167,8 +174,9 @@ class McResult:
 
 
 def default_timestep(omega: float, noise: NoiseModel | float) -> float:
-    """dt = (1/2000) min(pi/omega, 1/max_rate); small enough that RK4 and
-    jump-placement bias sit well below the model and statistical tolerances."""
+    """dt = (1/2000) min(pi/omega, 1/max_rate), the Monte-Carlo step that
+    places jumps; small enough that the jump-placement bias sits well below
+    the statistical tolerances.  The Lindblad integrator needs no step."""
     max_rate = noise if isinstance(noise, (int, float)) else noise.max_rate()
     scale = np.pi / omega
     if max_rate > 0:
@@ -221,17 +229,31 @@ def _try_monomial(l: np.ndarray, rate: float) -> _MonomialJump | None:
     return _MonomialJump(rows, cols, l[rows, cols].astype(complex), rate)
 
 
+def _norm2_bound(a: np.ndarray) -> float:
+    """sqrt(||a||_1 ||a||_inf), an upper bound on the spectral norm that is
+    exact for a matrix with at most one nonzero per row and column."""
+    m = np.abs(a)
+    return float(np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max()))
+
+
 class _Generator:
-    """Precomputed Lindblad generator: rhs(rho) = G rho + rho G^dag + jumps."""
+    """Precomputed Lindblad generator: rhs(rho) = G rho + rho G^dag + jumps.
+
+    ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 (each norm bounded as in
+    :func:`_norm2_bound`) bounds the generator's norm as a map on rho with
+    the Frobenius norm.
+    """
 
     def __init__(self, h: np.ndarray, noise: NoiseModel):
         dim = h.shape[0]
         k = np.zeros((dim, dim), dtype=complex)
         self.monomials: list[_MonomialJump] = []
         self.dense: list[tuple[np.ndarray, float]] = []
+        jump_bound = 0.0
         for ch in noise.channels:
             l = np.asarray(ch.jump, dtype=complex)
             k += ch.rate * (l.conj().T @ l)
+            jump_bound += ch.rate * _norm2_bound(l) ** 2
             mono = _try_monomial(l, ch.rate)
             if mono is not None:
                 self.monomials.append(mono)
@@ -239,6 +261,7 @@ class _Generator:
                 self.dense.append((l, ch.rate))
         self.g = -1j * np.asarray(h, dtype=complex) - 0.5 * k
         self.gd = self.g.conj().T
+        self.bound = 2.0 * _norm2_bound(self.g) + jump_bound
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = self.g @ rho + rho @ self.gd
@@ -257,24 +280,77 @@ def _step_sizes(dt: float, t_final: float) -> list[float]:
     return [dt] * (n_steps - 1) + [last]
 
 
+# RK4's stability region reaches -2.78 on the real axis; a step whose
+# generator-norm bound exceeds it can blow up instead of failing loudly
+_RK4_STABILITY = 2.78
+# a Taylor substep stops adding terms below this fraction of its partial sum
+_TAYLOR_TOL = 1e-15
+# with substep * bound <= 1 each term is at most 1/k of the one before, so
+# the first term below _TAYLOR_TOL also bounds the rest of the series, and
+# about 18 terms reach it; needing this many means the bound does not hold
+_TAYLOR_MAX_TERMS = 60
+
+
+def _check_trace(rho: np.ndarray, t: float, advice: str) -> None:
+    drift = abs(np.trace(rho).real - 1.0)
+    if drift > 1e-5:
+        raise IntegrationError(f"trace drifted by {drift:.3e} at t={t:.6g}{advice}")
+
+
+def _propagate_exact(gen: _Generator, rho: np.ndarray, t_final: float) -> np.ndarray:
+    """exp(t_final L) rho as ceil(t_final * bound) Taylor substeps."""
+    n_sub = max(1, int(np.ceil(t_final * gen.bound)))
+    step = t_final / n_sub
+    for _ in range(n_sub):
+        acc = rho.copy()
+        term = rho
+        for k in range(1, _TAYLOR_MAX_TERMS + 1):
+            term = gen.rhs(term) * (step / k)
+            acc += term
+            if np.linalg.norm(term) <= _TAYLOR_TOL * np.linalg.norm(acc):
+                break
+        else:
+            raise IntegrationError(
+                f"Taylor series did not converge in {_TAYLOR_MAX_TERMS} terms "
+                f"(substep {step:.4g}, generator bound {gen.bound:.4g})"
+            )
+        rho = 0.5 * (acc + acc.conj().T)
+    return rho
+
+
 def integrate_lindblad(
     rho0: np.ndarray,
     h: np.ndarray,
     noise: NoiseModel,
     config: IntegrationConfig,
 ) -> LindbladResult:
-    """Classical fixed-step RK4 integration of the master equation.
+    """Evolve rho0 under the master equation up to ``config.t_final``.
 
-    The state is re-Hermitized ((rho + rho^dag)/2) after every step.  Trace
-    is monitored at recorded points; drifting beyond 1e-5 aborts with an
-    :class:`IntegrationError` advising a smaller dt.
+    With ``config.dt=None`` the state is propagated exactly and the result
+    holds the states at 0 and t_final only.  With an explicit dt, classical
+    fixed-step RK4 records every ``record_stride``-th step; a step beyond
+    RK4's stability region for this generator is rejected up front.  Either
+    way the state is re-Hermitized ((rho + rho^dag)/2) after every
+    (sub)step, and a trace drift beyond 1e-5 at a recorded point raises
+    :class:`IntegrationError`.
     """
     rho = np.asarray(rho0, dtype=complex).copy()
     check_density_matrix(rho)
     if config.t_final == 0:
         return LindbladResult(times=np.array([0.0]), states=[rho])
     gen = _Generator(h, noise)
+    if not np.isfinite(gen.bound):
+        raise IntegrationError("the generator has non-finite entries")
+    if config.dt is None:
+        final = _propagate_exact(gen, rho, config.t_final)
+        _check_trace(final, config.t_final, "")
+        return LindbladResult(times=np.array([0.0, config.t_final]), states=[rho, final])
     sizes = _step_sizes(config.dt, config.t_final)
+    if max(sizes) * gen.bound > _RK4_STABILITY:
+        raise IntegrationError(
+            f"RK4 step {max(sizes):.4g} exceeds the stability limit "
+            f"{_RK4_STABILITY / gen.bound:.4g} of this generator; use a smaller dt"
+        )
     times = [0.0]
     states = [rho.copy()]
     t = 0.0
@@ -288,11 +364,7 @@ def integrate_lindblad(
         t += s
         last = i == len(sizes) - 1
         if (i + 1) % config.record_stride == 0 or last:
-            drift = abs(np.trace(rho).real - 1.0)
-            if drift > 1e-5:
-                raise IntegrationError(
-                    f"trace drifted by {drift:.3e} at t={t:.6g}; use a smaller dt"
-                )
+            _check_trace(rho, t, "; use a smaller dt")
             times.append(config.t_final if last else t)
             states.append(rho.copy())
     return LindbladResult(times=np.array(times), states=states)

@@ -256,23 +256,28 @@ def run_scenario(
     seed: int = DEFAULT_SEED,
     dt: float | None = None,
 ) -> tuple[float, float]:
-    """Simulate one scenario; returns (success probability, standard error)."""
+    """Simulate one scenario; returns (success probability, standard error).
+
+    ``dt=None`` propagates the Lindblad equation exactly and places Monte
+    Carlo jumps on :func:`default_timestep`; an explicit dt is the RK4 step
+    or the jump-placement step.
+    """
     from .dynamics import NumericsError
 
     realized = _realize(spec)
-    max_rate = realized.noise.max_rate()
-    step = dt if dt is not None else default_timestep(spec.omega, max_rate)
     context = f"{spec.family}/{spec.label} at gamma/omega={spec.gamma / spec.omega:.4g}"
     try:
         if method == "lindblad":
-            config = IntegrationConfig(dt=step, t_final=realized.duration, record_stride=10**9)
+            config = IntegrationConfig(dt=dt, t_final=realized.duration, record_stride=10**9)
             result = integrate_lindblad(
                 pure_density(realized.psi0), realized.hamiltonian, realized.noise, config
             )
             prob = float(np.trace(result.final @ realized.observable).real)
             return _finalize_probability(prob, context), 0.0
         if method == "mc":
-            config = TrajectoryConfig(n_traj=n_traj, seed=seed, dt=step)
+            if dt is None:
+                dt = default_timestep(spec.omega, realized.noise.max_rate())
+            config = TrajectoryConfig(n_traj=n_traj, seed=seed, dt=dt)
             result = mc_trajectories(
                 realized.psi0,
                 realized.hamiltonian,

@@ -43,7 +43,6 @@ from etlab.qcore import (
 
 OMEGA = 1.0
 TAU_SWAP = np.pi / (2 * OMEGA)
-FIG1B_LINDBLAD_DT = TAU_SWAP / 256
 FIG1B_MC_DT = TAU_SWAP / 128
 
 CODE_KINDS = (("bitflip3", "X"), ("perfect5", "XYZ"), ("steane7", "XYZ"))
@@ -225,7 +224,7 @@ def test_c6_mc_lindblad_cross_validation():
     for pi, gamma in enumerate(default_gamma_grid()):
         spec = next(s for s in fig1b_scenarios(gamma, OMEGA) if s.label == "eth-5")
         n = suggested_mc_sample(spec)
-        p_l, _ = run_scenario(spec, method="lindblad", dt=FIG1B_LINDBLAD_DT)
+        p_l, _ = run_scenario(spec, method="lindblad")
         p_m, se = run_scenario(spec, method="mc", n_traj=n, seed=808 + pi, dt=FIG1B_MC_DT)
         if se == 0:
             assert abs(p_m - p_l) < 1e-6

@@ -61,6 +61,12 @@ class TestEthInspectCommand:
         assert run_cli(["eth", "inspect", "--code", "perfect5", "--kinds", "XQ"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_orthogonal_kinds_exit_1(self, capsys):
+        # bitflip3 cannot separate Z errors, so no ETH exists for XYZ
+        assert run_cli(["eth", "inspect", "--code", "bitflip3", "--kinds", "XYZ"]) == 1
+        err = capsys.readouterr().err
+        assert "bitflip3" in err and "XYZ" in err and "not orthogonal" in err
+
 
 class TestSweepCommand:
     def test_tiny_fig1a_sweep(self, tmp_path, capsys):
@@ -135,6 +141,20 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_unstable_dt_exit_2(self, tmp_path, capsys):
+        # one RK4 step of pi on the noiseless qubit used to return probability
+        # 23.6, caught only by the final [0,1] guard
+        code = run_cli(
+            [
+                "sweep", "fig1a", "--dt", "10", "--gamma-points", "1", "--workers", "1",
+                "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "fig1a/single at gamma/omega=0" in err and "smaller dt" in err
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestVerifyCommand:

@@ -42,6 +42,7 @@ class TestNoiseModel:
             lambda: IntegrationConfig(dt=float("nan"), t_final=1.0),
             lambda: IntegrationConfig(dt=0.1, t_final=float("inf")),
             lambda: TrajectoryConfig(n_traj=1, seed=0, dt=float("nan")),
+            lambda: IntegrationConfig(t_final=float("nan")),
         ],
     )
     def test_nonfinite_parameters_rejected(self, make):
@@ -178,6 +179,108 @@ class TestIntegrateLindblad:
         cfg = IntegrationConfig(dt=0.01, t_final=1.0)
         with pytest.raises(ValueError):
             integrate_lindblad(np.eye(2, dtype=complex), SZ, NoiseModel(), cfg)
+
+    def test_unstable_step_rejected_before_stepping(self):
+        # dt=10 over one period is a single resized step of pi; RK4 would
+        # return a state with trace near 1 but populations far outside [0,1]
+        cfg = IntegrationConfig(dt=10.0, t_final=np.pi)
+        psi = normalize(np.array([1.0, 1.0]))
+        with pytest.raises(IntegrationError, match=r"RK4 step 3\.142 .*smaller dt"):
+            integrate_lindblad(pure_density(psi), SZ, NoiseModel(), cfg)
+
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_nonfinite_generator_raises(self, dt):
+        h = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_lindblad(
+                pure_density(basis_state(1, 0)), h, NoiseModel(),
+                IntegrationConfig(dt=dt, t_final=1.0),
+            )
+
+
+def _liouvillian_propagator(h, noise, t):
+    """exp(t L) as a dense matrix on row-major vec(rho), built independently
+    of the integrator: vec(A rho B) = (A kron B^T) vec(rho)."""
+    from scipy.linalg import expm
+
+    eye = np.eye(h.shape[0])
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for ch in noise.channels:
+        l, ll = ch.jump, ch.jump.conj().T @ ch.jump
+        sup += ch.rate * (np.kron(l, l.conj()) - 0.5 * np.kron(ll, eye) - 0.5 * np.kron(eye, ll.T))
+    return expm(t * sup)
+
+
+class TestExactPropagation:
+    def test_analytic_x_noise(self):
+        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        for t in (0.3, 1.0, 4.0):
+            res = integrate_lindblad(
+                pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise,
+                IntegrationConfig(t_final=t),
+            )
+            assert np.array_equal(res.times, [0.0, t])
+            assert abs(res.final[0, 0].real - (1 + np.exp(-2 * t)) / 2) <= 1e-12
+
+    def test_noiseless_fig1a_matches_unitary(self):
+        from etlab.experiments import _realize, fig1a_scenarios
+        from etlab.qcore import evolve_unitary
+
+        for spec in fig1a_scenarios(0.0, 1.0):
+            realized = _realize(spec)
+            t = 0.37 * realized.duration
+            res = integrate_lindblad(
+                pure_density(realized.psi0), realized.hamiltonian, realized.noise,
+                IntegrationConfig(t_final=t),
+            )
+            expected = pure_density(evolve_unitary(realized.hamiltonian, t, realized.psi0))
+            assert np.max(np.abs(res.final - expected)) <= 1e-12
+
+    def test_fig1b_eth5_matches_fine_rk4(self):
+        from etlab.experiments import _realize, fig1b_scenarios
+
+        spec = next(s for s in fig1b_scenarios(0.05, 1.0) if s.label == "eth-5")
+        realized = _realize(spec)
+        assert realized.hamiltonian.shape == (64, 64)
+
+        def final(dt):
+            cfg = IntegrationConfig(dt=dt, t_final=realized.duration, record_stride=10**9)
+            rho0 = pure_density(realized.psi0)
+            return integrate_lindblad(rho0, realized.hamiltonian, realized.noise, cfg).final
+
+        assert np.max(np.abs(final(None) - final(realized.duration / 1024))) <= 1e-9
+
+    def test_dense_jump_matches_liouvillian_exponential(self):
+        rng = np.random.default_rng(19)
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = h + h.conj().T
+        dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        noise = NoiseModel(
+            (NoiseChannel(dense, 0.3, "dense"),) + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
+        )
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0)
+        t = 1.7
+        res = integrate_lindblad(rho0, h, noise, IntegrationConfig(t_final=t))
+        expected = (_liouvillian_propagator(h, noise, t) @ rho0.reshape(-1)).reshape(4, 4)
+        assert np.max(np.abs(res.final - expected)) <= 1e-12
+
+    def test_zero_duration(self):
+        rho = pure_density(basis_state(1, 1))
+        res = integrate_lindblad(rho, SZ, NoiseModel(), IntegrationConfig(t_final=0.0))
+        assert np.array_equal(res.times, [0.0])
+        assert np.array_equal(res.final, rho)
+
+    def test_term_cap_raises(self, monkeypatch):
+        import etlab.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "_TAYLOR_MAX_TERMS", 2)
+        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        with pytest.raises(IntegrationError, match="did not converge in 2 terms"):
+            integrate_lindblad(
+                pure_density(basis_state(1, 0)), SZ, noise, IntegrationConfig(t_final=1.0)
+            )
 
 
 class TestMcTrajectories:

@@ -22,8 +22,6 @@ from etlab.experiments import (
 )
 from etlab.qcore import evolve_unitary, normalize, to_dense
 
-FIG1B_DT = np.pi / 2 / 256
-
 
 class TestEffectiveRate:
     def test_k1_is_identity(self):
@@ -144,7 +142,7 @@ class TestRunScenario:
 
     def test_gamma_zero_fig1b_eth_nearly_one(self):
         spec = next(s for s in fig1b_scenarios(0.0, 1.0) if s.label == "eth-5")
-        p, _ = run_scenario(spec, method="lindblad", dt=FIG1B_DT)
+        p, _ = run_scenario(spec, method="lindblad")
         assert p >= 0.999
 
     def test_single_qubit_full_period_returns(self):
@@ -198,10 +196,9 @@ class TestEthCodeSizeScaling:
         # the 7-qubit controller sees 7/5 the physical error rate of the
         # 5-qubit one; with errors entering quadratically and a common
         # target-noise floor, the infidelity ratio sits in (7/5)^2 +- 40%
-        dt = np.pi / 2 / 256
         specs = {s.label: s for s in fig1b_scenarios(0.05, 1.0)}
-        p5, _ = run_scenario(specs["eth-5"], method="lindblad", dt=dt)
-        p7, _ = run_scenario(specs["eth-7"], method="lindblad", dt=dt)
+        p5, _ = run_scenario(specs["eth-5"], method="lindblad")
+        p7, _ = run_scenario(specs["eth-7"], method="lindblad")
         ratio = (1 - p7) / (1 - p5)
         assert (7 / 5) ** 2 * 0.6 <= ratio <= (7 / 5) ** 2 * 1.4
 
