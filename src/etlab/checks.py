@@ -336,7 +336,6 @@ def check_trajectory_norms() -> str:
         2.0,
         [np.diag([1.0, 0.0]).astype(complex)],
         TrajectoryConfig(n_traj=200, seed=5, dt=1e-3),
-        check_norms=True,
     )
     return "no-jump norm monotone, renormalization exact (200 trajectories)"
 

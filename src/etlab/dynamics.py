@@ -1,6 +1,6 @@
 """Open-system time evolution.
 
-Two engines cross-validate each other:
+Two methods cross-validate each other:
 
 * :func:`integrate_lindblad` -- deterministic evolution of the density
   matrix.  The generator is time independent, so by default the state is
@@ -12,17 +12,17 @@ Two engines cross-validate each other:
   jump operator used here (Pauli letters, raising/lowering on one site) has
   at most one nonzero per column, so L rho L^dag is a gather/scatter
   instead of two dense matmuls; arbitrary dense jumps fall back to matmuls.
-* :func:`mc_trajectories` -- quantum-jump unravelling.  Deterministic
-  segments use a precomputed one-step propagator exp((-iH - K/2) dt) and
-  jumps fire when the decaying norm crosses a per-trajectory uniform
-  threshold (no sub-step interpolation).  The default engine shares the
-  deterministic flow across trajectories (one backbone, memoized first-jump
-  continuations); a direct all-columns-at-once engine is kept as the
-  reference.
+* :func:`mc_trajectories` -- quantum-jump unravelling (Dalibard, Castin &
+  Molmer, PRL 68, 580 (1992)).  Deterministic segments use a precomputed
+  one-step propagator exp((-iH - K/2) dt) and jumps fire when the decaying
+  norm crosses a per-trajectory uniform threshold (no sub-step
+  interpolation).  Every trajectory follows the same deterministic flow
+  between jumps, so the no-jump backbone is computed once and first-jump
+  continuations are memoized; the engine checks its own norms as it goes.
 
 Trajectory i draws every random number from its own stream seeded by
-(seed, i), so results are bitwise reproducible and independent of how
-trajectories are scheduled or batched.
+(seed, i), so results are bitwise reproducible and independent of the
+order in which trajectories are processed.
 """
 
 from __future__ import annotations
@@ -92,19 +92,16 @@ class NoiseModel:
         if len(dims) > 1:
             raise ValueError(f"jump operators disagree on dimension: {sorted(dims)}")
 
-    @property
-    def dim(self) -> int | None:
-        return self.channels[0].jump.shape[0] if self.channels else None
-
     def max_rate(self) -> float:
         return max((ch.rate for ch in self.channels), default=0.0)
 
-    def decay_operator(self) -> np.ndarray:
-        """K = sum_k rate_k L_k^dag L_k (requires at least one channel)."""
-        dim = self.dim
+    def decay_operator(self, dim: int) -> np.ndarray:
+        """K = sum_k rate_k L_k^dag L_k as a dim x dim matrix (zero without
+        channels), summed in channel order."""
         k = np.zeros((dim, dim), dtype=complex)
         for ch in self.channels:
-            k += ch.rate * (ch.jump.conj().T @ ch.jump)
+            l = np.asarray(ch.jump, dtype=complex)
+            k += ch.rate * (l.conj().T @ l)
         return k
 
 
@@ -121,6 +118,11 @@ def site_channels(
     ]
 
 
+def _check_t_final(t_final: float) -> None:
+    if not (np.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class IntegrationConfig:
     """dt=None propagates exactly; a float dt selects RK4 with that step."""
@@ -132,8 +134,7 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not (np.isfinite(self.t_final) and self.t_final >= 0):
-            raise ValueError(f"t_final must be finite and nonnegative, got {self.t_final}")
+        _check_t_final(self.t_final)
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
@@ -245,21 +246,18 @@ class _Generator:
     """
 
     def __init__(self, h: np.ndarray, noise: NoiseModel):
-        dim = h.shape[0]
-        k = np.zeros((dim, dim), dtype=complex)
         self.monomials: list[_MonomialJump] = []
         self.dense: list[tuple[np.ndarray, float]] = []
         jump_bound = 0.0
         for ch in noise.channels:
             l = np.asarray(ch.jump, dtype=complex)
-            k += ch.rate * (l.conj().T @ l)
             jump_bound += ch.rate * _norm2_bound(l) ** 2
             mono = _try_monomial(l, ch.rate)
             if mono is not None:
                 self.monomials.append(mono)
             else:
                 self.dense.append((l, ch.rate))
-        self.g = -1j * np.asarray(h, dtype=complex) - 0.5 * k
+        self.g = -1j * np.asarray(h, dtype=complex) - 0.5 * noise.decay_operator(h.shape[0])
         self.gd = self.g.conj().T
         self.bound = 2.0 * _norm2_bound(self.g) + jump_bound
 
@@ -370,17 +368,8 @@ def integrate_lindblad(
     return LindbladResult(times=np.array(times), states=states)
 
 
-def _trajectory_rngs(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
-    return [
-        np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(lo, hi)
-    ]
-
-
-# cap on the per-block state matrix (columns x dim x 16 bytes); large
-# trajectory counts are processed in fixed-size blocks so peak memory stays
-# bounded while the per-trajectory streams keep results identical to a
-# single batch
-_BLOCK_BYTES = 2**27
+def _trajectory_rngs(seed: int, n: int) -> list[np.random.Generator]:
+    return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(n)]
 
 
 def mc_trajectories(
@@ -390,24 +379,21 @@ def mc_trajectories(
     t_final: float,
     observables: Sequence[np.ndarray],
     config: TrajectoryConfig,
-    check_norms: bool = False,
-    engine: str = "branched",
 ) -> McResult:
     """Quantum-jump Monte Carlo estimate of final-time expectation values.
 
     Returns the trajectory mean and standard error (sample stddev / sqrt(n))
     of <psi|O|psi> at t_final for each observable.
 
-    Two engines realize the identical algorithm.  ``branched`` (default)
-    exploits that every trajectory follows the same deterministic flow
-    between jumps: the no-jump path is computed once, first-jump
-    continuations are memoized per (step, channel), and only the rare
-    multi-jump stragglers step individually -- this is what makes large
-    trajectory counts affordable when jumps are rare.  ``direct`` advances
-    all trajectories as the columns of one matrix and exists as the plain
-    reference implementation.  ``check_norms`` turns on internal assertions
-    that the no-jump norm never increases and renormalization is exact.
+    Every trajectory follows the same deterministic flow between jumps: the
+    no-jump path is computed once, first-jump continuations are memoized per
+    (step, channel), and only the rare multi-jump stragglers step
+    individually -- this is what makes large trajectory counts affordable
+    when jumps are rare.  A no-jump norm that grows by more than 1e-12
+    (relative) between steps, or a renormalization off by more than 1e-10,
+    raises :class:`TrajectoryError`.
     """
+    _check_t_final(t_final)
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-10:
@@ -428,20 +414,10 @@ def mc_trajectories(
 
     n_steps = max(1, round(t_final / config.dt))
     dt = t_final / n_steps
-    if noise.channels:
-        g = -1j * np.asarray(h, dtype=complex) - 0.5 * noise.decay_operator()
-    else:
-        g = -1j * np.asarray(h, dtype=complex)
+    g = -1j * np.asarray(h, dtype=complex) - 0.5 * noise.decay_operator(psi0.shape[0])
     u_step = expm(g * dt)
     jumps = [(np.asarray(ch.jump, dtype=complex), ch.rate) for ch in noise.channels]
-
-    if engine == "direct":
-        values = _mc_direct(psi0, u_step, jumps, n_steps, observables, config, check_norms)
-    elif engine == "branched":
-        values = _mc_branched(psi0, u_step, jumps, n_steps, observables, config, check_norms)
-    else:
-        raise ValueError(f"unknown engine {engine!r}; use 'branched' or 'direct'")
-    return reduce_values(values)
+    return reduce_values(_mc_branched(psi0, u_step, jumps, n_steps, observables, config))
 
 
 def _select_channel(rng, psi, jumps):
@@ -455,52 +431,7 @@ def _select_channel(rng, psi, jumps):
     return min(k, len(jumps) - 1)
 
 
-def _mc_direct(psi0, u_step, jumps, n_steps, observables, config, check_norms):
-    dim = psi0.shape[0]
-    n_traj = config.n_traj
-
-    def measure(psis: np.ndarray) -> np.ndarray:
-        psis = psis / np.linalg.norm(psis, axis=0)
-        values = np.empty((len(observables), psis.shape[1]))
-        for k, obs in enumerate(observables):
-            values[k] = np.einsum("di,di->i", psis.conj(), obs @ psis).real
-        return values
-
-    def evolve_block(lo: int, hi: int) -> np.ndarray:
-        width = hi - lo
-        rngs = _trajectory_rngs(config.seed, lo, hi)
-        thresholds = np.array([rng.random() for rng in rngs])
-        psis = np.repeat(psi0[:, None], width, axis=1)
-        prev_norm2 = np.ones(width)
-        for _ in range(n_steps):
-            psis = u_step @ psis
-            if not jumps:
-                continue
-            norm2 = np.einsum("di,di->i", psis.conj(), psis).real
-            if check_norms and np.any(norm2 > prev_norm2 * (1 + 1e-12)):
-                raise TrajectoryError("no-jump norm increased between steps")
-            crossed = np.nonzero(norm2 <= thresholds)[0]
-            for i in crossed:
-                psi = psis[:, i]
-                k = _select_channel(rngs[i], psi, jumps)
-                jumped = jumps[k][0] @ psi
-                jumped = jumped / np.linalg.norm(jumped)
-                if check_norms and abs(np.linalg.norm(jumped) - 1.0) > 1e-10:
-                    raise TrajectoryError("renormalization failed")
-                psis[:, i] = jumped
-                norm2[i] = 1.0
-                thresholds[i] = rngs[i].random()
-            prev_norm2 = norm2
-        return measure(psis)
-
-    block = max(1, min(n_traj, _BLOCK_BYTES // (dim * 16)))
-    chunks = [
-        evolve_block(lo, min(lo + block, n_traj)) for lo in range(0, n_traj, block)
-    ]
-    return np.concatenate(chunks, axis=1)
-
-
-def _mc_branched(psi0, u_step, jumps, n_steps, observables, config, check_norms):
+def _mc_branched(psi0, u_step, jumps, n_steps, observables, config):
     n_traj = config.n_traj
 
     def value_of(psi: np.ndarray) -> np.ndarray:
@@ -513,13 +444,13 @@ def _mc_branched(psi0, u_step, jumps, n_steps, observables, config, check_norms)
     for s in range(1, n_steps + 1):
         states0[:, s] = u_step @ states0[:, s - 1]
     norms2 = np.einsum("ds,ds->s", states0.conj(), states0).real
-    if check_norms and jumps and np.any(norms2[1:] > norms2[:-1] * (1 + 1e-12)):
+    if jumps and np.any(norms2[1:] > norms2[:-1] * (1 + 1e-12)):
         raise TrajectoryError("no-jump norm increased between steps")
     # enforce monotonicity against last-ulp rounding so searchsorted is valid
     norms2 = np.minimum.accumulate(norms2)
     value0 = value_of(states0[:, -1])
 
-    rngs = _trajectory_rngs(config.seed, 0, n_traj)
+    rngs = _trajectory_rngs(config.seed, n_traj)
     thresholds = np.array([rng.random() for rng in rngs])
     values = np.tile(value0[:, None], (1, n_traj))
     if not jumps:
@@ -537,7 +468,7 @@ def _mc_branched(psi0, u_step, jumps, n_steps, observables, config, check_norms)
             k = _select_channel(rng, psi_unnorm, jumps)
             psi = jumps[k][0] @ psi_unnorm
             psi = psi / np.linalg.norm(psi)
-            if check_norms and abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+            if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
                 raise TrajectoryError("renormalization failed")
             threshold = rng.random()
             prev = 1.0
@@ -545,7 +476,7 @@ def _mc_branched(psi0, u_step, jumps, n_steps, observables, config, check_norms)
             for s in range(step + 1, n_steps + 1):
                 psi = u_step @ psi
                 n2 = np.vdot(psi, psi).real
-                if check_norms and n2 > prev * (1 + 1e-12):
+                if n2 > prev * (1 + 1e-12):
                     raise TrajectoryError("no-jump norm increased between steps")
                 prev = n2
                 if n2 <= threshold:

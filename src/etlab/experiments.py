@@ -244,8 +244,8 @@ def _realize(spec: ScenarioSpec) -> _Realized:
 
 
 def _finalize_probability(p: float, context: str) -> float:
-    if p < -1e-6 or p > 1 + 1e-6:
-        raise ExperimentError(f"{context}: probability {p!r} exceeds [0,1] beyond tolerance")
+    if not (-1e-6 <= p <= 1 + 1e-6):
+        raise ExperimentError(f"{context}: probability {p!r} is outside [0,1] beyond tolerance")
     return float(min(max(p, 0.0), 1.0))
 
 

@@ -6,6 +6,7 @@ P0(t) = (1 + exp(-2 gamma t))/2, and independent qubits multiply.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from etlab.dynamics import (
     IntegrationConfig,
@@ -201,8 +202,6 @@ class TestIntegrateLindblad:
 def _liouvillian_propagator(h, noise, t):
     """exp(t L) as a dense matrix on row-major vec(rho), built independently
     of the integrator: vec(A rho B) = (A kron B^T) vec(rho)."""
-    from scipy.linalg import expm
-
     eye = np.eye(h.shape[0])
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for ch in noise.channels:
@@ -283,6 +282,33 @@ class TestExactPropagation:
             )
 
 
+def _reference_trajectories(psi0, h, noise, t_final, obs, cfg):
+    """Plain quantum-jump stepper, one trajectory at a time on the (seed, i)
+    streams, drawing in the engine's order: a threshold, then per jump a
+    channel and the next threshold.  Returns (mean, stderr) of <obs>."""
+    n_steps = max(1, round(t_final / cfg.dt))
+    jumps = [(ch.jump, ch.rate) for ch in noise.channels]
+    decay = sum(rate * (l.conj().T @ l) for l, rate in jumps)
+    u_step = expm((-1j * h - 0.5 * decay) * (t_final / n_steps))
+    values = []
+    for i in range(cfg.n_traj):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
+        threshold = rng.random()
+        psi = np.asarray(psi0, dtype=complex)
+        for _ in range(n_steps):
+            psi = u_step @ psi
+            if np.vdot(psi, psi).real <= threshold:
+                weights = [rate * np.linalg.norm(l @ psi) ** 2 for l, rate in jumps]
+                u = rng.random() * sum(weights)
+                k = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), len(jumps) - 1)
+                psi = jumps[k][0] @ psi
+                psi = psi / np.linalg.norm(psi)
+                threshold = rng.random()
+        psi = psi / np.linalg.norm(psi)
+        values.append(np.vdot(psi, obs @ psi).real)
+    return np.mean(values), np.std(values, ddof=1) / np.sqrt(len(values))
+
+
 class TestMcTrajectories:
     def test_no_noise_matches_unitary_with_zero_stderr(self):
         omega = 0.9
@@ -323,30 +349,19 @@ class TestMcTrajectories:
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.stderrs, b.stderrs)
 
-    def test_blocking_invariant(self, monkeypatch):
-        # forcing a tiny block size must not change any result bit
-        import etlab.dynamics as dyn
-
-        noise = NoiseModel((NoiseChannel(SX, 0.8, "X"),))
-        cfg = TrajectoryConfig(n_traj=64, seed=9, dt=1e-3)
-        full = mc_trajectories(basis_state(1, 0), SZ, noise, 1.0, [P0], cfg, engine="direct")
-        monkeypatch.setattr(dyn, "_BLOCK_BYTES", 2 * 16)  # one column per block
-        split = mc_trajectories(basis_state(1, 0), SZ, noise, 1.0, [P0], cfg, engine="direct")
-        assert np.array_equal(full.means, split.means)
-        assert np.array_equal(full.stderrs, split.stderrs)
-
     def test_engines_agree(self):
-        # same seeds -> same jump decisions -> near-identical estimates
+        # same seeds -> same jump decisions -> near-identical estimates as a
+        # plain one-trajectory-at-a-time stepper
         noise = NoiseModel(
             (NoiseChannel(SX, 0.6, "X"), NoiseChannel(SIGMA_MINUS, 0.4, "d"))
         )
         h = 0.8 * SZ
         psi0 = normalize(np.array([1.0, 1.0]))
         cfg = TrajectoryConfig(n_traj=800, seed=33, dt=2e-3)
-        a = mc_trajectories(psi0, h, noise, 1.5, [P0], cfg, engine="branched")
-        b = mc_trajectories(psi0, h, noise, 1.5, [P0], cfg, engine="direct")
-        assert a.means[0] == pytest.approx(b.means[0], abs=1e-9)
-        assert a.stderrs[0] == pytest.approx(b.stderrs[0], abs=1e-9)
+        a = mc_trajectories(psi0, h, noise, 1.5, [P0], cfg)
+        mean, stderr = _reference_trajectories(psi0, h, noise, 1.5, P0, cfg)
+        assert a.means[0] == pytest.approx(mean, abs=1e-9)
+        assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
 
     def test_engines_agree_multiqubit_damping(self):
         noise = NoiseModel(tuple(site_channels(2, SIGMA_MINUS, 0.7, "d")))
@@ -354,17 +369,10 @@ class TestMcTrajectories:
         psi0 = basis_state(2, 3)
         cfg = TrajectoryConfig(n_traj=400, seed=77, dt=5e-3)
         obs = np.kron(P0, np.eye(2)).astype(complex)
-        a = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg, engine="branched")
-        b = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg, engine="direct")
-        assert a.means[0] == pytest.approx(b.means[0], abs=1e-9)
-        assert a.stderrs[0] == pytest.approx(b.stderrs[0], abs=1e-9)
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            mc_trajectories(
-                basis_state(1, 0), SZ, NoiseModel(), 1.0, [P0],
-                TrajectoryConfig(n_traj=2, seed=0, dt=0.1), engine="magic",
-            )
+        a = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
+        mean, stderr = _reference_trajectories(psi0, h, noise, 2.0, obs, cfg)
+        assert a.means[0] == pytest.approx(mean, abs=1e-9)
+        assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
 
     def test_norm_checks_pass(self):
         noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 0.6, "d"),))
@@ -375,8 +383,27 @@ class TestMcTrajectories:
             2.0,
             [P0],
             TrajectoryConfig(n_traj=200, seed=3, dt=1e-3),
-            check_norms=True,
         )
+
+    def test_norm_check_fires_on_growing_propagator(self, monkeypatch):
+        import etlab.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "expm", lambda a: 1.001 * expm(a))
+        noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 0.6, "d"),))
+        with pytest.raises(TrajectoryError, match="no-jump norm increased"):
+            mc_trajectories(
+                basis_state(1, 1), SZ, noise, 2.0, [P0],
+                TrajectoryConfig(n_traj=20, seed=3, dt=1e-3),
+            )
+
+    @pytest.mark.parametrize("t_final", [-1.0, float("nan"), float("inf")])
+    def test_bad_t_final_rejected(self, t_final):
+        noise = NoiseModel((NoiseChannel(SX, 0.5, "X"),))
+        with pytest.raises(ValueError, match="t_final must be finite and nonnegative"):
+            mc_trajectories(
+                basis_state(1, 0), SZ, noise, t_final, [P0],
+                TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
+            )
 
     def test_damping_reaches_ground(self):
         noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 2.0, "d"),))
@@ -411,8 +438,8 @@ class TestMcTrajectories:
 
             real = dyn._trajectory_rngs
 
-            def fake(seed, lo, hi):
-                return [FakeRng() for _ in range(lo, hi)]
+            def fake(seed, n):
+                return [FakeRng() for _ in range(n)]
 
             dyn._trajectory_rngs = fake
             try:

@@ -226,3 +226,7 @@ class TestProbabilityGuard:
     def test_rejects_large_excursions(self):
         with pytest.raises(ExperimentError):
             _finalize_probability(1.001, "ctx")
+
+    def test_rejects_nan_naming_context(self):
+        with pytest.raises(ExperimentError, match="fig1b/eth-7 at gamma/omega=0.1"):
+            _finalize_probability(float("nan"), "fig1b/eth-7 at gamma/omega=0.1")
