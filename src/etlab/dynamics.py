@@ -17,8 +17,9 @@ Two methods cross-validate each other:
   one-step propagator exp((-iH - K/2) dt) and jumps fire when the decaying
   norm crosses a per-trajectory uniform threshold (no sub-step
   interpolation).  Every trajectory follows the same deterministic flow
-  between jumps, so the no-jump backbone is computed once and first-jump
-  continuations are memoized; the engine checks its own norms as it goes.
+  between jumps, so the no-jump backbone is computed once, and after a
+  jump each no-jump stretch takes O(log n_steps) matvecs by binary lifting
+  over the powers u^(2^b); the engine checks its own norms as it goes.
 
 Trajectory i draws every random number from its own stream seeded by
 (seed, i), so results are bitwise reproducible and independent of the
@@ -97,11 +98,17 @@ class NoiseModel:
 
     def decay_operator(self, dim: int) -> np.ndarray:
         """K = sum_k rate_k L_k^dag L_k as a dim x dim matrix (zero without
-        channels), summed in channel order."""
+        channels), summed in channel order.  A monomial L_k contributes
+        diag(|vals|^2) at its columns, with no dense product."""
         k = np.zeros((dim, dim), dtype=complex)
         for ch in self.channels:
             l = np.asarray(ch.jump, dtype=complex)
-            k += ch.rate * (l.conj().T @ l)
+            mono = _try_monomial(l)
+            if mono is None:
+                k += ch.rate * (l.conj().T @ l)
+            else:
+                _, cols, vals = mono
+                k[cols, cols] += ch.rate * (vals.conj() * vals)
         return k
 
 
@@ -218,7 +225,9 @@ class _MonomialJump:
         out[np.ix_(self.rows, self.rows)] += self.outer * rho[np.ix_(self.cols, self.cols)]
 
 
-def _try_monomial(l: np.ndarray, rate: float) -> _MonomialJump | None:
+def _try_monomial(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(rows, cols, vals) of the nonzeros of l if it has at most one per
+    column and unique rows, else None."""
     rows_all, cols_all = np.nonzero(np.abs(l) > 0)
     if len(cols_all) != len(set(cols_all.tolist())):
         return None
@@ -227,7 +236,23 @@ def _try_monomial(l: np.ndarray, rate: float) -> _MonomialJump | None:
     order = np.argsort(cols_all)
     rows = rows_all[order]
     cols = cols_all[order]
-    return _MonomialJump(rows, cols, l[rows, cols].astype(complex), rate)
+    return rows, cols, l[rows, cols].astype(complex)
+
+
+def _vector_action(l: np.ndarray):
+    """psi -> l @ psi; a gather when l is monomial, where each entry of the
+    result is a single product, so no dense matvec is needed."""
+    mono = _try_monomial(l)
+    if mono is None:
+        return lambda psi: l @ psi
+    rows, cols, vals = mono
+
+    def act(psi: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(psi), dtype=complex)
+        out[rows] = vals * psi[cols]
+        return out
+
+    return act
 
 
 def _norm2_bound(a: np.ndarray) -> float:
@@ -252,9 +277,9 @@ class _Generator:
         for ch in noise.channels:
             l = np.asarray(ch.jump, dtype=complex)
             jump_bound += ch.rate * _norm2_bound(l) ** 2
-            mono = _try_monomial(l, ch.rate)
+            mono = _try_monomial(l)
             if mono is not None:
-                self.monomials.append(mono)
+                self.monomials.append(_MonomialJump(*mono, ch.rate))
             else:
                 self.dense.append((l, ch.rate))
         self.g = -1j * np.asarray(h, dtype=complex) - 0.5 * noise.decay_operator(h.shape[0])
@@ -386,12 +411,11 @@ def mc_trajectories(
     of <psi|O|psi> at t_final for each observable.
 
     Every trajectory follows the same deterministic flow between jumps: the
-    no-jump path is computed once, first-jump continuations are memoized per
-    (step, channel), and only the rare multi-jump stragglers step
-    individually -- this is what makes large trajectory counts affordable
-    when jumps are rare.  A no-jump norm that grows by more than 1e-12
-    (relative) between steps, or a renormalization off by more than 1e-10,
-    raises :class:`TrajectoryError`.
+    no-jump path is computed once and places every first jump, and each
+    later stretch up to the next jump or t_final costs O(log n_steps)
+    matvecs with the powers u_step^(2^b).  A no-jump norm that grows by more
+    than 1e-12 (relative) between steps or across one power, or a
+    renormalization off by more than 1e-10, raises :class:`TrajectoryError`.
     """
     _check_t_final(t_final)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -416,13 +440,13 @@ def mc_trajectories(
     dt = t_final / n_steps
     g = -1j * np.asarray(h, dtype=complex) - 0.5 * noise.decay_operator(psi0.shape[0])
     u_step = expm(g * dt)
-    jumps = [(np.asarray(ch.jump, dtype=complex), ch.rate) for ch in noise.channels]
+    jumps = [(_vector_action(ch.jump), ch.rate) for ch in noise.channels]
     return reduce_values(_mc_branched(psi0, u_step, jumps, n_steps, observables, config))
 
 
 def _select_channel(rng, psi, jumps):
     """Channel index drawn with probability proportional to rate ||L psi||^2."""
-    weights = np.array([rate * np.linalg.norm(l @ psi) ** 2 for l, rate in jumps])
+    weights = np.array([rate * np.linalg.norm(act(psi)) ** 2 for act, rate in jumps])
     total = weights.sum()
     if total <= 0:
         raise TrajectoryError("jump threshold crossed but every channel has zero rate")
@@ -462,65 +486,38 @@ def _mc_branched(psi0, u_step, jumps, n_steps, observables, config):
     counts = np.searchsorted(ascending, thresholds, side="right")
     jumpers = np.nonzero(counts > 0)[0]
 
-    def continue_individually(psi_unnorm, step, rng):
-        """Jump now, then step to the end, handling any further jumps."""
+    # u_step^(2^b) for b = 0 .. floor(log2 n_steps), by repeated squaring
+    powers = [u_step]
+    while 2 ** len(powers) <= n_steps:
+        powers.append(powers[-1] @ powers[-1])
+
+    def run_from(psi, step, rng):
+        """Jump from the unnormalized state psi reached at step, then follow
+        the trajectory to the end and return its final observable values.
+        Each no-jump stretch is one binary-lifting pass over the powers: the
+        furthest step whose norm stays above a fresh threshold, in at most
+        len(powers) matvecs (popcount(n_steps - step) when no jump comes)."""
         while True:
-            k = _select_channel(rng, psi_unnorm, jumps)
-            psi = jumps[k][0] @ psi_unnorm
-            psi = psi / np.linalg.norm(psi)
-            if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+            k = _select_channel(rng, psi, jumps)
+            phi = jumps[k][0](psi)
+            phi = phi / np.linalg.norm(phi)
+            if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
                 raise TrajectoryError("renormalization failed")
-            threshold = rng.random()
-            prev = 1.0
-            crossed_again = False
-            for s in range(step + 1, n_steps + 1):
-                psi = u_step @ psi
-                n2 = np.vdot(psi, psi).real
-                if n2 > prev * (1 + 1e-12):
+            threshold, n2 = rng.random(), np.vdot(phi, phi).real
+            for b in reversed(range(len(powers))):
+                if step + 2**b > n_steps:
+                    continue
+                nxt = powers[b] @ phi
+                nxt_n2 = np.vdot(nxt, nxt).real
+                if nxt_n2 > n2 * (1 + 1e-12):
                     raise TrajectoryError("no-jump norm increased between steps")
-                prev = n2
-                if n2 <= threshold:
-                    psi_unnorm, step, crossed_again = psi, s, True
-                    break
-            if not crossed_again:
-                return value_of(psi)
-
-    # memoized continuation after a first jump at (step j, channel k):
-    # decreasing norm profile plus the final observable values of the
-    # no-second-jump path
-    branch_cache: dict = {}
-
-    def branch(j: int, k: int):
-        key = (j, k)
-        if key not in branch_cache:
-            psi = jumps[k][0] @ states0[:, j]
-            psi = psi / np.linalg.norm(psi)
-            profile = np.empty(n_steps - j + 1)
-            profile[0] = 1.0
-            cur = psi
-            for m in range(1, n_steps - j + 1):
-                cur = u_step @ cur
-                profile[m] = np.vdot(cur, cur).real
-            profile = np.minimum.accumulate(profile)
-            branch_cache[key] = (profile, value_of(cur))
-        return branch_cache[key]
+                if nxt_n2 > threshold:
+                    phi, n2, step = nxt, nxt_n2, step + 2**b
+            if step == n_steps:
+                return value_of(phi)
+            psi, step = u_step @ phi, step + 1
 
     for i in jumpers:
         j = n_steps - int(counts[i]) + 1
-        rng = rngs[i]
-        k = _select_channel(rng, states0[:, j], jumps)
-        r2 = rng.random()
-        profile, final_value = branch(j, k)
-        m_count = int(np.searchsorted(profile[1:][::-1], r2, side="right"))
-        if m_count == 0:
-            values[:, i] = final_value
-            continue
-        # rare second jump: rebuild the branch state at the crossing and
-        # finish this trajectory step by step
-        m = (len(profile) - 1) - m_count + 1
-        psi = jumps[k][0] @ states0[:, j]
-        psi = psi / np.linalg.norm(psi)
-        for _ in range(m):
-            psi = u_step @ psi
-        values[:, i] = continue_individually(psi, j + m, rng)
+        values[:, i] = run_from(states0[:, j], j, rngs[i])
     return values

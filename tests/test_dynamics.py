@@ -21,6 +21,7 @@ from etlab.dynamics import (
     mc_trajectories,
     site_channels,
     SIGMA_MINUS,
+    SIGMA_PLUS,
 )
 from etlab.dynamics import _Generator
 from etlab.qcore import basis_state, normalize, pure_density
@@ -53,6 +54,18 @@ class TestNoiseModel:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel((NoiseChannel(SX, 1.0, "a"), NoiseChannel(np.eye(4), 1.0, "b")))
+
+    def test_decay_operator_equals_dense_formula(self):
+        # monomial jumps skip the dense product; the sum must keep its bits
+        from etlab.experiments import _realize, fig1a_scenarios, fig1b_scenarios
+
+        for spec in fig1a_scenarios(0.3, 1.0) + fig1b_scenarios(0.05, 1.0):
+            noise = _realize(spec).noise
+            dim = noise.channels[0].jump.shape[0]
+            dense = np.zeros((dim, dim), dtype=complex)
+            for ch in noise.channels:
+                dense += ch.rate * (ch.jump.conj().T @ ch.jump)
+            assert np.array_equal(noise.decay_operator(dim), dense), spec.label
 
     def test_site_channels(self):
         chans = site_channels(3, SX, 0.5, "X")
@@ -374,6 +387,39 @@ class TestMcTrajectories:
         assert a.means[0] == pytest.approx(mean, abs=1e-9)
         assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "noise, h, t_final, dt",
+        [
+            # sigma- at 2.0 and sigma+ at 1.0 on each qubit: one of the two is
+            # always active, so a trajectory jumps 4 to 8 times on average
+            (
+                NoiseModel(
+                    tuple(site_channels(2, SIGMA_MINUS, 2.0, "d"))
+                    + tuple(site_channels(2, SIGMA_PLUS, 1.0, "u"))
+                ),
+                np.kron(SX, SX).astype(complex) * 0.5,
+                2.0,
+                5e-3,
+            ),
+            # 127 steps: every bit of the ladder is set
+            (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.27, 1e-2),
+            # 128 steps: the top power spans the whole duration
+            (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.28, 1e-2),
+            # a single step: every jump lands on the final step
+            (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.0, 1.0),
+        ],
+        ids=["many-jumps", "127-steps", "128-steps", "one-step"],
+    )
+    def test_engine_matches_reference_stepper(self, noise, h, t_final, dt):
+        psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
+        obs = np.kron(P0, np.eye(2)).astype(complex)
+        cfg = TrajectoryConfig(n_traj=300, seed=61, dt=dt)
+        a = mc_trajectories(psi0, h, noise, t_final, [obs], cfg)
+        mean, stderr = _reference_trajectories(psi0, h, noise, t_final, obs, cfg)
+        assert a.stderrs[0] > 0
+        assert a.means[0] == pytest.approx(mean, abs=1e-9)
+        assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
+
     def test_norm_checks_pass(self):
         noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 0.6, "d"),))
         mc_trajectories(
@@ -394,6 +440,19 @@ class TestMcTrajectories:
             mc_trajectories(
                 basis_state(1, 1), SZ, noise, 2.0, [P0],
                 TrajectoryConfig(n_traj=20, seed=3, dt=1e-3),
+            )
+
+    def test_norm_check_fires_after_a_jump(self, monkeypatch):
+        # |0> decays, so the backbone passes its check; the jump lands on |1>,
+        # which the doctored propagator grows by 1.001 per step
+        import etlab.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "expm", lambda a: np.diag([0.99, 1.001]).astype(complex))
+        noise = NoiseModel((NoiseChannel(SIGMA_PLUS, 1.0, "u"),))
+        with pytest.raises(TrajectoryError, match="no-jump norm increased between steps"):
+            mc_trajectories(
+                basis_state(1, 0), SZ, noise, 1.0, [P0],
+                TrajectoryConfig(n_traj=200, seed=3, dt=1e-2),
             )
 
     @pytest.mark.parametrize("t_final", [-1.0, float("nan"), float("inf")])
@@ -461,6 +520,16 @@ class TestMcTrajectories:
             psi0, h, noise, 1.0, [obs], TrajectoryConfig(n_traj=3000, seed=21, dt=1e-3)
         )
         assert abs(mres.means[0] - p_l) <= 4 * mres.stderrs[0]
+
+    def test_strong_noise_fig1b_eth5_agrees_with_lindblad(self):
+        # gamma/omega = 1, ten times the top of the default grid
+        from etlab.experiments import fig1b_scenarios, run_scenario
+
+        spec = next(s for s in fig1b_scenarios(1.0, 1.0) if s.label == "eth-5")
+        p_l, _ = run_scenario(spec, method="lindblad")
+        p_m, se = run_scenario(spec, method="mc", n_traj=400, seed=515)
+        assert se > 0
+        assert abs(p_m - p_l) <= 4 * se
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
