@@ -208,6 +208,8 @@ def _sweep_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("seed must be nonnegative")
     _require_finite_positive("--omega", config.omega)
     _require_finite_positive("--dt", config.dt_override)
+    if config.max_workers is not None and config.max_workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {config.max_workers}")
     return config
 
 

@@ -8,10 +8,7 @@ Two methods cross-validate each other:
   (the action-of-the-exponential method of Al-Mohy & Higham, SIAM J. Sci.
   Comput. 33, 488 (2011)), summed to machine precision.  An explicit step
   selects fixed-step RK4 instead, guarded against steps beyond its
-  stability region.  Both apply the generator through one fast path: every
-  jump operator used here (Pauli letters, raising/lowering on one site) has
-  at most one nonzero per column, so L rho L^dag is a gather/scatter
-  instead of two dense matmuls; arbitrary dense jumps fall back to matmuls.
+  stability region.
 * :func:`mc_trajectories` -- quantum-jump unravelling (Dalibard, Castin &
   Molmer, PRL 68, 580 (1992)).  Deterministic segments use a precomputed
   one-step propagator exp((-iH - K/2) dt) and jumps fire when the decaying
@@ -21,6 +18,13 @@ Two methods cross-validate each other:
   jump each no-jump stretch takes O(log n_steps) matvecs by binary lifting
   over the powers u^(2^b); the engine checks its own norms as it goes.
 
+Both methods see the noise through one representation, built once per run:
+each channel's jump is checked against H's dimension, and the no-jump
+generator G = -iH - K/2 is formed in one place.  Every jump used here
+(Pauli letters, raising/lowering on one site) has at most one nonzero per
+column, so L psi, L rho L^dag and L^dag L are gathers and scatters; dense
+jumps fall back to matmuls.
+
 Trajectory i draws every random number from its own stream seeded by
 (seed, i), so results are bitwise reproducible and independent of the
 order in which trajectories are processed.
@@ -29,6 +33,7 @@ order in which trajectories are processed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,21 +100,6 @@ class NoiseModel:
 
     def max_rate(self) -> float:
         return max((ch.rate for ch in self.channels), default=0.0)
-
-    def decay_operator(self, dim: int) -> np.ndarray:
-        """K = sum_k rate_k L_k^dag L_k as a dim x dim matrix (zero without
-        channels), summed in channel order.  A monomial L_k contributes
-        diag(|vals|^2) at its columns, with no dense product."""
-        k = np.zeros((dim, dim), dtype=complex)
-        for ch in self.channels:
-            l = np.asarray(ch.jump, dtype=complex)
-            mono = _try_monomial(l)
-            if mono is None:
-                k += ch.rate * (l.conj().T @ l)
-            else:
-                _, cols, vals = mono
-                k[cols, cols] += ch.rate * (vals.conj() * vals)
-        return k
 
 
 def site_channels(
@@ -181,11 +171,10 @@ class McResult:
     n_traj: int
 
 
-def default_timestep(omega: float, noise: NoiseModel | float) -> float:
+def default_timestep(omega: float, max_rate: float) -> float:
     """dt = (1/2000) min(pi/omega, 1/max_rate), the Monte-Carlo step that
     places jumps; small enough that the jump-placement bias sits well below
     the statistical tolerances.  The Lindblad integrator needs no step."""
-    max_rate = noise if isinstance(noise, (int, float)) else noise.max_rate()
     scale = np.pi / omega
     if max_rate > 0:
         scale = min(scale, 1.0 / max_rate)
@@ -213,46 +202,75 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
     return out
 
 
-class _MonomialJump:
-    """Jump operator with at most one nonzero per column and unique rows."""
+class _Jump:
+    """One channel's jump operator ``l`` at its rate, as both engines use it.
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rate: float):
-        self.rows = rows
-        self.cols = cols
-        self.outer = rate * np.outer(vals, vals.conj())
+    A monomial l (at most one nonzero per column, unique rows) is also held
+    as its nonzeros ``mono`` = (rows, cols, vals), sorted by column, and its
+    three operations are gathers and scatters in which each entry is a
+    single product; otherwise ``mono`` is None and they are matmuls.
+    """
 
-    def apply(self, rho: np.ndarray, out: np.ndarray) -> None:
-        out[np.ix_(self.rows, self.rows)] += self.outer * rho[np.ix_(self.cols, self.cols)]
+    def __init__(self, l: np.ndarray, rate: float):
+        self.l = l
+        self.rate = rate
+        self.mono = None
+        rows, cols = np.nonzero(np.abs(l) > 0)
+        if len(set(rows.tolist())) == len(rows) and len(set(cols.tolist())) == len(cols):
+            order = np.argsort(cols)
+            rows, cols = rows[order], cols[order]
+            self.mono = rows, cols, l[rows, cols].astype(complex)
 
-
-def _try_monomial(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(rows, cols, vals) of the nonzeros of l if it has at most one per
-    column and unique rows, else None."""
-    rows_all, cols_all = np.nonzero(np.abs(l) > 0)
-    if len(cols_all) != len(set(cols_all.tolist())):
-        return None
-    if len(rows_all) != len(set(rows_all.tolist())):
-        return None
-    order = np.argsort(cols_all)
-    rows = rows_all[order]
-    cols = cols_all[order]
-    return rows, cols, l[rows, cols].astype(complex)
-
-
-def _vector_action(l: np.ndarray):
-    """psi -> l @ psi; a gather when l is monomial, where each entry of the
-    result is a single product, so no dense matvec is needed."""
-    mono = _try_monomial(l)
-    if mono is None:
-        return lambda psi: l @ psi
-    rows, cols, vals = mono
-
-    def act(psi: np.ndarray) -> np.ndarray:
+    def act(self, psi: np.ndarray) -> np.ndarray:
+        """l @ psi."""
+        if self.mono is None:
+            return self.l @ psi
+        rows, cols, vals = self.mono
         out = np.zeros(len(psi), dtype=complex)
         out[rows] = vals * psi[cols]
         return out
 
-    return act
+    def add_decay(self, k: np.ndarray) -> None:
+        """k += rate l^dag l."""
+        if self.mono is None:
+            k += self.rate * (self.l.conj().T @ self.l)
+        else:
+            _, cols, vals = self.mono
+            k[cols, cols] += self.rate * (vals.conj() * vals)
+
+    def add_sandwich(self, rho: np.ndarray, out: np.ndarray) -> None:
+        """out += rate l rho l^dag."""
+        if self.mono is None:
+            out += self.rate * (self.l @ rho @ self.l.conj().T)
+        else:
+            to, frm, weights = self._sandwich
+            out[to] += weights * rho[frm]
+
+    @cached_property
+    def _sandwich(self) -> tuple[tuple, tuple, np.ndarray]:
+        # the weights rate vals vals^* are d x d: built on first use, since
+        # only the Lindblad rhs needs them, and scaled in place
+        rows, cols, vals = self.mono
+        weights = np.outer(vals, vals.conj())
+        weights *= self.rate
+        return np.ix_(rows, rows), np.ix_(cols, cols), weights
+
+
+def _no_jump_generator(h: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, list[_Jump]]:
+    """G = -iH - K/2, with K = sum_k rate_k L_k^dag L_k summed in channel
+    order, and every channel's jump analysed once; a jump whose shape is
+    not H's is rejected."""
+    h = np.asarray(h, dtype=complex)
+    k = np.zeros(h.shape, dtype=complex)
+    jumps = []
+    for ch in noise.channels:
+        l = np.asarray(ch.jump, dtype=complex)
+        if l.shape != h.shape:
+            raise ValueError(f"dimension mismatch: H {h.shape}, jump {ch.label!r} {l.shape}")
+        jump = _Jump(l, ch.rate)
+        jump.add_decay(k)
+        jumps.append(jump)
+    return -1j * h - 0.5 * k, jumps
 
 
 def _norm2_bound(a: np.ndarray) -> float:
@@ -271,27 +289,15 @@ class _Generator:
     """
 
     def __init__(self, h: np.ndarray, noise: NoiseModel):
-        self.monomials: list[_MonomialJump] = []
-        self.dense: list[tuple[np.ndarray, float]] = []
-        jump_bound = 0.0
-        for ch in noise.channels:
-            l = np.asarray(ch.jump, dtype=complex)
-            jump_bound += ch.rate * _norm2_bound(l) ** 2
-            mono = _try_monomial(l)
-            if mono is not None:
-                self.monomials.append(_MonomialJump(*mono, ch.rate))
-            else:
-                self.dense.append((l, ch.rate))
-        self.g = -1j * np.asarray(h, dtype=complex) - 0.5 * noise.decay_operator(h.shape[0])
+        self.g, self.jumps = _no_jump_generator(h, noise)
         self.gd = self.g.conj().T
+        jump_bound = sum(j.rate * _norm2_bound(j.l) ** 2 for j in self.jumps)
         self.bound = 2.0 * _norm2_bound(self.g) + jump_bound
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = self.g @ rho + rho @ self.gd
-        for mono in self.monomials:
-            mono.apply(rho, out)
-        for l, rate in self.dense:
-            out += rate * (l @ rho @ l.conj().T)
+        for jump in self.jumps:
+            jump.add_sandwich(rho, out)
         return out
 
 
@@ -355,13 +361,16 @@ def integrate_lindblad(
     RK4's stability region for this generator is rejected up front.  Either
     way the state is re-Hermitized ((rho + rho^dag)/2) after every
     (sub)step, and a trace drift beyond 1e-5 at a recorded point raises
-    :class:`IntegrationError`.
+    :class:`IntegrationError`.  A rho0 or jump whose dimension is not H's
+    raises ValueError.
     """
     rho = np.asarray(rho0, dtype=complex).copy()
     check_density_matrix(rho)
+    gen = _Generator(h, noise)
+    if rho.shape != gen.g.shape:
+        raise ValueError(f"dimension mismatch: rho {rho.shape}, H {gen.g.shape}")
     if config.t_final == 0:
         return LindbladResult(times=np.array([0.0]), states=[rho])
-    gen = _Generator(h, noise)
     if not np.isfinite(gen.bound):
         raise IntegrationError("the generator has non-finite entries")
     if config.dt is None:
@@ -416,70 +425,50 @@ def mc_trajectories(
     matvecs with the powers u_step^(2^b).  A no-jump norm that grows by more
     than 1e-12 (relative) between steps or across one power, or a
     renormalization off by more than 1e-10, raises :class:`TrajectoryError`.
+    A psi0 or jump whose dimension is not H's raises ValueError.
     """
     _check_t_final(t_final)
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {nrm!r} is not 1")
+    g, jumps = _no_jump_generator(h, noise)
+    if psi0.shape != g.shape[:1]:
+        raise ValueError(f"dimension mismatch: psi0 {psi0.shape}, H {g.shape}")
     n_traj = config.n_traj
 
     def reduce_values(values: np.ndarray) -> McResult:
-        means = values.mean(axis=1)
-        if values.shape[1] > 1:
-            stderrs = values.std(axis=1, ddof=1) / np.sqrt(values.shape[1])
-        else:
-            stderrs = np.zeros(len(observables))
-        return McResult(means=means, stderrs=stderrs, n_traj=n_traj)
-
-    if t_final == 0:
-        one = np.array([np.vdot(psi0, obs @ psi0).real for obs in observables])
-        return reduce_values(np.tile(one[:, None], (1, n_traj)))
-
-    n_steps = max(1, round(t_final / config.dt))
-    dt = t_final / n_steps
-    g = -1j * np.asarray(h, dtype=complex) - 0.5 * noise.decay_operator(psi0.shape[0])
-    u_step = expm(g * dt)
-    jumps = [(_vector_action(ch.jump), ch.rate) for ch in noise.channels]
-    return reduce_values(_mc_branched(psi0, u_step, jumps, n_steps, observables, config))
-
-
-def _select_channel(rng, psi, jumps):
-    """Channel index drawn with probability proportional to rate ||L psi||^2."""
-    weights = np.array([rate * np.linalg.norm(act(psi)) ** 2 for act, rate in jumps])
-    total = weights.sum()
-    if total <= 0:
-        raise TrajectoryError("jump threshold crossed but every channel has zero rate")
-    u = rng.random() * total
-    k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-    return min(k, len(jumps) - 1)
-
-
-def _mc_branched(psi0, u_step, jumps, n_steps, observables, config):
-    n_traj = config.n_traj
+        stderrs = np.zeros(len(values))
+        if n_traj > 1:
+            stderrs = values.std(axis=1, ddof=1) / np.sqrt(n_traj)
+        return McResult(means=values.mean(axis=1), stderrs=stderrs, n_traj=n_traj)
 
     def value_of(psi: np.ndarray) -> np.ndarray:
         psi = psi / np.linalg.norm(psi)
         return np.array([np.vdot(psi, obs @ psi).real for obs in observables])
+
+    if t_final == 0:
+        return reduce_values(np.tile(value_of(psi0)[:, None], (1, n_traj)))
+
+    n_steps = max(1, round(t_final / config.dt))
+    u_step = expm(g * (t_final / n_steps))
 
     # the deterministic no-jump backbone, shared by every trajectory
     states0 = np.empty((psi0.shape[0], n_steps + 1), dtype=complex)
     states0[:, 0] = psi0
     for s in range(1, n_steps + 1):
         states0[:, s] = u_step @ states0[:, s - 1]
+    values = np.tile(value_of(states0[:, -1])[:, None], (1, n_traj))
+    if not jumps:
+        return reduce_values(values)
     norms2 = np.einsum("ds,ds->s", states0.conj(), states0).real
-    if jumps and np.any(norms2[1:] > norms2[:-1] * (1 + 1e-12)):
+    if np.any(norms2[1:] > norms2[:-1] * (1 + 1e-12)):
         raise TrajectoryError("no-jump norm increased between steps")
     # enforce monotonicity against last-ulp rounding so searchsorted is valid
     norms2 = np.minimum.accumulate(norms2)
-    value0 = value_of(states0[:, -1])
 
     rngs = _trajectory_rngs(config.seed, n_traj)
     thresholds = np.array([rng.random() for rng in rngs])
-    values = np.tile(value0[:, None], (1, n_traj))
-    if not jumps:
-        return values
-
     # first crossing step per trajectory: norms2[1:] is non-increasing, so
     # the number of entries <= r locates the crossing in O(log n_steps)
     ascending = norms2[1:][::-1]
@@ -498,8 +487,7 @@ def _mc_branched(psi0, u_step, jumps, n_steps, observables, config):
         furthest step whose norm stays above a fresh threshold, in at most
         len(powers) matvecs (popcount(n_steps - step) when no jump comes)."""
         while True:
-            k = _select_channel(rng, psi, jumps)
-            phi = jumps[k][0](psi)
+            phi = jumps[_select_channel(rng, psi, jumps)].act(psi)
             phi = phi / np.linalg.norm(phi)
             if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
                 raise TrajectoryError("renormalization failed")
@@ -520,4 +508,15 @@ def _mc_branched(psi0, u_step, jumps, n_steps, observables, config):
     for i in jumpers:
         j = n_steps - int(counts[i]) + 1
         values[:, i] = run_from(states0[:, j], j, rngs[i])
-    return values
+    return reduce_values(values)
+
+
+def _select_channel(rng, psi, jumps: list[_Jump]) -> int:
+    """Channel index drawn with probability proportional to rate ||L psi||^2."""
+    weights = np.array([j.rate * np.linalg.norm(j.act(psi)) ** 2 for j in jumps])
+    total = weights.sum()
+    if total <= 0:
+        raise TrajectoryError("jump threshold crossed but every channel has zero rate")
+    u = rng.random() * total
+    k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+    return min(k, len(jumps) - 1)

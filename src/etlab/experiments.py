@@ -39,6 +39,7 @@ from .dynamics import (
     default_timestep,
     integrate_lindblad,
     mc_trajectories,
+    site_channels,
     SIGMA_MINUS,
     SIGMA_PLUS,
 )
@@ -167,21 +168,14 @@ def _realize_fig1a(spec: ScenarioSpec) -> _Realized:
     if spec.code_name is None:
         h = omega * np.diag([1.0, -1.0]).astype(complex)
         psi0 = normalize(basis_state(1, 0) + basis_state(1, 1))
-        channels = [NoiseChannel(jump=sx, rate=gamma, label="X0")] if gamma > 0 else []
+        channels = site_channels(1, sx, gamma, "X") if gamma > 0 else []
         return _Realized(h, NoiseModel(tuple(channels)), psi0, duration, pure_density(psi0))
     code = codes.build_code(spec.code_name)
     errorset = codes.error_set(code, spec.error_kinds)
     h0 = eth.encode_logical(code, eth.LogicalHamiltonian(omega, -omega, 0))
     h = eth.make_eth(code, h0, errorset) if spec.use_eth else h0
     psi0 = normalize(code.codeword0 + code.codeword1)
-    channels = (
-        [
-            NoiseChannel(jump=embed_single(code.n, q, sx), rate=gamma, label=f"X{q}")
-            for q in range(code.n)
-        ]
-        if gamma > 0
-        else []
-    )
+    channels = site_channels(code.n, sx, gamma, "X") if gamma > 0 else []
     observable = pure_density(psi0)
     if spec.apply_recovery:
         observable = codes.recover_adjoint(code, errorset, observable)
@@ -194,8 +188,7 @@ def _realize_fig1b(spec: ScenarioSpec) -> _Realized:
     excited = np.diag([0.0, 1.0]).astype(complex)
     if spec.code_name is None:
         # bare two-level controller: same swap coupling without encoding
-        l_minus = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1| on controller
-        term = np.kron(l_minus, SIGMA_PLUS)
+        term = np.kron(SIGMA_MINUS, SIGMA_PLUS)
         h = omega * (term + term.conj().T)
         n_ctrl = 1
         psi0 = np.kron(basis_state(1, 1), basis_state(1, 0))
@@ -211,12 +204,7 @@ def _realize_fig1b(spec: ScenarioSpec) -> _Realized:
     n_total = n_ctrl + 1
     channels = []
     if gamma > 0:
-        for q in range(n_ctrl):
-            channels.append(
-                NoiseChannel(
-                    jump=embed_single(n_total, q, SIGMA_MINUS), rate=gamma, label=f"damp{q}"
-                )
-            )
+        channels = site_channels(n_total, SIGMA_MINUS, gamma, "damp", range(n_ctrl))
     channels.append(
         NoiseChannel(
             jump=embed_single(n_total, n_ctrl, SIGMA_PLUS),

@@ -197,3 +197,18 @@ class TestConfigValidation:
         assert run_cli(["sweep", "fig1a", flag, value, "--out", str(out)]) == 1
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_workers_flag_exit_1(self, tmp_path, capsys, value):
+        out = tmp_path / "r"
+        args = ["sweep", "fig1a", "--gamma-points", "1", "--workers", value, "--out", str(out)]
+        assert run_cli(args) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_nonpositive_workers_in_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[sweep]\ngamma_points = 1\nworkers = 0\nout = %s\n" % (tmp_path / "r"))
+        assert run_cli(["sweep", "fig1a", "--config", str(cfg)]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))

@@ -23,7 +23,7 @@ from etlab.dynamics import (
     SIGMA_MINUS,
     SIGMA_PLUS,
 )
-from etlab.dynamics import _Generator
+from etlab.dynamics import _Generator, _no_jump_generator
 from etlab.qcore import basis_state, normalize, pure_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,7 +56,8 @@ class TestNoiseModel:
             NoiseModel((NoiseChannel(SX, 1.0, "a"), NoiseChannel(np.eye(4), 1.0, "b")))
 
     def test_decay_operator_equals_dense_formula(self):
-        # monomial jumps skip the dense product; the sum must keep its bits
+        # monomial jumps skip the dense product; the sum K must keep its bits.
+        # With H = 0 the no-jump generator is exactly -K/2.
         from etlab.experiments import _realize, fig1a_scenarios, fig1b_scenarios
 
         for spec in fig1a_scenarios(0.3, 1.0) + fig1b_scenarios(0.05, 1.0):
@@ -65,7 +66,8 @@ class TestNoiseModel:
             dense = np.zeros((dim, dim), dtype=complex)
             for ch in noise.channels:
                 dense += ch.rate * (ch.jump.conj().T @ ch.jump)
-            assert np.array_equal(noise.decay_operator(dim), dense), spec.label
+            g, _ = _no_jump_generator(np.zeros((dim, dim)), noise)
+            assert np.array_equal(-2 * g, dense), spec.label
 
     def test_site_channels(self):
         chans = site_channels(3, SX, 0.5, "X")
@@ -212,6 +214,39 @@ class TestIntegrateLindblad:
             )
 
 
+def _run(method, psi0, h, noise):
+    """Evolve the pure state psi0 to t=1 by exact or RK4 Lindblad, or by MC."""
+    if method == "mc":
+        cfg = TrajectoryConfig(n_traj=200, seed=5, dt=0.01)
+        return mc_trajectories(psi0, h, noise, 1.0, [np.eye(len(psi0))], cfg)
+    dt = None if method == "exact" else 0.01
+    return integrate_lindblad(pure_density(psi0), h, noise, IntegrationConfig(dt=dt, t_final=1.0))
+
+
+_METHODS = pytest.mark.parametrize("method", ["exact", "rk4", "mc"])
+
+
+@_METHODS
+@pytest.mark.parametrize(
+    "n_h, n_jump", [(2, 1), (1, 2)], ids=["jump-smaller-than-H", "jump-larger-than-H"]
+)
+def test_jump_dimension_mismatch_rejected(method, n_h, n_jump):
+    # a one-qubit jump with a two-qubit H used to run silently (P00 = 0.5677
+    # from either Lindblad method); the reverse raised a bare IndexError
+    noise = NoiseModel(tuple(site_channels(n_jump, SX, 1.0, "X", [0])))
+    d_h, d_l = 2**n_h, 2**n_jump
+    msg = rf"dimension mismatch: H \({d_h}, {d_h}\), jump 'X0' \({d_l}, {d_l}\)"
+    with pytest.raises(ValueError, match=msg):
+        _run(method, basis_state(n_h, 0), np.zeros((d_h, d_h)), noise)
+
+
+@_METHODS
+def test_state_dimension_mismatch_rejected(method):
+    state = r"psi0 \(2,\)" if method == "mc" else r"rho \(2, 2\)"
+    with pytest.raises(ValueError, match=rf"dimension mismatch: {state}, H \(4, 4\)"):
+        _run(method, basis_state(1, 0), np.zeros((4, 4)), NoiseModel())
+
+
 def _liouvillian_propagator(h, noise, t):
     """exp(t L) as a dense matrix on row-major vec(rho), built independently
     of the integrator: vec(A rho B) = (A kron B^T) vec(rho)."""
@@ -293,6 +328,13 @@ class TestExactPropagation:
             integrate_lindblad(
                 pure_density(basis_state(1, 0)), SZ, noise, IntegrationConfig(t_final=1.0)
             )
+
+
+def _random_jump(dim, seed):
+    """A dense complex dim x dim matrix with spectral norm 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return a / np.linalg.norm(a, 2)
 
 
 def _reference_trajectories(psi0, h, noise, t_final, obs, cfg):
@@ -407,8 +449,18 @@ class TestMcTrajectories:
             (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.28, 1e-2),
             # a single step: every jump lands on the final step
             (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.0, 1.0),
+            # a jump with no monomial structure, applied as a dense matrix
+            (
+                NoiseModel(
+                    (NoiseChannel(_random_jump(4, seed=23), 0.8, "dense"),)
+                    + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
+                ),
+                np.kron(SZ, SX),
+                1.5,
+                1e-2,
+            ),
         ],
-        ids=["many-jumps", "127-steps", "128-steps", "one-step"],
+        ids=["many-jumps", "127-steps", "128-steps", "one-step", "dense-jump"],
     )
     def test_engine_matches_reference_stepper(self, noise, h, t_final, dt):
         psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
