@@ -6,7 +6,10 @@ Two methods cross-validate each other:
   matrix.  The generator is time independent, so by default the state is
   propagated exactly: a scaled Taylor series of exp(t L) applied to rho
   (the action-of-the-exponential method of Al-Mohy & Higham, SIAM J. Sci.
-  Comput. 33, 488 (2011)), summed to machine precision.  An explicit step
+  Comput. 33, 488 (2011)).  Substeps are sized from a bound on the
+  generator's norm built on ||G||_2, and each series stops once a rigorous
+  bound on its whole remaining tail is below machine precision; the result
+  reports how many generator applications it took.  An explicit step
   selects fixed-step RK4 instead, guarded against steps beyond its
   stability region.
 * :func:`mc_trajectories` -- quantum-jump unravelling (Dalibard, Castin &
@@ -153,8 +156,12 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True)
 class LindbladResult:
+    """The recorded states, and ``applications``: how many times the
+    generator was applied (Taylor terms, or 4 per RK4 step)."""
+
     times: np.ndarray
     states: list[np.ndarray]
+    applications: int
 
     @property
     def final(self) -> np.ndarray:
@@ -283,16 +290,20 @@ def _norm2_bound(a: np.ndarray) -> float:
 class _Generator:
     """Precomputed Lindblad generator: rhs(rho) = G rho + rho G^dag + jumps.
 
-    ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 (each norm bounded as in
-    :func:`_norm2_bound`) bounds the generator's norm as a map on rho with
-    the Frobenius norm.
+    ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 bounds the generator's
+    norm as a map on rho with the Frobenius norm.  ||G||_2 is the spectral
+    norm itself (one SVD per run); each ||L_k||_2 is bounded as in
+    :func:`_norm2_bound`, which is exact for monomial jumps.  A non-finite G
+    gives an infinite bound.
     """
 
     def __init__(self, h: np.ndarray, noise: NoiseModel):
         self.g, self.jumps = _no_jump_generator(h, noise)
         self.gd = self.g.conj().T
         jump_bound = sum(j.rate * _norm2_bound(j.l) ** 2 for j in self.jumps)
-        self.bound = 2.0 * _norm2_bound(self.g) + jump_bound
+        # the SVD behind the spectral norm fails on NaN instead of returning it
+        g_norm = np.linalg.norm(self.g, 2) if np.isfinite(self.g).all() else np.inf
+        self.bound = 2.0 * float(g_norm) + jump_bound
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = self.g @ rho + rho @ self.gd
@@ -312,11 +323,19 @@ def _step_sizes(dt: float, t_final: float) -> list[float]:
 # RK4's stability region reaches -2.78 on the real axis; a step whose
 # generator-norm bound exceeds it can blow up instead of failing loudly
 _RK4_STABILITY = 2.78
-# a Taylor substep stops adding terms below this fraction of its partial sum
+# a Taylor substep spans x = substep * bound <= _TAYLOR_THETA; a larger x
+# needs fewer substeps but more cancellation, since the largest term is
+# about e^x / sqrt(2 pi x) times ||rho|| (11 times at x = 4)
+_TAYLOR_THETA = 4.0
+# a substep stops after term k once k + 1 > x and the tail bound below is
+# under this fraction of its partial sum: term k+j is at most
+# (x/(k+1))^j times term k, so the whole rest of the series is at most
+# ||term_k|| x / (k + 1 - x)
 _TAYLOR_TOL = 1e-15
-# with substep * bound <= 1 each term is at most 1/k of the one before, so
-# the first term below _TAYLOR_TOL also bounds the rest of the series, and
-# about 18 terms reach it; needing this many means the bound does not hold
+# at x <= 4 term k is at most 4^k/k! times ||rho||_F <= 1, and the partial
+# sum keeps trace 1, so its Frobenius norm is at least 1/16 at d <= 256: the
+# tail bound is met by term 32 at the latest; needing this many terms means
+# the bound does not hold
 _TAYLOR_MAX_TERMS = 60
 
 
@@ -326,25 +345,33 @@ def _check_trace(rho: np.ndarray, t: float, advice: str) -> None:
         raise IntegrationError(f"trace drifted by {drift:.3e} at t={t:.6g}{advice}")
 
 
-def _propagate_exact(gen: _Generator, rho: np.ndarray, t_final: float) -> np.ndarray:
-    """exp(t_final L) rho as ceil(t_final * bound) Taylor substeps."""
-    n_sub = max(1, int(np.ceil(t_final * gen.bound)))
+def _propagate_exact(
+    gen: _Generator, rho: np.ndarray, t_final: float
+) -> tuple[np.ndarray, int]:
+    """exp(t_final L) rho as ceil(t_final * bound / theta) Taylor substeps;
+    returns the state and the number of generator applications."""
+    n_sub = max(1, int(np.ceil(t_final * gen.bound / _TAYLOR_THETA)))
     step = t_final / n_sub
+    x = step * gen.bound
+    applications = 0
     for _ in range(n_sub):
         acc = rho.copy()
         term = rho
         for k in range(1, _TAYLOR_MAX_TERMS + 1):
             term = gen.rhs(term) * (step / k)
             acc += term
-            if np.linalg.norm(term) <= _TAYLOR_TOL * np.linalg.norm(acc):
+            if k + 1 > x and (
+                np.linalg.norm(term) * x / (k + 1 - x) <= _TAYLOR_TOL * np.linalg.norm(acc)
+            ):
                 break
         else:
             raise IntegrationError(
                 f"Taylor series did not converge in {_TAYLOR_MAX_TERMS} terms "
                 f"(substep {step:.4g}, generator bound {gen.bound:.4g})"
             )
+        applications += k
         rho = 0.5 * (acc + acc.conj().T)
-    return rho
+    return rho, applications
 
 
 def integrate_lindblad(
@@ -370,13 +397,15 @@ def integrate_lindblad(
     if rho.shape != gen.g.shape:
         raise ValueError(f"dimension mismatch: rho {rho.shape}, H {gen.g.shape}")
     if config.t_final == 0:
-        return LindbladResult(times=np.array([0.0]), states=[rho])
+        return LindbladResult(times=np.array([0.0]), states=[rho], applications=0)
     if not np.isfinite(gen.bound):
         raise IntegrationError("the generator has non-finite entries")
     if config.dt is None:
-        final = _propagate_exact(gen, rho, config.t_final)
+        final, applications = _propagate_exact(gen, rho, config.t_final)
         _check_trace(final, config.t_final, "")
-        return LindbladResult(times=np.array([0.0, config.t_final]), states=[rho, final])
+        return LindbladResult(
+            times=np.array([0.0, config.t_final]), states=[rho, final], applications=applications
+        )
     sizes = _step_sizes(config.dt, config.t_final)
     if max(sizes) * gen.bound > _RK4_STABILITY:
         raise IntegrationError(
@@ -399,7 +428,7 @@ def integrate_lindblad(
             _check_trace(rho, t, "; use a smaller dt")
             times.append(config.t_final if last else t)
             states.append(rho.copy())
-    return LindbladResult(times=np.array(times), states=states)
+    return LindbladResult(times=np.array(times), states=states, applications=4 * len(sizes))
 
 
 def _trajectory_rngs(seed: int, n: int) -> list[np.random.Generator]:

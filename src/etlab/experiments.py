@@ -305,6 +305,8 @@ def _run_sweep(
     dt: float | None,
     max_workers: int | None,
 ) -> SweepResult:
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     jobs = []
     for pi, specs in enumerate(specs_per_point):
         for si, spec in enumerate(specs):

@@ -23,7 +23,7 @@ from etlab.dynamics import (
     SIGMA_MINUS,
     SIGMA_PLUS,
 )
-from etlab.dynamics import _Generator, _no_jump_generator
+from etlab.dynamics import _TAYLOR_THETA, _Generator, _no_jump_generator
 from etlab.qcore import basis_state, normalize, pure_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -204,6 +204,13 @@ class TestIntegrateLindblad:
         with pytest.raises(IntegrationError, match=r"RK4 step 3\.142 .*smaller dt"):
             integrate_lindblad(pure_density(psi), SZ, NoiseModel(), cfg)
 
+    @pytest.mark.parametrize("dt, steps", [(0.01, 100), (0.3, 3)])
+    def test_rk4_reports_four_applications_per_step(self, dt, steps):
+        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        cfg = IntegrationConfig(dt=dt, t_final=1.0, record_stride=7)
+        res = integrate_lindblad(pure_density(basis_state(1, 0)), SZ, noise, cfg)
+        assert res.applications == 4 * steps
+
     @pytest.mark.parametrize("dt", [None, 0.01])
     def test_nonfinite_generator_raises(self, dt):
         h = np.array([[np.nan, 0], [0, 1]], dtype=complex)
@@ -245,6 +252,37 @@ def test_state_dimension_mismatch_rejected(method):
     state = r"psi0 \(2,\)" if method == "mc" else r"rho \(2, 2\)"
     with pytest.raises(ValueError, match=rf"dimension mismatch: {state}, H \(4, 4\)"):
         _run(method, basis_state(1, 0), np.zeros((4, 4)), NoiseModel())
+
+
+def _liouvillian(h, noise):
+    """The generator as a dense d^2 x d^2 matrix on row-major vec(rho), one
+    column per matrix unit, from the reference :func:`lindblad_rhs`."""
+    d = h.shape[0]
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return np.array([lindblad_rhs(e, h, noise).reshape(-1) for e in units]).T
+
+
+def _dense_jump_case():
+    """A random two-qubit H, a random dense jump at rate 0.3 plus sigma- at
+    0.5 per site, and a random full-rank rho0."""
+    rng = np.random.default_rng(19)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = h + h.conj().T
+    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    noise = NoiseModel(
+        (NoiseChannel(dense, 0.3, "dense"),) + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
+    )
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0)
+    return h, noise, rho0
+
+
+def _realized(family, label, gamma):
+    from etlab.experiments import _realize, fig1a_scenarios, fig1b_scenarios
+
+    scenarios = fig1a_scenarios if family == "fig1a" else fig1b_scenarios
+    return _realize(next(s for s in scenarios(gamma, 1.0) if s.label == label))
 
 
 def _liouvillian_propagator(h, noise, t):
@@ -298,26 +336,48 @@ class TestExactPropagation:
         assert np.max(np.abs(final(None) - final(realized.duration / 1024))) <= 1e-9
 
     def test_dense_jump_matches_liouvillian_exponential(self):
-        rng = np.random.default_rng(19)
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = h + h.conj().T
-        dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        noise = NoiseModel(
-            (NoiseChannel(dense, 0.3, "dense"),) + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
-        )
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho0 = a @ a.conj().T
-        rho0 /= np.trace(rho0)
+        h, noise, rho0 = _dense_jump_case()
         t = 1.7
         res = integrate_lindblad(rho0, h, noise, IntegrationConfig(t_final=t))
         expected = (_liouvillian_propagator(h, noise, t) @ rho0.reshape(-1)).reshape(4, 4)
         assert np.max(np.abs(res.final - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["fig1b-single", "fig1a-logical-eth", "dense-jump"])
+    def test_bound_covers_liouvillian_norm(self, case):
+        # the substep count and the tail stop rely on bound >= ||L||_2
+        if case == "dense-jump":
+            h, noise, _ = _dense_jump_case()
+        else:
+            realized = _realized(*case.split("-", 1), gamma=0.05)
+            h, noise = realized.hamiltonian, realized.noise
+        assert _Generator(h, noise).bound >= np.linalg.norm(_liouvillian(h, noise), 2)
+
+    def test_several_substeps_match_liouvillian_exponential(self):
+        # strong noise: bound * t_final spans many theta-sized substeps
+        realized = _realized("fig1a", "logical-eth", gamma=3.0)
+        h, noise, t = realized.hamiltonian, realized.noise, realized.duration
+        assert np.ceil(t * _Generator(h, noise).bound / _TAYLOR_THETA) >= 2
+        rho0 = pure_density(realized.psi0)
+        res = integrate_lindblad(rho0, h, noise, IntegrationConfig(t_final=t))
+        expected = (_liouvillian_propagator(h, noise, t) @ rho0.reshape(-1)).reshape(h.shape)
+        assert np.max(np.abs(res.final - expected)) <= 1e-12
+
+    def test_fig1b_eth7_applications(self):
+        # one theta-sized substep of 27 terms
+        realized = _realized("fig1b", "eth-7", gamma=0.05)
+        rho0 = pure_density(realized.psi0)
+        cfg = IntegrationConfig(t_final=realized.duration)
+        runs = [integrate_lindblad(rho0, realized.hamiltonian, realized.noise, cfg) for _ in "ab"]
+        assert runs[0].applications <= 40
+        assert runs[0].applications == runs[1].applications
+        assert np.array_equal(runs[0].final, runs[1].final)
 
     def test_zero_duration(self):
         rho = pure_density(basis_state(1, 1))
         res = integrate_lindblad(rho, SZ, NoiseModel(), IntegrationConfig(t_final=0.0))
         assert np.array_equal(res.times, [0.0])
         assert np.array_equal(res.final, rho)
+        assert res.applications == 0
 
     def test_term_cap_raises(self, monkeypatch):
         import etlab.dynamics as dyn

@@ -17,6 +17,7 @@ from etlab.experiments import (
     fig1a_scenarios,
     fig1a_sweep,
     fig1b_scenarios,
+    fig1b_sweep,
     predicted_logical_rate,
     run_scenario,
 )
@@ -180,6 +181,13 @@ class TestSweeps:
         serial = fig1a_sweep(grid, 1.0, method="mc", n_traj=60, seed=5, max_workers=1)
         parallel = fig1a_sweep(grid, 1.0, method="mc", n_traj=60, seed=5, max_workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("sweep", [fig1a_sweep, fig1b_sweep])
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, sweep, workers):
+        # used to run serially without a word
+        with pytest.raises(ValueError, match=f"max_workers must be at least 1, got {workers}"):
+            sweep([0.0, 0.01], 1.0, method="lindblad", max_workers=workers)
 
     def test_mc_rows_have_stderr(self):
         res = fig1a_sweep([0.05], 1.0, method="mc", n_traj=100, seed=2)
