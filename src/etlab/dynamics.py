@@ -467,9 +467,11 @@ def mc_trajectories(
     n_traj = config.n_traj
 
     def reduce_values(values: np.ndarray) -> McResult:
+        # a row whose trajectories all agree is deterministic: its stderr is
+        # exactly 0, not the rounding left by subtracting the mean
         stderrs = np.zeros(len(values))
-        if n_traj > 1:
-            stderrs = values.std(axis=1, ddof=1) / np.sqrt(n_traj)
+        spread = np.ptp(values, axis=1) > 0
+        stderrs[spread] = values[spread].std(axis=1, ddof=1) / np.sqrt(n_traj)
         return McResult(means=values.mean(axis=1), stderrs=stderrs, n_traj=n_traj)
 
     def value_of(psi: np.ndarray) -> np.ndarray:

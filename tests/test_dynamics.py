@@ -442,6 +442,16 @@ class TestMcTrajectories:
         assert res.stderrs[0] == 0.0
         assert res.means[0] == pytest.approx(expected, abs=1e-10)
 
+    def test_no_jumps_give_exactly_zero_stderr(self):
+        # eth-7 at gamma = 0 has zero-rate channels: thresholds are drawn but
+        # no trajectory jumps, so every one returns the same value
+        from etlab.experiments import fig1b_scenarios, run_scenario
+
+        spec = fig1b_scenarios(0.0, 1.0)[3]
+        assert spec.label == "eth-7"
+        _, stderr = run_scenario(spec, method="mc", n_traj=200, seed=1)
+        assert stderr == 0.0
+
     def test_analytic_x_noise_within_three_stderr(self):
         gamma = 1.0
         noise = NoiseModel((NoiseChannel(SX, gamma, "X"),))
