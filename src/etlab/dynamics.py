@@ -13,8 +13,9 @@ Two methods cross-validate each other:
   selects fixed-step RK4 instead, guarded against steps beyond its
   stability region.
 * :func:`mc_trajectories` -- quantum-jump unravelling (Dalibard, Castin &
-  Molmer, PRL 68, 580 (1992)).  Deterministic segments use a precomputed
-  one-step propagator exp((-iH - K/2) dt) and jumps fire when the decaying
+  Molmer, PRL 68, 580 (1992)).  Deterministic segments use the one-step
+  propagator exp((-iH - K/2) dt), formed once per run by the same scaled
+  Taylor series applied to the identity, and jumps fire when the decaying
   norm crosses a per-trajectory uniform threshold (no sub-step
   interpolation).  Every trajectory follows the same deterministic flow
   between jumps, so the no-jump backbone is computed once, and after a
@@ -23,10 +24,10 @@ Two methods cross-validate each other:
 
 Both methods see the noise through one representation, built once per run:
 each channel's jump is checked against H's dimension, and the no-jump
-generator G = -iH - K/2 is formed in one place.  Every jump used here
-(Pauli letters, raising/lowering on one site) has at most one nonzero per
-column, so L psi, L rho L^dag and L^dag L are gathers and scatters; dense
-jumps fall back to matmuls.
+generator G = -iH - K/2 is formed, and rejected when non-finite, in one
+place.  Every jump used here (Pauli letters, raising/lowering on one site)
+has at most one nonzero per column, so L psi, L rho L^dag and L^dag L are
+gathers and scatters; dense jumps fall back to matmuls.
 
 Trajectory i draws every random number from its own stream seeded by
 (seed, i), so results are bitwise reproducible and independent of the
@@ -40,7 +41,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import check_density_matrix
 
@@ -88,6 +88,8 @@ class NoiseChannel:
     def __post_init__(self):
         if not (np.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
+        if not np.isfinite(self.jump).all():
+            raise ValueError(f"jump {self.label!r} has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,6 @@ class LindbladResult:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    def expectations(self, observable: np.ndarray) -> np.ndarray:
-        return np.array([np.trace(observable @ rho).real for rho in self.states])
 
 
 @dataclass(frozen=True)
@@ -263,10 +262,12 @@ class _Jump:
         return np.ix_(rows, rows), np.ix_(cols, cols), weights
 
 
-def _no_jump_generator(h: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, list[_Jump]]:
+def _no_jump_generator(
+    h: np.ndarray, noise: NoiseModel, error: type[NumericsError]
+) -> tuple[np.ndarray, list[_Jump]]:
     """G = -iH - K/2, with K = sum_k rate_k L_k^dag L_k summed in channel
     order, and every channel's jump analysed once; a jump whose shape is
-    not H's is rejected."""
+    not H's is rejected, and a non-finite G raises the engine's ``error``."""
     h = np.asarray(h, dtype=complex)
     k = np.zeros(h.shape, dtype=complex)
     jumps = []
@@ -277,7 +278,10 @@ def _no_jump_generator(h: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, li
         jump = _Jump(l, ch.rate)
         jump.add_decay(k)
         jumps.append(jump)
-    return -1j * h - 0.5 * k, jumps
+    g = -1j * h - 0.5 * k
+    if not np.isfinite(g).all():
+        raise error("the generator has non-finite entries")
+    return g, jumps
 
 
 def _norm2_bound(a: np.ndarray) -> float:
@@ -293,17 +297,14 @@ class _Generator:
     ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 bounds the generator's
     norm as a map on rho with the Frobenius norm.  ||G||_2 is the spectral
     norm itself (one SVD per run); each ||L_k||_2 is bounded as in
-    :func:`_norm2_bound`, which is exact for monomial jumps.  A non-finite G
-    gives an infinite bound.
+    :func:`_norm2_bound`, which is exact for monomial jumps.
     """
 
     def __init__(self, h: np.ndarray, noise: NoiseModel):
-        self.g, self.jumps = _no_jump_generator(h, noise)
+        self.g, self.jumps = _no_jump_generator(h, noise, IntegrationError)
         self.gd = self.g.conj().T
         jump_bound = sum(j.rate * _norm2_bound(j.l) ** 2 for j in self.jumps)
-        # the SVD behind the spectral norm fails on NaN instead of returning it
-        g_norm = np.linalg.norm(self.g, 2) if np.isfinite(self.g).all() else np.inf
-        self.bound = 2.0 * float(g_norm) + jump_bound
+        self.bound = 2.0 * float(np.linalg.norm(self.g, 2)) + jump_bound
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = self.g @ rho + rho @ self.gd
@@ -332,8 +333,9 @@ _TAYLOR_THETA = 4.0
 # (x/(k+1))^j times term k, so the whole rest of the series is at most
 # ||term_k|| x / (k + 1 - x)
 _TAYLOR_TOL = 1e-15
-# at x <= 4 term k is at most 4^k/k! times ||rho||_F <= 1, and the partial
-# sum keeps trace 1, so its Frobenius norm is at least 1/16 at d <= 256: the
+# at x <= 4 term k is at most 4^k/k! times the start's Frobenius norm, and
+# the partial sum keeps at least 1/55 of it (rho at d <= 256: trace 1 and
+# ||rho||_F <= 1; the identity: exp(a) has singular values >= e^-4), so the
 # tail bound is met by term 32 at the latest; needing this many terms means
 # the bound does not hold
 _TAYLOR_MAX_TERMS = 60
@@ -345,33 +347,58 @@ def _check_trace(rho: np.ndarray, t: float, advice: str) -> None:
         raise IntegrationError(f"trace drifted by {drift:.3e} at t={t:.6g}{advice}")
 
 
+def _taylor_substep(
+    apply, x0: np.ndarray, step: float, bound: float, error: type[NumericsError]
+) -> tuple[np.ndarray, int]:
+    """sum_k (step A)^k x0 / k! for the linear map A = ``apply`` whose norm is
+    at most ``bound``, stopped on the tail bound; returns the sum and the
+    number of applications.  Needing more than _TAYLOR_MAX_TERMS terms raises
+    ``error``."""
+    x = step * bound
+    acc = x0.copy()
+    term = x0
+    for k in range(1, _TAYLOR_MAX_TERMS + 1):
+        term = apply(term) * (step / k)
+        acc += term
+        if k + 1 > x and (
+            np.linalg.norm(term) * x / (k + 1 - x) <= _TAYLOR_TOL * np.linalg.norm(acc)
+        ):
+            return acc, k
+    raise error(
+        f"Taylor series did not converge in {_TAYLOR_MAX_TERMS} terms "
+        f"(substep {step:.4g}, generator bound {bound:.4g})"
+    )
+
+
+def _n_substeps(t: float, bound: float) -> int:
+    """ceil(t * bound / theta), at least one."""
+    return max(1, int(np.ceil(t * bound / _TAYLOR_THETA)))
+
+
 def _propagate_exact(
     gen: _Generator, rho: np.ndarray, t_final: float
 ) -> tuple[np.ndarray, int]:
     """exp(t_final L) rho as ceil(t_final * bound / theta) Taylor substeps;
     returns the state and the number of generator applications."""
-    n_sub = max(1, int(np.ceil(t_final * gen.bound / _TAYLOR_THETA)))
+    n_sub = _n_substeps(t_final, gen.bound)
     step = t_final / n_sub
-    x = step * gen.bound
     applications = 0
     for _ in range(n_sub):
-        acc = rho.copy()
-        term = rho
-        for k in range(1, _TAYLOR_MAX_TERMS + 1):
-            term = gen.rhs(term) * (step / k)
-            acc += term
-            if k + 1 > x and (
-                np.linalg.norm(term) * x / (k + 1 - x) <= _TAYLOR_TOL * np.linalg.norm(acc)
-            ):
-                break
-        else:
-            raise IntegrationError(
-                f"Taylor series did not converge in {_TAYLOR_MAX_TERMS} terms "
-                f"(substep {step:.4g}, generator bound {gen.bound:.4g})"
-            )
+        acc, k = _taylor_substep(gen.rhs, rho, step, gen.bound, IntegrationError)
         applications += k
         rho = 0.5 * (acc + acc.conj().T)
     return rho, applications
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by the same scaled Taylor series, applied to the identity by
+    X -> a X; ||a||_2 is bounded as in :func:`_norm2_bound`, so no SVD."""
+    bound = _norm2_bound(a)
+    n_sub = _n_substeps(1.0, bound)
+    u = np.eye(len(a), dtype=complex)
+    for _ in range(n_sub):
+        u, _ = _taylor_substep(a.__matmul__, u, 1.0 / n_sub, bound, TrajectoryError)
+    return u
 
 
 def integrate_lindblad(
@@ -398,8 +425,6 @@ def integrate_lindblad(
         raise ValueError(f"dimension mismatch: rho {rho.shape}, H {gen.g.shape}")
     if config.t_final == 0:
         return LindbladResult(times=np.array([0.0]), states=[rho], applications=0)
-    if not np.isfinite(gen.bound):
-        raise IntegrationError("the generator has non-finite entries")
     if config.dt is None:
         final, applications = _propagate_exact(gen, rho, config.t_final)
         _check_trace(final, config.t_final, "")
@@ -461,7 +486,7 @@ def mc_trajectories(
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {nrm!r} is not 1")
-    g, jumps = _no_jump_generator(h, noise)
+    g, jumps = _no_jump_generator(h, noise, TrajectoryError)
     if psi0.shape != g.shape[:1]:
         raise ValueError(f"dimension mismatch: psi0 {psi0.shape}, H {g.shape}")
     n_traj = config.n_traj
@@ -482,7 +507,7 @@ def mc_trajectories(
         return reduce_values(np.tile(value_of(psi0)[:, None], (1, n_traj)))
 
     n_steps = max(1, round(t_final / config.dt))
-    u_step = expm(g * (t_final / n_steps))
+    u_step = _expm(g * (t_final / n_steps))
 
     # the deterministic no-jump backbone, shared by every trajectory
     states0 = np.empty((psi0.shape[0], n_steps + 1), dtype=complex)

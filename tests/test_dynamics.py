@@ -13,6 +13,7 @@ from etlab.dynamics import (
     IntegrationError,
     NoiseChannel,
     NoiseModel,
+    NumericsError,
     TrajectoryConfig,
     TrajectoryError,
     default_timestep,
@@ -23,7 +24,14 @@ from etlab.dynamics import (
     SIGMA_MINUS,
     SIGMA_PLUS,
 )
-from etlab.dynamics import _TAYLOR_THETA, _Generator, _no_jump_generator
+from etlab.dynamics import (
+    _TAYLOR_THETA,
+    _Generator,
+    _expm,
+    _n_substeps,
+    _no_jump_generator,
+    _norm2_bound,
+)
 from etlab.qcore import basis_state, normalize, pure_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,6 +53,10 @@ class TestNoiseModel:
             lambda: IntegrationConfig(dt=0.1, t_final=float("inf")),
             lambda: TrajectoryConfig(n_traj=1, seed=0, dt=float("nan")),
             lambda: IntegrationConfig(t_final=float("nan")),
+            # a NaN entry used to drop out of the monomial scan, so MC
+            # returned an estimate for a channel that exact Lindblad rejected
+            lambda: NoiseChannel(np.array([[0, 1], [np.nan, 0]]), 0.5, "nan-jump"),
+            lambda: NoiseChannel(np.array([[0, 1], [np.inf, 0]]), 0.5, "inf-jump"),
         ],
     )
     def test_nonfinite_parameters_rejected(self, make):
@@ -66,7 +78,7 @@ class TestNoiseModel:
             dense = np.zeros((dim, dim), dtype=complex)
             for ch in noise.channels:
                 dense += ch.rate * (ch.jump.conj().T @ ch.jump)
-            g, _ = _no_jump_generator(np.zeros((dim, dim)), noise)
+            g, _ = _no_jump_generator(np.zeros((dim, dim)), noise, IntegrationError)
             assert np.array_equal(-2 * g, dense), spec.label
 
     def test_site_channels(self):
@@ -254,6 +266,15 @@ def test_state_dimension_mismatch_rejected(method):
         _run(method, basis_state(1, 0), np.zeros((4, 4)), NoiseModel())
 
 
+@_METHODS
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_hamiltonian_raises(method, bad):
+    # MC used to return mean and stderr NaN without a word
+    h = np.array([[bad, 0], [0, 1]], dtype=complex)
+    with pytest.raises(NumericsError, match="non-finite"):
+        _run(method, basis_state(1, 0), h, NoiseModel((NoiseChannel(SX, 0.5, "X"),)))
+
+
 def _liouvillian(h, noise):
     """The generator as a dense d^2 x d^2 matrix on row-major vec(rho), one
     column per matrix unit, from the reference :func:`lindblad_rhs`."""
@@ -387,6 +408,40 @@ class TestExactPropagation:
         with pytest.raises(IntegrationError, match="did not converge in 2 terms"):
             integrate_lindblad(
                 pure_density(basis_state(1, 0)), SZ, noise, IntegrationConfig(t_final=1.0)
+            )
+
+
+class TestOneStepPropagator:
+    """The scaled-Taylor exp(G dt) that MC steps with, against scipy's expm."""
+
+    @pytest.mark.parametrize(
+        "family, label", [("fig1a", "logical-eth"), ("fig1b", "eth-5"), ("fig1b", "eth-7")]
+    )
+    def test_matches_scipy_on_scenarios(self, family, label):
+        realized = _realized(family, label, gamma=0.05)
+        g, _ = _no_jump_generator(realized.hamiltonian, realized.noise, TrajectoryError)
+        t = realized.duration
+        for dt in (default_timestep(1.0, realized.noise.max_rate()), t / 128):
+            a = g * (t / max(1, round(t / dt)))
+            assert np.max(np.abs(_expm(a) - expm(a))) <= 1e-14
+
+    def test_several_substeps_match_scipy(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        a *= 20.0 / np.linalg.norm(a, 2)
+        assert _n_substeps(1.0, _norm2_bound(a)) >= 2
+        expected = expm(a)
+        assert np.max(np.abs(_expm(a) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_term_cap_raises(self, monkeypatch):
+        import etlab.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "_TAYLOR_MAX_TERMS", 2)
+        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        with pytest.raises(TrajectoryError, match="did not converge in 2 terms"):
+            mc_trajectories(
+                basis_state(1, 0), SZ, noise, 1.0, [P0],
+                TrajectoryConfig(n_traj=10, seed=0, dt=0.1),
             )
 
 
@@ -556,7 +611,7 @@ class TestMcTrajectories:
     def test_norm_check_fires_on_growing_propagator(self, monkeypatch):
         import etlab.dynamics as dyn
 
-        monkeypatch.setattr(dyn, "expm", lambda a: 1.001 * expm(a))
+        monkeypatch.setattr(dyn, "_expm", lambda a: 1.001 * expm(a))
         noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 0.6, "d"),))
         with pytest.raises(TrajectoryError, match="no-jump norm increased"):
             mc_trajectories(
@@ -569,7 +624,7 @@ class TestMcTrajectories:
         # which the doctored propagator grows by 1.001 per step
         import etlab.dynamics as dyn
 
-        monkeypatch.setattr(dyn, "expm", lambda a: np.diag([0.99, 1.001]).astype(complex))
+        monkeypatch.setattr(dyn, "_expm", lambda a: np.diag([0.99, 1.001]).astype(complex))
         noise = NoiseModel((NoiseChannel(SIGMA_PLUS, 1.0, "u"),))
         with pytest.raises(TrajectoryError, match="no-jump norm increased between steps"):
             mc_trajectories(
