@@ -29,9 +29,14 @@ place.  Every jump used here (Pauli letters, raising/lowering on one site)
 has at most one nonzero per column, so L psi, L rho L^dag and L^dag L are
 gathers and scatters; dense jumps fall back to matmuls.
 
-Trajectory i draws every random number from its own stream seeded by
-(seed, i), so results are bitwise reproducible and independent of the
-order in which trajectories are processed.
+Trajectory i draws every random number from its own stream,
+``default_rng(SeedSequence([seed, i]))``, so results are bitwise
+reproducible and independent of the order in which trajectories are
+processed.  Most trajectories never jump and use only the first draw, their
+jump threshold, so every threshold is computed in one vectorized pass,
+bitwise equal to that stream's first draw; a ``Generator`` is built only for
+a trajectory that jumps, and its first draw is checked against the
+vectorized one.
 """
 
 from __future__ import annotations
@@ -150,6 +155,9 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
+        # trajectory i is one 32-bit entropy word of its stream's seed
+        if self.n_traj > 2**32:
+            raise ValueError(f"n_traj must be at most 2**32, got {self.n_traj}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -172,9 +180,14 @@ class LindbladResult:
 
 @dataclass(frozen=True)
 class McResult:
+    """Final-time means and standard errors, with ``jumpers`` (trajectories
+    that jumped at least once) and ``jumps`` (jumps over all trajectories)."""
+
     means: np.ndarray
     stderrs: np.ndarray
     n_traj: int
+    jumpers: int
+    jumps: int
 
 
 def default_timestep(omega: float, max_rate: float) -> float:
@@ -267,8 +280,11 @@ def _no_jump_generator(
 ) -> tuple[np.ndarray, list[_Jump]]:
     """G = -iH - K/2, with K = sum_k rate_k L_k^dag L_k summed in channel
     order, and every channel's jump analysed once; a jump whose shape is
-    not H's is rejected, and a non-finite G raises the engine's ``error``."""
+    not H's is rejected, and a non-finite H, checked before any arithmetic,
+    or G raises the engine's ``error``."""
     h = np.asarray(h, dtype=complex)
+    if not np.isfinite(h).all():
+        raise error("the Hamiltonian has non-finite entries")
     k = np.zeros(h.shape, dtype=complex)
     jumps = []
     for ch in noise.channels:
@@ -456,8 +472,97 @@ def integrate_lindblad(
     return LindbladResult(times=np.array(times), states=states, applications=4 * len(sizes))
 
 
-def _trajectory_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(n)]
+# The first draw of default_rng(SeedSequence([seed, i])), reproduced in
+# numpy's wrapping uint32/uint64 arithmetic: SeedSequence's entropy mixing
+# (NumPy NEP 19, after O'Neill's randutils seed_seq) and PCG64's seeding,
+# step and XSL-RR output (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905, 2014)
+_M32 = 0xFFFFFFFF
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash: each call xors the value with the hash
+    constant, advances the constant by ``mult`` and multiplies by it."""
+
+    def hash_(v: np.ndarray) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _M32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    return hash_
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _SS_MIX_L * x - _SS_MIX_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * b, from 32-bit halves."""
+    m, s = np.uint64(_M32), np.uint64(32)
+    a0, a1, b0, b1 = a & m, a >> s, b & m, b >> s
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> s) + (p01 & m) + (p10 & m)
+    return a1 * b1 + (p01 >> s) + (p10 >> s) + (mid >> s)
+
+
+def _thresholds(seed: int, n: int) -> np.ndarray:
+    """default_rng(SeedSequence([seed, i])).random() for i = 0 .. n-1,
+    bitwise, in one vectorized pass; n <= 2**32, so i is one entropy word.
+    PCG64's 128-bit state and increment are held as (high, low) uint64
+    limbs."""
+    u32, u64 = np.uint32, np.uint64
+    words = [seed & _M32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _M32)
+    entropy = [np.full(n, w, dtype=u32) for w in words] + [np.arange(n, dtype=u32)]
+    # SeedSequence.mix_entropy: hash the first words into the pool, mix
+    # every pool word into every other, then mix in any words beyond it
+    hash_a = _hasher(_SS_INIT_A, _SS_MULT_A)
+    pool = [hash_a(entropy[k] if k < len(entropy) else np.zeros(n, u32)) for k in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+    for word in entropy[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = _mix(pool[dst], hash_a(word))
+    # generate_state(4, uint64): eight hashed 32-bit words, little-endian pairs
+    hash_b = _hasher(_SS_INIT_B, _SS_MULT_B)
+    state = [hash_b(pool[k % _SS_POOL]).astype(u64) for k in range(8)]
+    init_hi, init_lo, seq_hi, seq_lo = (state[k] | state[k + 1] << u64(32) for k in (0, 2, 4, 6))
+    inc_hi = seq_hi << u64(1) | seq_lo >> u64(63)
+    inc_lo = seq_lo << u64(1) | u64(1)
+
+    def step(hi, lo):
+        # state * multiplier + increment, mod 2**128
+        lo_mul = lo * _PCG_MULT_LO
+        lo_new = lo_mul + inc_lo
+        hi_new = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi(lo, _PCG_MULT_LO)
+        return hi_new + inc_hi + (lo_new < lo_mul), lo_new
+
+    # set_seed: state 0, one step (the state becomes inc), add the initial
+    # state, one more step; then random() takes one step and its output
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < inc_lo)
+    for _ in range(2):
+        hi, lo = step(hi, lo)
+    x, rot = hi ^ lo, hi >> u64(58)
+    x = x >> rot | x << ((u64(64) - rot) & u64(63))
+    return (x >> u64(11)) * (1.0 / 2**53)
+
+
+def _stream(seed: int, i: int) -> np.random.Generator:
+    """Trajectory i's stream; its first draw is ``_thresholds(seed, n)[i]``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, i]))
 
 
 def mc_trajectories(
@@ -471,15 +576,23 @@ def mc_trajectories(
     """Quantum-jump Monte Carlo estimate of final-time expectation values.
 
     Returns the trajectory mean and standard error (sample stddev / sqrt(n))
-    of <psi|O|psi> at t_final for each observable.
+    of <psi|O|psi> at t_final for each observable, and how many trajectories
+    jumped and how many jumps they made.
 
     Every trajectory follows the same deterministic flow between jumps: the
     no-jump path is computed once and places every first jump, and each
     later stretch up to the next jump or t_final costs O(log n_steps)
-    matvecs with the powers u_step^(2^b).  A no-jump norm that grows by more
-    than 1e-12 (relative) between steps or across one power, or a
-    renormalization off by more than 1e-10, raises :class:`TrajectoryError`.
-    A psi0 or jump whose dimension is not H's raises ValueError.
+    matvecs with the powers u_step^(2^b).  Trajectory i draws from its
+    (seed, i) stream in the order threshold, then per jump a channel and the
+    next threshold; all first thresholds come from one vectorized pass, and
+    the stream itself is built only when trajectory i jumps.  That stream's
+    first draw must equal the vectorized threshold bitwise, or
+    :class:`TrajectoryError` is raised.  For monomial jumps the channel
+    weights rate_k ||L_k psi||^2 are one product with a matrix of rate_k
+    |L_k|^2 rows.  A no-jump norm that grows by more than 1e-12 (relative)
+    between steps or across one power, or a renormalization off by more than
+    1e-10, raises :class:`TrajectoryError`.  A psi0 or jump whose dimension
+    is not H's raises ValueError.
     """
     _check_t_final(t_final)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -491,13 +604,16 @@ def mc_trajectories(
         raise ValueError(f"dimension mismatch: psi0 {psi0.shape}, H {g.shape}")
     n_traj = config.n_traj
 
-    def reduce_values(values: np.ndarray) -> McResult:
+    def reduce_values(values: np.ndarray, jumpers: int = 0, jumps: int = 0) -> McResult:
         # a row whose trajectories all agree is deterministic: its stderr is
         # exactly 0, not the rounding left by subtracting the mean
         stderrs = np.zeros(len(values))
         spread = np.ptp(values, axis=1) > 0
         stderrs[spread] = values[spread].std(axis=1, ddof=1) / np.sqrt(n_traj)
-        return McResult(means=values.mean(axis=1), stderrs=stderrs, n_traj=n_traj)
+        return McResult(
+            means=values.mean(axis=1), stderrs=stderrs, n_traj=n_traj,
+            jumpers=jumpers, jumps=jumps,
+        )
 
     def value_of(psi: np.ndarray) -> np.ndarray:
         psi = psi / np.linalg.norm(psi)
@@ -523,8 +639,7 @@ def mc_trajectories(
     # enforce monotonicity against last-ulp rounding so searchsorted is valid
     norms2 = np.minimum.accumulate(norms2)
 
-    rngs = _trajectory_rngs(config.seed, n_traj)
-    thresholds = np.array([rng.random() for rng in rngs])
+    thresholds = _thresholds(config.seed, n_traj)
     # first crossing step per trajectory: norms2[1:] is non-increasing, so
     # the number of entries <= r locates the crossing in O(log n_steps)
     ascending = norms2[1:][::-1]
@@ -535,15 +650,19 @@ def mc_trajectories(
     powers = [u_step]
     while 2 ** len(powers) <= n_steps:
         powers.append(powers[-1] @ powers[-1])
+    decay_rows = _decay_rows(jumps, len(psi0))
 
     def run_from(psi, step, rng):
         """Jump from the unnormalized state psi reached at step, then follow
-        the trajectory to the end and return its final observable values.
-        Each no-jump stretch is one binary-lifting pass over the powers: the
-        furthest step whose norm stays above a fresh threshold, in at most
-        len(powers) matvecs (popcount(n_steps - step) when no jump comes)."""
+        the trajectory to the end; returns its final observable values and
+        its number of jumps.  Each no-jump stretch is one binary-lifting pass
+        over the powers: the furthest step whose norm stays above a fresh
+        threshold, in at most len(powers) matvecs (popcount(n_steps - step)
+        when no jump comes)."""
+        n_jumps = 0
         while True:
-            phi = jumps[_select_channel(rng, psi, jumps)].act(psi)
+            n_jumps += 1
+            phi = jumps[_select_channel(rng, psi, jumps, decay_rows)].act(psi)
             phi = phi / np.linalg.norm(phi)
             if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
                 raise TrajectoryError("renormalization failed")
@@ -558,18 +677,42 @@ def mc_trajectories(
                 if nxt_n2 > threshold:
                     phi, n2, step = nxt, nxt_n2, step + 2**b
             if step == n_steps:
-                return value_of(phi)
+                return value_of(phi), n_jumps
             psi, step = u_step @ phi, step + 1
 
+    total_jumps = 0
     for i in jumpers:
+        rng = _stream(config.seed, int(i))
+        first = rng.random()
+        if first != thresholds[i]:
+            raise TrajectoryError(
+                f"trajectory {i}: vectorized threshold {thresholds[i]!r} is not "
+                f"the first draw {first!r} of its (seed, i) stream"
+            )
         j = n_steps - int(counts[i]) + 1
-        values[:, i] = run_from(states0[:, j], j, rngs[i])
-    return reduce_values(values)
+        values[:, i], n_jumps = run_from(states0[:, j], j, rng)
+        total_jumps += n_jumps
+    return reduce_values(values, len(jumpers), total_jumps)
 
 
-def _select_channel(rng, psi, jumps: list[_Jump]) -> int:
+def _decay_rows(jumps: list[_Jump], dim: int) -> np.ndarray | None:
+    """rows[k, cols_k] = rate_k |vals_k|^2, so that rows @ |psi|^2 holds every
+    rate_k ||L_k psi||^2 when all jumps are monomial; None otherwise."""
+    if any(j.mono is None for j in jumps):
+        return None
+    rows = np.zeros((len(jumps), dim))
+    for k, j in enumerate(jumps):
+        _, cols, vals = j.mono
+        rows[k, cols] = j.rate * np.abs(vals) ** 2
+    return rows
+
+
+def _select_channel(rng, psi, jumps: list[_Jump], decay_rows: np.ndarray | None) -> int:
     """Channel index drawn with probability proportional to rate ||L psi||^2."""
-    weights = np.array([j.rate * np.linalg.norm(j.act(psi)) ** 2 for j in jumps])
+    if decay_rows is None:
+        weights = np.array([j.rate * np.linalg.norm(j.act(psi)) ** 2 for j in jumps])
+    else:
+        weights = decay_rows @ (psi.real**2 + psi.imag**2)
     total = weights.sum()
     if total <= 0:
         raise TrajectoryError("jump threshold crossed but every channel has zero rate")

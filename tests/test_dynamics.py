@@ -31,6 +31,7 @@ from etlab.dynamics import (
     _n_substeps,
     _no_jump_generator,
     _norm2_bound,
+    _thresholds,
 )
 from etlab.qcore import basis_state, normalize, pure_density
 
@@ -452,19 +453,21 @@ def _random_jump(dim, seed):
     return a / np.linalg.norm(a, 2)
 
 
-def _reference_trajectories(psi0, h, noise, t_final, obs, cfg):
+def _reference_values(psi0, h, noise, t_final, obs, cfg):
     """Plain quantum-jump stepper, one trajectory at a time on the (seed, i)
     streams, drawing in the engine's order: a threshold, then per jump a
-    channel and the next threshold.  Returns (mean, stderr) of <obs>."""
+    channel and the next threshold.  Returns each trajectory's <obs> and its
+    number of jumps."""
     n_steps = max(1, round(t_final / cfg.dt))
     jumps = [(ch.jump, ch.rate) for ch in noise.channels]
     decay = sum(rate * (l.conj().T @ l) for l, rate in jumps)
     u_step = expm((-1j * h - 0.5 * decay) * (t_final / n_steps))
-    values = []
+    values, n_jumps = [], []
     for i in range(cfg.n_traj):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
         threshold = rng.random()
         psi = np.asarray(psi0, dtype=complex)
+        n_jumps.append(0)
         for _ in range(n_steps):
             psi = u_step @ psi
             if np.vdot(psi, psi).real <= threshold:
@@ -474,8 +477,15 @@ def _reference_trajectories(psi0, h, noise, t_final, obs, cfg):
                 psi = jumps[k][0] @ psi
                 psi = psi / np.linalg.norm(psi)
                 threshold = rng.random()
+                n_jumps[-1] += 1
         psi = psi / np.linalg.norm(psi)
         values.append(np.vdot(psi, obs @ psi).real)
+    return np.array(values), np.array(n_jumps)
+
+
+def _reference_trajectories(psi0, h, noise, t_final, obs, cfg):
+    """(mean, stderr) of <obs> from :func:`_reference_values`."""
+    values, _ = _reference_values(psi0, h, noise, t_final, obs, cfg)
     return np.mean(values), np.std(values, ddof=1) / np.sqrt(len(values))
 
 
@@ -597,6 +607,71 @@ class TestMcTrajectories:
         assert a.means[0] == pytest.approx(mean, abs=1e-9)
         assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
 
+    def test_weighted_monomial_jumps_match_reference_stepper(self):
+        # monomial jumps whose entries are not unit modulus, so the channel
+        # weights rows rate |vals|^2 differ from rate |vals|
+        swap = np.array([[0, 2.0], [0.5j, 0]])
+        noise = NoiseModel(
+            tuple(site_channels(2, swap, 0.7, "s"))
+            + tuple(site_channels(2, 0.3 * SIGMA_MINUS, 1.5, "d"))
+        )
+        h = np.kron(SZ, SX)
+        psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
+        obs = np.kron(P0, np.eye(2)).astype(complex)
+        cfg = TrajectoryConfig(n_traj=300, seed=62, dt=1e-2)
+        a = mc_trajectories(psi0, h, noise, 1.5, [obs], cfg)
+        mean, stderr = _reference_trajectories(psi0, h, noise, 1.5, obs, cfg)
+        assert a.jumps > a.jumpers > 0
+        assert a.means[0] == pytest.approx(mean, abs=1e-9)
+        assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
+
+    def test_jump_counts_match_reference_stepper(self):
+        # the many-jumps case: both counts equal the reference stepper's, and
+        # a second run reports the same counts
+        noise = NoiseModel(
+            tuple(site_channels(2, SIGMA_MINUS, 2.0, "d"))
+            + tuple(site_channels(2, SIGMA_PLUS, 1.0, "u"))
+        )
+        h = np.kron(SX, SX).astype(complex) * 0.5
+        psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
+        obs = np.kron(P0, np.eye(2)).astype(complex)
+        cfg = TrajectoryConfig(n_traj=300, seed=61, dt=5e-3)
+        a = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
+        _, n_jumps = _reference_values(psi0, h, noise, 2.0, obs, cfg)
+        assert a.jumpers == np.count_nonzero(n_jumps) > 0
+        assert a.jumps == n_jumps.sum() > a.jumpers
+        b = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
+        assert (b.jumpers, b.jumps) == (a.jumpers, a.jumps)
+
+    def test_no_channels_report_no_jumps(self):
+        res = mc_trajectories(
+            basis_state(1, 0), SZ, NoiseModel(), 1.0, [P0],
+            TrajectoryConfig(n_traj=20, seed=1, dt=1e-2),
+        )
+        assert (res.jumpers, res.jumps) == (0, 0)
+
+    def test_threshold_mismatch_raises(self, monkeypatch):
+        # one ulp off in one jumper's vectorized threshold: its stream's
+        # first draw disagrees, and the run fails instead of moving results
+        import etlab.dynamics as dyn
+
+        real = dyn._thresholds
+
+        def off_by_one_ulp(seed, n):
+            thresholds = real(seed, n)
+            thresholds[3] = np.nextafter(thresholds[3], 1.0)
+            return thresholds
+
+        monkeypatch.setattr(dyn, "_thresholds", off_by_one_ulp)
+        # X noise at rate 5 leaves a no-jump norm^2 of e^-10 at t = 2, so
+        # every trajectory jumps
+        noise = NoiseModel((NoiseChannel(SX, 5.0, "X"),))
+        with pytest.raises(TrajectoryError, match="trajectory 3: vectorized threshold"):
+            mc_trajectories(
+                basis_state(1, 0), SZ, noise, 2.0, [P0],
+                TrajectoryConfig(n_traj=10, seed=4, dt=1e-2),
+            )
+
     def test_norm_checks_pass(self):
         noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 0.6, "d"),))
         mc_trajectories(
@@ -672,18 +747,20 @@ class TestMcTrajectories:
                 def random(self):
                     return 1.1  # impossible threshold, forces a 'jump'
 
-            real = dyn._trajectory_rngs
+            real = dyn._thresholds, dyn._stream
 
             def fake(seed, n):
-                return [FakeRng() for _ in range(n)]
+                return np.full(n, FakeRng().random())
 
-            dyn._trajectory_rngs = fake
+            # the jumper's stream agrees with its threshold, so the stream
+            # cross-check passes and the zero-rate guard is what fires
+            dyn._thresholds, dyn._stream = fake, lambda seed, i: FakeRng()
             try:
                 mc_trajectories(
                     psi, h, noise, 0.5, [P0], TrajectoryConfig(n_traj=1, seed=0, dt=0.1)
                 )
             finally:
-                dyn._trajectory_rngs = real
+                dyn._thresholds, dyn._stream = real
 
     def test_mc_agrees_with_lindblad_two_qubit(self):
         noise = NoiseModel(tuple(site_channels(2, SX, 0.6, "X")))
@@ -715,3 +792,35 @@ class TestMcTrajectories:
             TrajectoryConfig(n_traj=10, seed=-1, dt=0.1)
         with pytest.raises(ValueError):
             IntegrationConfig(dt=-0.1, t_final=1.0)
+
+
+def _stream_first_draws(seed, n):
+    return np.array(
+        [np.random.default_rng(np.random.SeedSequence([seed, i])).random() for i in range(n)]
+    )
+
+
+class TestVectorizedThresholds:
+    """``_thresholds`` against the per-trajectory (seed, i) streams it replaces."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        # seeds of one and two entropy words, then three, four and five
+        # words, which fill SeedSequence's pool of 4 and overflow it
+        [0, 5, 808, 2**32 - 1, 2**32, 12345678901234567890, 2**64 - 1,
+         2**64, 2**96, 2**128 + 5],
+    )
+    def test_bitwise_equal_to_streams(self, seed):
+        assert np.array_equal(_thresholds(seed, 20_000), _stream_first_draws(seed, 20_000))
+
+    def test_bitwise_equal_for_random_seeds(self):
+        seeds = np.random.default_rng(2024).integers(0, 2**64, 5, dtype=np.uint64)
+        for seed in seeds.tolist():
+            assert np.array_equal(
+                _thresholds(seed, 150_000), _stream_first_draws(seed, 150_000)
+            ), seed
+
+    def test_trajectory_count_fits_one_entropy_word(self):
+        TrajectoryConfig(n_traj=2**32, seed=1, dt=0.1)
+        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+            TrajectoryConfig(n_traj=2**32 + 1, seed=1, dt=0.1)
