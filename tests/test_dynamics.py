@@ -608,11 +608,11 @@ class TestMcTrajectories:
         assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
 
     def test_weighted_monomial_jumps_match_reference_stepper(self):
-        # monomial jumps whose entries are not unit modulus, so the channel
-        # weights rows rate |vals|^2 differ from rate |vals|
-        swap = np.array([[0, 2.0], [0.5j, 0]])
+        # monomial jumps whose entries are not of unit modulus, so the
+        # channel weights rate |vals|^2 differ from rate |vals|
+        skew = np.array([[0, 2.0], [0.5j, 0]])
         noise = NoiseModel(
-            tuple(site_channels(2, swap, 0.7, "s"))
+            tuple(site_channels(2, skew, 0.7, "s"))
             + tuple(site_channels(2, 0.3 * SIGMA_MINUS, 1.5, "d"))
         )
         h = np.kron(SZ, SX)
@@ -813,7 +813,9 @@ class TestVectorizedThresholds:
     def test_bitwise_equal_to_streams(self, seed):
         assert np.array_equal(_thresholds(seed, 20_000), _stream_first_draws(seed, 20_000))
 
+    @pytest.mark.slow
     def test_bitwise_equal_for_random_seeds(self):
+        # 750k streams built one at a time, about 15 s
         seeds = np.random.default_rng(2024).integers(0, 2**64, 5, dtype=np.uint64)
         for seed in seeds.tolist():
             assert np.array_equal(
