@@ -88,7 +88,7 @@ _CONFIG_KEYS = {
     "method": str,
     "traj": int,
     "seed": int,
-    "out": str,
+    "out": Path,
     "plot": bool,
     "gamma_min": float,
     "gamma_max": float,
@@ -135,7 +135,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--method", choices=("lindblad", "mc"))
     sweep.add_argument("--traj", type=int, help="trajectories per grid point (mc)")
     sweep.add_argument("--seed", type=int, help="master seed (default 12345)")
-    sweep.add_argument("--out", help="output directory (default ./out)")
+    sweep.add_argument("--out", type=Path, help="output directory (default ./out)")
     sweep.add_argument("--plot", action="store_true", help="also emit an SVG plot")
     sweep.add_argument("--gamma-min", type=float, dest="gamma_min")
     sweep.add_argument("--gamma-max", type=float, dest="gamma_max")
@@ -171,35 +171,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# RunConfig field -> its flag's dest, which is also its config-file key
+_SWEEP_KEYS = {
+    "method": "method",
+    "gamma_min": "gamma_min",
+    "gamma_max": "gamma_max",
+    "gamma_points": "gamma_points",
+    "omega": "omega",
+    "n_traj": "traj",
+    "seed": "seed",
+    "dt_override": "dt",
+    "output_dir": "out",
+    "max_workers": "workers",
+}
+
+
 def _sweep_config(args: argparse.Namespace) -> RunConfig:
+    """A flag beats the config file; a field set by neither keeps its RunConfig
+    default, except the experiment's method and one worker per CPU."""
     file_values = _load_config_file(args.config) if args.config else {}
-    default_method = "lindblad" if args.experiment == "fig1a" else "mc"
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return fallback
-
-    try:
-        config = RunConfig(
-            experiment=args.experiment,
-            method=pick(args.method, "method", default_method),
-            gamma_min=float(pick(args.gamma_min, "gamma_min", 1e-3)),
-            gamma_max=float(pick(args.gamma_max, "gamma_max", 1e-1)),
-            gamma_points=int(pick(args.gamma_points, "gamma_points", 21)),
-            omega=float(pick(args.omega, "omega", 1.0)),
-            n_traj=int(pick(args.traj, "traj", 2000)),
-            seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
-            dt_override=pick(args.dt, "dt", None),
-            output_dir=Path(pick(args.out, "out", "out")),
-            emit_plot=bool(args.plot or file_values.get("plot", False)),
-            apply_recovery=not args.no_recovery,
-            max_workers=pick(args.workers, "workers", os.cpu_count()),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    values = {
+        "method": "lindblad" if args.experiment == "fig1a" else "mc",
+        "max_workers": os.cpu_count(),
+    }
+    for name, key in _SWEEP_KEYS.items():
+        if getattr(args, key) is not None:
+            values[name] = getattr(args, key)
+        elif key in file_values:
+            values[name] = file_values[key]
+    config = RunConfig(
+        experiment=args.experiment,
+        emit_plot=bool(args.plot or file_values.get("plot", False)),
+        apply_recovery=not args.no_recovery,
+        **values,
+    )
     if config.method not in ("lindblad", "mc"):
         raise ConfigError(f"unknown method {config.method!r}")
     if config.n_traj < 1:
@@ -227,6 +232,8 @@ def run_sweep(config: RunConfig) -> tuple[Path, Path | None]:
     )
     if config.experiment == "fig1a":
         kwargs["apply_recovery"] = config.apply_recovery
+    elif not config.apply_recovery:
+        raise ConfigError("--no-recovery applies to fig1a only; fig1b has no recovery step")
     result = runner(grid, **kwargs)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = config.output_dir / f"{config.experiment}-{config.method}.csv"

@@ -142,6 +142,16 @@ class TestSweepCommand:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_no_recovery_rejected_for_fig1b(self, tmp_path, capsys):
+        # fig1b has no recovery step; the flag used to be ignored with exit 0
+        args = [
+            "sweep", "fig1b", "--method", "lindblad", "--gamma-points", "1", "--no-recovery",
+            "--out", str(tmp_path / "r"),
+        ]
+        assert run_cli(args) == 1
+        assert "--no-recovery" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unstable_dt_exit_2(self, tmp_path, capsys):
         # one RK4 step of pi on the noiseless qubit used to return probability
         # 23.6, caught only by the final [0,1] guard

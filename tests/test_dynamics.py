@@ -31,7 +31,6 @@ from etlab.dynamics import (
     _n_substeps,
     _no_jump_generator,
     _norm2_bound,
-    _thresholds,
 )
 from etlab.qcore import basis_state, normalize, pure_density
 
@@ -58,6 +57,10 @@ class TestNoiseModel:
             # returned an estimate for a channel that exact Lindblad rejected
             lambda: NoiseChannel(np.array([[0, 1], [np.nan, 0]]), 0.5, "nan-jump"),
             lambda: NoiseChannel(np.array([[0, 1], [np.inf, 0]]), 0.5, "inf-jump"),
+            # a non-integer seed or count used to pass validation and then
+            # fail inside the engine with a bare TypeError
+            lambda: TrajectoryConfig(n_traj=1, seed=1.5, dt=0.1),
+            lambda: TrajectoryConfig(n_traj=2.5, seed=0, dt=0.1),
         ],
     )
     def test_nonfinite_parameters_rejected(self, make):
@@ -454,18 +457,20 @@ def _random_jump(dim, seed):
 
 
 def _reference_values(psi0, h, noise, t_final, obs, cfg):
-    """Plain quantum-jump stepper, one trajectory at a time on the (seed, i)
-    streams, drawing in the engine's order: a threshold, then per jump a
-    channel and the next threshold.  Returns each trajectory's <obs> and its
-    number of jumps."""
+    """Plain quantum-jump stepper, one trajectory at a time, drawing in the
+    engine's order from one generator: every trajectory's threshold first,
+    then, trajectory by trajectory in index order, per jump a channel and the
+    next threshold.  Returns each trajectory's <obs> and its number of
+    jumps."""
     n_steps = max(1, round(t_final / cfg.dt))
     jumps = [(ch.jump, ch.rate) for ch in noise.channels]
     decay = sum(rate * (l.conj().T @ l) for l, rate in jumps)
     u_step = expm((-1j * h - 0.5 * decay) * (t_final / n_steps))
     values, n_jumps = [], []
+    rng = np.random.default_rng(cfg.seed)
+    thresholds = rng.random(cfg.n_traj)
     for i in range(cfg.n_traj):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-        threshold = rng.random()
+        threshold = thresholds[i]
         psi = np.asarray(psi0, dtype=complex)
         n_jumps.append(0)
         for _ in range(n_steps):
@@ -650,28 +655,6 @@ class TestMcTrajectories:
         )
         assert (res.jumpers, res.jumps) == (0, 0)
 
-    def test_threshold_mismatch_raises(self, monkeypatch):
-        # one ulp off in one jumper's vectorized threshold: its stream's
-        # first draw disagrees, and the run fails instead of moving results
-        import etlab.dynamics as dyn
-
-        real = dyn._thresholds
-
-        def off_by_one_ulp(seed, n):
-            thresholds = real(seed, n)
-            thresholds[3] = np.nextafter(thresholds[3], 1.0)
-            return thresholds
-
-        monkeypatch.setattr(dyn, "_thresholds", off_by_one_ulp)
-        # X noise at rate 5 leaves a no-jump norm^2 of e^-10 at t = 2, so
-        # every trajectory jumps
-        noise = NoiseModel((NoiseChannel(SX, 5.0, "X"),))
-        with pytest.raises(TrajectoryError, match="trajectory 3: vectorized threshold"):
-            mc_trajectories(
-                basis_state(1, 0), SZ, noise, 2.0, [P0],
-                TrajectoryConfig(n_traj=10, seed=4, dt=1e-2),
-            )
-
     def test_norm_checks_pass(self):
         noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 0.6, "d"),))
         mc_trajectories(
@@ -728,39 +711,25 @@ class TestMcTrajectories:
         )
         assert res.means[0] > 0.99
 
-    def test_zero_total_jump_rate_signals(self):
+    def test_zero_total_jump_rate_signals(self, monkeypatch):
         # jump operator annihilates the only populated level while a fake
         # decay term still drags the norm down
         noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 1.0, "d"),))
         h = np.zeros((2, 2), dtype=complex)
-        import etlab.dynamics as dyn
-
         gen = [(np.asarray(noise.channels[0].jump), 1.0)]
         psi = basis_state(1, 0)  # sigma_minus annihilates |0>
         weights = np.array([rate * np.linalg.norm(l @ psi) ** 2 for l, rate in gen])
         assert weights.sum() == 0  # precondition for the guard
+        # drive the guard through the public API: threshold crossing with an
+        # annihilated state cannot happen dynamically, so every draw of the
+        # run's generator is an impossible threshold that forces a 'jump'
+        class FakeRng:
+            def random(self, size=None):
+                return 1.1 if size is None else np.full(size, 1.1)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FakeRng())
         with pytest.raises(TrajectoryError, match="zero rate"):
-            # drive the guard through the public API: threshold crossing with
-            # an annihilated state cannot happen dynamically, so call the
-            # block evolver with a doctored threshold via monkeypatching rng
-            class FakeRng:
-                def random(self):
-                    return 1.1  # impossible threshold, forces a 'jump'
-
-            real = dyn._thresholds, dyn._stream
-
-            def fake(seed, n):
-                return np.full(n, FakeRng().random())
-
-            # the jumper's stream agrees with its threshold, so the stream
-            # cross-check passes and the zero-rate guard is what fires
-            dyn._thresholds, dyn._stream = fake, lambda seed, i: FakeRng()
-            try:
-                mc_trajectories(
-                    psi, h, noise, 0.5, [P0], TrajectoryConfig(n_traj=1, seed=0, dt=0.1)
-                )
-            finally:
-                dyn._thresholds, dyn._stream = real
+            mc_trajectories(psi, h, noise, 0.5, [P0], TrajectoryConfig(n_traj=1, seed=0, dt=0.1))
 
     def test_mc_agrees_with_lindblad_two_qubit(self):
         noise = NoiseModel(tuple(site_channels(2, SX, 0.6, "X")))
@@ -790,39 +759,6 @@ class TestMcTrajectories:
             TrajectoryConfig(n_traj=0, seed=1, dt=0.1)
         with pytest.raises(ValueError):
             TrajectoryConfig(n_traj=10, seed=-1, dt=0.1)
+        TrajectoryConfig(n_traj=np.int64(10), seed=np.uint64(2**63), dt=0.1)  # numpy ints pass
         with pytest.raises(ValueError):
             IntegrationConfig(dt=-0.1, t_final=1.0)
-
-
-def _stream_first_draws(seed, n):
-    return np.array(
-        [np.random.default_rng(np.random.SeedSequence([seed, i])).random() for i in range(n)]
-    )
-
-
-class TestVectorizedThresholds:
-    """``_thresholds`` against the per-trajectory (seed, i) streams it replaces."""
-
-    @pytest.mark.parametrize(
-        "seed",
-        # seeds of one and two entropy words, then three, four and five
-        # words, which fill SeedSequence's pool of 4 and overflow it
-        [0, 5, 808, 2**32 - 1, 2**32, 12345678901234567890, 2**64 - 1,
-         2**64, 2**96, 2**128 + 5],
-    )
-    def test_bitwise_equal_to_streams(self, seed):
-        assert np.array_equal(_thresholds(seed, 20_000), _stream_first_draws(seed, 20_000))
-
-    @pytest.mark.slow
-    def test_bitwise_equal_for_random_seeds(self):
-        # 750k streams built one at a time, about 15 s
-        seeds = np.random.default_rng(2024).integers(0, 2**64, 5, dtype=np.uint64)
-        for seed in seeds.tolist():
-            assert np.array_equal(
-                _thresholds(seed, 150_000), _stream_first_draws(seed, 150_000)
-            ), seed
-
-    def test_trajectory_count_fits_one_entropy_word(self):
-        TrajectoryConfig(n_traj=2**32, seed=1, dt=0.1)
-        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
-            TrajectoryConfig(n_traj=2**32 + 1, seed=1, dt=0.1)

@@ -177,10 +177,17 @@ class TestSweeps:
                 assert hi.probability <= lo.probability + 1e-6
 
     def test_parallel_matches_serial(self):
-        grid = [0.0, 0.05]
-        serial = fig1a_sweep(grid, 1.0, method="mc", n_traj=60, seed=5, max_workers=1)
-        parallel = fig1a_sweep(grid, 1.0, method="mc", n_traj=60, seed=5, max_workers=2)
-        assert serial == parallel
+        # each job's seed comes from its grid position and each MC job draws
+        # from one generator, so the worker count cannot move a result
+        cases = [
+            (fig1a_sweep, [0.0, 0.05], dict(method="mc", n_traj=60, seed=5)),
+            (fig1b_sweep, default_gamma_grid(points=3), dict(method="mc", n_traj=200, seed=7)),
+            (fig1b_sweep, [0.05], dict(method="lindblad")),
+        ]
+        for sweep, grid, kwargs in cases:
+            serial = sweep(grid, 1.0, max_workers=1, **kwargs)
+            parallel = sweep(grid, 1.0, max_workers=2, **kwargs)
+            assert serial == parallel, (sweep.__name__, kwargs["method"])
 
     @pytest.mark.parametrize("sweep", [fig1a_sweep, fig1b_sweep])
     @pytest.mark.parametrize("workers", [0, -3])
