@@ -19,8 +19,10 @@ Two methods cross-validate each other:
   norm crosses a per-trajectory uniform threshold (no sub-step
   interpolation).  Every trajectory follows the same deterministic flow
   between jumps, so the no-jump backbone is computed once, and after a
-  jump each no-jump stretch takes O(log n_steps) matvecs by binary lifting
-  over the powers u^(2^b); the engine checks its own norms as it goes.
+  jump each no-jump stretch takes O(log n_steps) products by binary lifting
+  over the powers u^(2^b), shared by the jumpers of a block as the columns
+  of one matrix; the engine checks its own norms, column by column, as it
+  goes.
 
 Both methods see the noise through one representation, built once per run:
 each channel's jump is checked against H's dimension, and the no-jump
@@ -31,9 +33,10 @@ gathers and scatters; dense jumps fall back to matmuls.
 
 A run draws every random number from one generator,
 ``default_rng(seed)``: first every trajectory's jump threshold in one call,
-then, trajectory by trajectory in index order, each jump's channel and next
-threshold.  Results are bitwise reproducible for a fixed seed; sweeps give
-each job its own seed.
+then round-major draws within bounded blocks, blocks in index order: each
+round of a block draws every live column's channel, then every live
+column's next threshold, both in index order.  Results are bitwise
+reproducible for a fixed seed; sweeps give each job its own seed.
 """
 
 from __future__ import annotations
@@ -127,6 +130,14 @@ def _check_t_final(t_final: float) -> None:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
 
 
+def _check_integers(config, *names: str) -> None:
+    """Reject a field that is not a Python or numpy integer, naming it."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be a finite integer, got {value!r}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class IntegrationConfig:
     """dt=None propagates exactly; a float dt selects RK4 with that step."""
@@ -139,6 +150,7 @@ class IntegrationConfig:
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         _check_t_final(self.t_final)
+        _check_integers(self, "record_stride")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
@@ -150,10 +162,7 @@ class TrajectoryConfig:
     dt: float
 
     def __post_init__(self):
-        for name in ("n_traj", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be a finite integer, got {value!r}")
+        _check_integers(self, "n_traj", "seed")
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
         if self.seed < 0:
@@ -239,12 +248,12 @@ class _Jump:
             self.mono = rows, cols, l[rows, cols].astype(complex)
 
     def act(self, psi: np.ndarray) -> np.ndarray:
-        """l @ psi."""
+        """l @ psi, for a vector or a matrix of columns."""
         if self.mono is None:
             return self.l @ psi
         rows, cols, vals = self.mono
-        out = np.zeros(len(psi), dtype=complex)
-        out[rows] = vals * psi[cols]
+        out = np.zeros(psi.shape, dtype=complex)
+        out[rows] = vals.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi[cols]
         return out
 
     def add_decay(self, k: np.ndarray) -> None:
@@ -470,6 +479,13 @@ def integrate_lindblad(
     return LindbladResult(times=np.array(times), states=states, applications=4 * len(sizes))
 
 
+# the jumpers of one run advance together as the columns of blocks of at
+# most this many bytes of state (64 columns at d = 256, 4096 at d = 4): the
+# memory held per run stays bounded whatever n_traj is, and the columns
+# share each matmul
+_BLOCK_BYTES = 2**18
+
+
 def mc_trajectories(
     psi0: np.ndarray,
     h: np.ndarray,
@@ -487,15 +503,20 @@ def mc_trajectories(
     Every trajectory follows the same deterministic flow between jumps: the
     no-jump path is computed once and places every first jump, and each
     later stretch up to the next jump or t_final costs O(log n_steps)
-    matvecs with the powers u_step^(2^b).  One generator,
+    products with the powers u_step^(2^b).  The trajectories that jump, in
+    ascending index order, are split into blocks of at most _BLOCK_BYTES of
+    state, and a block's trajectories advance together as the columns of
+    one matrix, in rounds of one jump each.  One generator,
     ``default_rng(config.seed)``, first draws all n_traj thresholds at once;
-    then each trajectory that jumps, in ascending index order, draws per jump
-    a channel and its next threshold from it.  For monomial jumps the channel
-    weights rate_k ||L_k psi||^2 are one product with a matrix of rate_k
-    |L_k|^2 rows.  A no-jump norm that grows by more than 1e-12 (relative)
-    between steps or across one power, or a renormalization off by more than
-    1e-10, raises :class:`TrajectoryError`.  A psi0 or jump whose dimension
-    is not H's raises ValueError.
+    then draws round-major within bounded blocks, blocks in index order: per
+    round, every live column's channel, then every live column's next
+    threshold.  For monomial jumps the channel weights rate_k ||L_k psi||^2
+    of a block are one product with a matrix of rate_k |L_k|^2 rows.  A
+    column with a zero total jump rate, a no-jump norm that grows by more
+    than 1e-12 (relative) between steps or across one power, or a
+    renormalization off by more than 1e-10, in any column, raises
+    :class:`TrajectoryError`.  A psi0 or jump whose dimension is not H's
+    raises ValueError.
     """
     _check_t_final(t_final)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -518,25 +539,27 @@ def mc_trajectories(
             jumpers=jumpers, jumps=jumps,
         )
 
-    def value_of(psi: np.ndarray) -> np.ndarray:
-        psi = psi / np.linalg.norm(psi)
-        return np.array([np.vdot(psi, obs @ psi).real for obs in observables])
+    def values_of(psi: np.ndarray) -> np.ndarray:
+        """<O> of each normalized column of psi, one row per observable."""
+        psi = psi / np.sqrt(_norms2(psi))
+        return np.array([np.vecdot(psi, obs @ psi, axis=0).real for obs in observables])
 
     if t_final == 0:
-        return reduce_values(np.tile(value_of(psi0)[:, None], (1, n_traj)))
+        return reduce_values(np.tile(values_of(psi0[:, None]), (1, n_traj)))
 
     n_steps = max(1, round(t_final / config.dt))
     u_step = _expm(g * (t_final / n_steps))
+    del g
 
     # the deterministic no-jump backbone, shared by every trajectory
     states0 = np.empty((psi0.shape[0], n_steps + 1), dtype=complex)
     states0[:, 0] = psi0
     for s in range(1, n_steps + 1):
         states0[:, s] = u_step @ states0[:, s - 1]
-    values = np.tile(value_of(states0[:, -1])[:, None], (1, n_traj))
+    values = np.tile(values_of(states0[:, -1:]), (1, n_traj))
     if not jumps:
         return reduce_values(values)
-    norms2 = np.einsum("ds,ds->s", states0.conj(), states0).real
+    norms2 = _norms2(states0)
     if np.any(norms2[1:] > norms2[:-1] * (1 + 1e-12)):
         raise TrajectoryError("no-jump norm increased between steps")
     # enforce monotonicity against last-ulp rounding so searchsorted is valid
@@ -556,39 +579,37 @@ def mc_trajectories(
         powers.append(powers[-1] @ powers[-1])
     decay_rows = _decay_rows(jumps, len(psi0))
 
-    def run_from(psi, step):
-        """Jump from the unnormalized state psi reached at step, then follow
-        the trajectory to the end; returns its final observable values and
-        its number of jumps.  Each no-jump stretch is one binary-lifting pass
-        over the powers: the furthest step whose norm stays above a fresh
-        threshold, in at most len(powers) matvecs (popcount(n_steps - step)
-        when no jump comes)."""
-        n_jumps = 0
-        while True:
-            n_jumps += 1
-            phi = jumps[_select_channel(rng, psi, jumps, decay_rows)].act(psi)
-            phi = phi / np.linalg.norm(phi)
-            if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-                raise TrajectoryError("renormalization failed")
-            threshold, n2 = rng.random(), np.vdot(phi, phi).real
-            for b in reversed(range(len(powers))):
-                if step + 2**b > n_steps:
-                    continue
-                nxt = powers[b] @ phi
-                nxt_n2 = np.vdot(nxt, nxt).real
-                if nxt_n2 > n2 * (1 + 1e-12):
-                    raise TrajectoryError("no-jump norm increased between steps")
-                if nxt_n2 > threshold:
-                    phi, n2, step = nxt, nxt_n2, step + 2**b
-            if step == n_steps:
-                return value_of(phi), n_jumps
-            psi, step = u_step @ phi, step + 1
-
+    # Each round, every live column jumps from the state at its crossing step
+    # and follows its no-jump stretch by binary lifting over the powers: the
+    # furthest step whose norm stays above a fresh threshold, in at most
+    # len(powers) matmuls.  A column that reaches n_steps records its values;
+    # the others step onto their next crossing and stay live.
+    width = max(1, _BLOCK_BYTES // psi0.nbytes)
     total_jumps = 0
-    for i in jumpers:
-        j = n_steps - int(counts[i]) + 1
-        values[:, i], n_jumps = run_from(states0[:, j], j)
-        total_jumps += n_jumps
+    for start in range(0, len(jumpers), width):
+        live = jumpers[start : start + width]
+        step = n_steps - counts[live] + 1
+        psi = states0[:, step]
+        while live.size:
+            phi, n2 = _jump_columns(rng, psi, jumps, decay_rows)
+            threshold = rng.random(live.size)
+            for b in reversed(range(len(powers))):
+                fits = np.nonzero(step + 2**b <= n_steps)[0]
+                if not fits.size:
+                    continue
+                nxt = powers[b] @ phi[:, fits]
+                nxt_n2 = _norms2(nxt)
+                if np.any(nxt_n2 > n2[fits] * (1 + 1e-12)):
+                    raise TrajectoryError("no-jump norm increased between steps")
+                keep = nxt_n2 > threshold[fits]
+                moved = fits[keep]
+                phi[:, moved], n2[moved] = nxt[:, keep], nxt_n2[keep]
+                step[moved] += 2**b
+            total_jumps += live.size
+            done = step == n_steps
+            values[:, live[done]] = values_of(phi[:, done])
+            live, step = live[~done], step[~done] + 1
+            psi = u_step @ phi[:, ~done]
     return reduce_values(values, len(jumpers), total_jumps)
 
 
@@ -604,15 +625,36 @@ def _decay_rows(jumps: list[_Jump], dim: int) -> np.ndarray | None:
     return rows
 
 
-def _select_channel(rng, psi, jumps: list[_Jump], decay_rows: np.ndarray | None) -> int:
-    """Channel index drawn with probability proportional to rate ||L psi||^2."""
+def _norms2(psi: np.ndarray) -> np.ndarray:
+    """The squared norm of each column of psi."""
+    return np.vecdot(psi, psi, axis=0).real
+
+
+def _jump_columns(
+    rng, psi: np.ndarray, jumps: list[_Jump], decay_rows: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every column of psi after one jump, renormalized, and its squared norm.
+
+    Each column's channel is drawn with probability proportional to
+    rate ||L psi||^2, one draw per column in column order.  A column whose
+    channels all have zero weight, or whose renormalized norm is off by more
+    than 1e-10, raises :class:`TrajectoryError`.
+    """
     if decay_rows is None:
-        weights = np.array([j.rate * np.linalg.norm(j.act(psi)) ** 2 for j in jumps])
+        weights = np.array([j.rate * _norms2(j.act(psi)) for j in jumps])
     else:
         weights = decay_rows @ (psi.real**2 + psi.imag**2)
-    total = weights.sum()
-    if total <= 0:
+    total = weights.sum(axis=0)
+    if np.any(total <= 0):
         raise TrajectoryError("jump threshold crossed but every channel has zero rate")
-    u = rng.random() * total
-    k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-    return min(k, len(jumps) - 1)
+    u = rng.random(psi.shape[1]) * total
+    chosen = np.minimum((np.cumsum(weights, axis=0) <= u).sum(axis=0), len(jumps) - 1)
+    phi = np.empty_like(psi)
+    for k in np.unique(chosen):
+        picked = chosen == k
+        phi[:, picked] = jumps[k].act(psi[:, picked])
+    phi /= np.sqrt(_norms2(phi))
+    n2 = _norms2(phi)
+    if np.any(np.abs(np.sqrt(n2) - 1.0) > 1e-10):
+        raise TrajectoryError("renormalization failed")
+    return phi, n2

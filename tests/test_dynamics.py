@@ -457,35 +457,66 @@ def _random_jump(dim, seed):
 
 
 def _reference_values(psi0, h, noise, t_final, obs, cfg):
-    """Plain quantum-jump stepper, one trajectory at a time, drawing in the
-    engine's order from one generator: every trajectory's threshold first,
-    then, trajectory by trajectory in index order, per jump a channel and the
-    next threshold.  Returns each trajectory's <obs> and its number of
-    jumps."""
+    """Plain quantum-jump stepper, one step at a time, drawing in the
+    engine's order from one generator: every trajectory's threshold first;
+    then the trajectories that jump, in index order, in blocks of as many
+    columns as the engine's byte budget holds, each block in rounds: every
+    live trajectory's channel draw, then every live trajectory's next
+    threshold.  Returns each trajectory's <obs> and its number of jumps."""
+    import etlab.dynamics as dyn
+
     n_steps = max(1, round(t_final / cfg.dt))
     jumps = [(ch.jump, ch.rate) for ch in noise.channels]
     decay = sum(rate * (l.conj().T @ l) for l, rate in jumps)
     u_step = expm((-1j * h - 0.5 * decay) * (t_final / n_steps))
-    values, n_jumps = [], []
+
+    def follow(psi, step, threshold):
+        """Step psi until its norm falls to the threshold or t_final; returns
+        the state, its step and whether it crossed."""
+        while step < n_steps:
+            psi, step = u_step @ psi, step + 1
+            if np.vdot(psi, psi).real <= threshold:
+                return psi, step, True
+        return psi, step, False
+
+    def value(psi):
+        psi = psi / np.linalg.norm(psi)
+        return np.vdot(psi, obs @ psi).real
+
     rng = np.random.default_rng(cfg.seed)
     thresholds = rng.random(cfg.n_traj)
+    values, n_jumps = np.empty(cfg.n_traj), np.zeros(cfg.n_traj, dtype=int)
+    pending = {}
     for i in range(cfg.n_traj):
-        threshold = thresholds[i]
-        psi = np.asarray(psi0, dtype=complex)
-        n_jumps.append(0)
-        for _ in range(n_steps):
-            psi = u_step @ psi
-            if np.vdot(psi, psi).real <= threshold:
+        psi, step, crossed = follow(np.asarray(psi0, dtype=complex), 0, thresholds[i])
+        if crossed:
+            pending[i] = psi, step
+        else:
+            values[i] = value(psi)
+    width = max(1, dyn._BLOCK_BYTES // (16 * len(psi0)))
+    order = sorted(pending)
+    for start in range(0, len(order), width):
+        live = order[start : start + width]
+        while live:
+            draws = [rng.random() for _ in live]
+            next_thresholds = [rng.random() for _ in live]
+            crossed_again = []
+            for i, u, threshold in zip(live, draws, next_thresholds):
+                psi, step = pending[i]
                 weights = [rate * np.linalg.norm(l @ psi) ** 2 for l, rate in jumps]
-                u = rng.random() * sum(weights)
+                u *= sum(weights)
                 k = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), len(jumps) - 1)
                 psi = jumps[k][0] @ psi
                 psi = psi / np.linalg.norm(psi)
-                threshold = rng.random()
-                n_jumps[-1] += 1
-        psi = psi / np.linalg.norm(psi)
-        values.append(np.vdot(psi, obs @ psi).real)
-    return np.array(values), np.array(n_jumps)
+                n_jumps[i] += 1
+                psi, step, crossed = follow(psi, step, threshold)
+                if crossed:
+                    pending[i] = psi, step
+                    crossed_again.append(i)
+                else:
+                    values[i] = value(psi)
+            live = crossed_again
+    return values, n_jumps
 
 
 def _reference_trajectories(psi0, h, noise, t_final, obs, cfg):
@@ -648,6 +679,27 @@ class TestMcTrajectories:
         b = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
         assert (b.jumpers, b.jumps) == (a.jumpers, a.jumps)
 
+    def test_multi_block_order_matches_reference_stepper(self, monkeypatch):
+        # the many-jumps case with blocks of 3 columns: 300 trajectories
+        # take about 100 blocks, each drawing in its own rounds
+        import etlab.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "_BLOCK_BYTES", 3 * 4 * 16)
+        noise = NoiseModel(
+            tuple(site_channels(2, SIGMA_MINUS, 2.0, "d"))
+            + tuple(site_channels(2, SIGMA_PLUS, 1.0, "u"))
+        )
+        h = np.kron(SX, SX).astype(complex) * 0.5
+        psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
+        obs = np.kron(P0, np.eye(2)).astype(complex)
+        cfg = TrajectoryConfig(n_traj=300, seed=61, dt=5e-3)
+        a = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
+        values, n_jumps = _reference_values(psi0, h, noise, 2.0, obs, cfg)
+        assert a.jumpers == np.count_nonzero(n_jumps) > 3
+        assert a.jumps == n_jumps.sum()
+        assert a.means[0] == pytest.approx(np.mean(values), abs=1e-9)
+        assert a.stderrs[0] == pytest.approx(np.std(values, ddof=1) / np.sqrt(300), abs=1e-9)
+
     def test_no_channels_report_no_jumps(self):
         res = mc_trajectories(
             basis_state(1, 0), SZ, NoiseModel(), 1.0, [P0],
@@ -688,6 +740,31 @@ class TestMcTrajectories:
             mc_trajectories(
                 basis_state(1, 0), SZ, noise, 1.0, [P0],
                 TrajectoryConfig(n_traj=200, seed=3, dt=1e-2),
+            )
+
+    def test_norm_check_fires_on_one_column_of_a_block(self, monkeypatch):
+        # the doctored propagator swaps |0> and |1> while damping both, so
+        # from psi0 = |0> a first jump lands on |2>, which decays, from an
+        # even step and on |3>, which grows by 1.001 per step, from an odd
+        # one; at seed 14 five of the eight trajectories jump, all in one
+        # block, and only the last of them from an odd step
+        import etlab.dynamics as dyn
+
+        u = np.zeros((4, 4), dtype=complex)
+        u[0, 1] = u[1, 0] = 0.99
+        u[2, 2], u[3, 3] = 0.9, 1.001
+        monkeypatch.setattr(dyn, "_expm", lambda a: u)
+        to_2, to_3 = np.zeros((4, 4)), np.zeros((4, 4))
+        to_2[2, 0] = to_3[3, 1] = 1.0
+        noise = NoiseModel((NoiseChannel(to_2, 1.0, "a"), NoiseChannel(to_3, 1.0, "b")))
+        thresholds = np.random.default_rng(14).random(8)
+        norms2 = 0.99 ** (2 * np.arange(1, 21))
+        first = [np.argmax(norms2 <= t) + 1 for t in thresholds if t >= norms2[-1]]
+        assert [s % 2 for s in first] == [0, 0, 0, 0, 1]
+        with pytest.raises(TrajectoryError, match="no-jump norm increased between steps"):
+            mc_trajectories(
+                basis_state(2, 0), np.zeros((4, 4)), noise, 1.0, [np.eye(4)],
+                TrajectoryConfig(n_traj=8, seed=14, dt=0.05),
             )
 
     @pytest.mark.parametrize("t_final", [-1.0, float("nan"), float("inf")])
@@ -762,3 +839,7 @@ class TestMcTrajectories:
         TrajectoryConfig(n_traj=np.int64(10), seed=np.uint64(2**63), dt=0.1)  # numpy ints pass
         with pytest.raises(ValueError):
             IntegrationConfig(dt=-0.1, t_final=1.0)
+        # a fractional stride used to pass and then record every 5th step
+        with pytest.raises(ValueError, match="record_stride must be a finite integer, got 2.5"):
+            IntegrationConfig(dt=0.1, t_final=1.0, record_stride=2.5)
+        IntegrationConfig(dt=0.1, t_final=1.0, record_stride=np.int64(2))  # numpy ints pass
