@@ -131,10 +131,11 @@ def _check_t_final(t_final: float) -> None:
 
 
 def _check_integers(config, *names: str) -> None:
-    """Reject a field that is not a Python or numpy integer, naming it."""
+    """Reject a field that is not a Python or numpy integer, naming it; a
+    bool is an int to Python but not a count or a seed."""
     for name in names:
         value = getattr(config, name)
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be a finite integer, got {value!r}")
 
 
@@ -438,8 +439,8 @@ def integrate_lindblad(
     RK4's stability region for this generator is rejected up front.  Either
     way the state is re-Hermitized ((rho + rho^dag)/2) after every
     (sub)step, and a trace drift beyond 1e-5 at a recorded point raises
-    :class:`IntegrationError`.  A rho0 or jump whose dimension is not H's
-    raises ValueError.
+    :class:`IntegrationError`.  A rho0 that is not a finite density matrix,
+    or a rho0 or jump whose dimension is not H's, raises ValueError.
     """
     rho = np.asarray(rho0, dtype=complex).copy()
     check_density_matrix(rho)
@@ -515,11 +516,16 @@ def mc_trajectories(
     column with a zero total jump rate, a no-jump norm that grows by more
     than 1e-12 (relative) between steps or across one power, or a
     renormalization off by more than 1e-10, in any column, raises
-    :class:`TrajectoryError`.  A psi0 or jump whose dimension is not H's
-    raises ValueError.
+    :class:`TrajectoryError`.  A psi0 or jump whose dimension is not H's,
+    or a non-finite psi0 or observable, raises ValueError.
     """
     _check_t_final(t_final)
     psi0 = np.asarray(psi0, dtype=complex)
+    if not np.isfinite(psi0).all():
+        raise ValueError("psi0 has non-finite entries")
+    for i, obs in enumerate(observables):
+        if not np.isfinite(obs).all():
+            raise ValueError(f"observable {i} has non-finite entries")
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {nrm!r} is not 1")

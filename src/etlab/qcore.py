@@ -198,6 +198,9 @@ def pauli_decompose(a: np.ndarray, tol: float = 1e-12) -> list[tuple[complex, Pa
 
 
 def require_hermitian(a: np.ndarray, atol: float = 1e-10, what: str = "operator") -> None:
+    """Reject a non-finite or non-Hermitian ``a``, naming it as ``what``."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
     dev = np.max(np.abs(a - a.conj().T))
     if dev > atol:
         raise ValueError(f"{what} is not Hermitian (max |A - A^dag| = {dev:.3e})")
@@ -276,7 +279,8 @@ def check_density_matrix(
     trace_atol: float = 1e-8,
     eig_floor: float = -1e-8,
 ) -> None:
-    """Validate Hermiticity, unit trace, and positivity of a density matrix."""
+    """Validate finiteness, Hermiticity, unit trace, and positivity of a
+    density matrix."""
     rho = np.asarray(rho, dtype=complex)
     require_hermitian(rho, atol=herm_atol, what="density matrix")
     tr = np.trace(rho).real

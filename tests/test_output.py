@@ -2,7 +2,6 @@
 
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from etlab.experiments import SweepResult, SweepRow
@@ -57,29 +56,6 @@ class TestEmitCsv:
         lines = path.read_text().splitlines()[1:]
         keys = [(l.split(",")[1], float(l.split(",")[0])) for l in lines]
         assert keys == sorted(keys)
-
-    def test_roundtrip_random_results(self, tmp_path):
-        rng = np.random.default_rng(19)
-        rows = tuple(
-            row(
-                float(rng.uniform(0, 0.1)),
-                f"s{i % 4}",
-                float(rng.uniform(0, 1)),
-                float(rng.uniform(0, 0.05)),
-                "mc",
-            )
-            for i in range(40)
-        )
-        path = tmp_path / "rt.csv"
-        emit_csv(SweepResult(rows=rows), path)
-        back = parse_csv(path)
-        expected = sorted(rows, key=lambda r: (r.scenario, r.gamma_over_omega))
-        assert len(back.rows) == len(expected)
-        for a, b in zip(expected, back.rows):
-            assert (a.scenario, a.method) == (b.scenario, b.method)
-            assert b.gamma_over_omega == pytest.approx(a.gamma_over_omega, rel=1e-9)
-            assert b.probability == pytest.approx(a.probability, rel=1e-9)
-            assert b.stderr == pytest.approx(a.stderr, rel=1e-9, abs=1e-12)
 
     def test_parse_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

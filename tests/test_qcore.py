@@ -21,6 +21,7 @@ from etlab.qcore import (
     pauli_decompose,
     pauli_mul,
     pure_density,
+    require_hermitian,
     to_dense,
     trace_out_first,
     weight,
@@ -294,3 +295,11 @@ class TestHelpers:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             check_density_matrix(bad)
+
+    @pytest.mark.parametrize(
+        "validate, what", [(check_density_matrix, "density matrix"), (require_hermitian, "operator")]
+    )
+    def test_nan_matrix_rejected(self, validate, what):
+        # every comparison with NaN is False, so a NaN matrix used to pass
+        with pytest.raises(ValueError, match=f"{what} has non-finite entries"):
+            validate(np.full((2, 2), np.nan, dtype=complex))
