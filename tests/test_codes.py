@@ -19,6 +19,8 @@ from etlab.codes import (
 from etlab.qcore import (
     PauliString,
     basis_state,
+    fidelity,
+    normalize,
     pure_density,
     to_dense,
 )
@@ -213,6 +215,23 @@ class TestRecover:
         out = recover(bitflip3, errs, rho)
         assert np.allclose(out, pure_density(basis_state(3, "000")), atol=1e-12)
 
+    def test_encoded_superposition_restored(self, bitflip3):
+        rng = np.random.default_rng(23)
+        errs = error_set(bitflip3, "X")
+        for _ in range(20):
+            amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            psi = normalize(amps[0] * bitflip3.codeword0 + amps[1] * bitflip3.codeword1)
+            for e in errs:
+                rho = pure_density(to_dense(e) @ psi)
+                assert fidelity(psi, recover(bitflip3, errs, rho)) > 1 - 1e-10
+
+    def test_double_error_miscorrects(self, bitflip3):
+        # |011> = two flips on |000>; majority vote lands on |111>
+        errs = error_set(bitflip3, "X")
+        rho = pure_density(basis_state(3, "011"))
+        out = recover(bitflip3, errs, rho)
+        assert np.allclose(out, pure_density(basis_state(3, "111")), atol=1e-12)
+
     def test_trace_preserved(self, perfect5):
         rng = np.random.default_rng(29)
         errs = error_set(perfect5, "XYZ")
@@ -225,6 +244,18 @@ class TestRecover:
     def test_overlapping_spaces_rejected(self, bitflip3):
         with pytest.raises(ValueError, match="overlap"):
             recover(bitflip3, error_set(bitflip3, "Z"), pure_density(basis_state(3, 0)))
+
+    def test_all_builtin_codes_recover_all_errors(self):
+        rng = np.random.default_rng(31)
+        for name, kinds in (("bitflip3", "X"), ("perfect5", "XYZ"), ("steane7", "XYZ")):
+            code = build_code(name)
+            errs = error_set(code, kinds)
+            for _ in range(5):
+                amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                psi = normalize(amps[0] * code.codeword0 + amps[1] * code.codeword1)
+                for e in errs:
+                    rho = pure_density(to_dense(e) @ psi)
+                    assert fidelity(psi, recover(code, errs, rho)) > 1 - 1e-10
 
     def test_adjoint_duality(self, bitflip3):
         # Tr(R(rho) B) = Tr(rho R*(B)) for random rho, B

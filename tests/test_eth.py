@@ -16,6 +16,7 @@ from etlab.eth import (
     bodyness,
     conjugation_sign,
     controlled_eth,
+    css7_counterexample,
     deduplicate_errors,
     encode_logical,
     eth_report,
@@ -220,8 +221,23 @@ class TestVerifyEt:
 
 
 class TestBodyness:
+    def test_eq7_is_three_body(self, bitflip3):
+        h0 = encode_logical(bitflip3, LogicalHamiltonian(1, -1, 0))
+        h = make_eth(bitflip3, h0, error_set(bitflip3, "X"))
+        assert bodyness(h) == 3
+
     def test_zero_operator(self):
         assert bodyness(np.zeros((8, 8), dtype=complex)) == 0
+
+    def test_perfect5_needs_five_body(self, perfect5):
+        h0 = encode_logical(perfect5, LogicalHamiltonian(1, -1, 0))
+        h = make_eth(perfect5, h0, error_set(perfect5, "XYZ"))
+        assert bodyness(h) == 5
+
+    def test_bounded_by_qubit_count(self, steane7):
+        h0 = encode_logical(steane7, LogicalHamiltonian(1, -1, 0))
+        h = make_eth(steane7, h0, error_set(steane7, "XYZ"))
+        assert bodyness(h) <= 7
 
 
 class TestControlledEth:
@@ -233,6 +249,14 @@ class TestControlledEth:
         excited = np.kron(np.eye(8), np.diag([0.0, 1.0])).astype(complex)
         prob = np.vdot(psi_t, excited @ psi_t).real
         assert prob == pytest.approx(1.0, abs=1e-10)
+
+    def test_bitflip_controller_is_four_body(self, bitflip3):
+        h = controlled_eth(bitflip3, error_set(bitflip3, "X"), 1.0)
+        assert bodyness(h) == 4
+
+    def test_perfect5_controller_is_six_body(self, perfect5):
+        h = controlled_eth(perfect5, error_set(perfect5, "XYZ"), 1.0)
+        assert bodyness(h) == 6
 
     def test_zero_coupling(self, bitflip3):
         h = controlled_eth(bitflip3, error_set(bitflip3, "X"), 0.0)
@@ -246,6 +270,11 @@ class TestControlledEth:
 
 
 class TestCss7Counterexample:
+    def test_report(self):
+        report = css7_counterexample()
+        assert report.conjugated_sign == -1
+        assert report.naive_sum_is_zero is True
+
     def test_commuting_conjugation_is_positive(self):
         # Z off the support of the logical X commutes with it
         assert conjugation_sign(PauliString("IZIIIII"), PauliString("IIIIXXX")) == 1

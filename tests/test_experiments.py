@@ -26,8 +26,22 @@ class TestEffectiveRate:
     def test_k1_is_identity(self):
         assert effective_rate(0.7, 5.0, 1) == 0.7
 
+    def test_worked_value(self):
+        # direct formula evaluation: omega (omega/delta)^(k-1)
+        assert effective_rate(1.0, 10.0, 3) == 1.0 * (1.0 / 10.0) ** 2
+        assert effective_rate(1.0, 10.0, 3) == pytest.approx(0.01, rel=1e-12)
+
+    def test_second_worked_value(self):
+        assert effective_rate(2.0, 20.0, 2) == 0.2
+
 
 class TestEffectiveErrorProb:
+    def test_worked_value(self):
+        params = PerturbativeParams(n=3, gamma=1e-3, omega=1.0, delta=10.0, k=3)
+        p_prime, p = effective_error_prob(params)
+        assert p == pytest.approx(1e-3, rel=1e-12)
+        assert p_prime == pytest.approx(0.03, rel=1e-12)
+
     def test_closed_forms_agree(self):
         params = PerturbativeParams(n=5, gamma=2e-4, omega=0.8, delta=9.0, k=4)
         p_prime, p = effective_error_prob(params)
@@ -46,6 +60,12 @@ class TestEffectiveErrorProb:
 
 
 class TestBreakeven:
+    def test_false_case(self):
+        assert breakeven(PerturbativeParams(n=3, gamma=1e-4, omega=1.0, delta=10.0, k=3)) is False
+
+    def test_true_case(self):
+        assert breakeven(PerturbativeParams(n=3, gamma=1e-6, omega=1.0, delta=10.0, k=3)) is True
+
     def test_zero_gamma(self):
         assert breakeven(PerturbativeParams(n=7, gamma=0.0, omega=1.0, delta=50.0, k=5)) is True
 
