@@ -11,7 +11,9 @@ Two methods cross-validate each other:
   bound on its whole remaining tail is below machine precision; the result
   reports how many generator applications it took.  An explicit step
   selects fixed-step RK4 instead, guarded against steps beyond its
-  stability region.
+  stability region.  The generator is applied only to Hermitian states
+  (rho0, Hermitized on entry, each Taylor term and each RK4 stage), so
+  G rho + rho G^dag costs one matrix product, X + X^dag with X = G rho.
 * :func:`mc_trajectories` -- quantum-jump unravelling (Dalibard, Castin &
   Molmer, PRL 68, 580 (1992)).  Deterministic segments use the one-step
   propagator exp((-iH - K/2) dt), formed once per run by the same scaled
@@ -266,21 +268,27 @@ class _Jump:
             k[cols, cols] += self.rate * (vals.conj() * vals)
 
     def add_sandwich(self, rho: np.ndarray, out: np.ndarray) -> None:
-        """out += rate l rho l^dag."""
+        """out += rate l rho l^dag; ``out`` must be C-contiguous, so that the
+        monomial path's flat view of it writes into it."""
         if self.mono is None:
             out += self.rate * (self.l @ rho @ self.l.conj().T)
         else:
             to, frm, weights = self._sandwich
-            out[to] += weights * rho[frm]
+            out.reshape(-1)[to] += weights * rho.reshape(-1)[frm]
 
     @cached_property
-    def _sandwich(self) -> tuple[tuple, tuple, np.ndarray]:
-        # the weights rate vals vals^* are d x d: built on first use, since
-        # only the Lindblad rhs needs them, and scaled in place
+    def _sandwich(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # flat indices into the raveled d x d matrices, the entries of l rho
+        # l^dag and the rho entries they read, and the weights rate vals_a
+        # vals_b^*, raveled alike: built on first use, since only the
+        # Lindblad rhs needs them, and scaled in place
         rows, cols, vals = self.mono
+        d = len(self.l)
         weights = np.outer(vals, vals.conj())
         weights *= self.rate
-        return np.ix_(rows, rows), np.ix_(cols, cols), weights
+        to = (rows[:, None] * d + rows).ravel()
+        frm = (cols[:, None] * d + cols).ravel()
+        return to, frm, weights.ravel()
 
 
 def _no_jump_generator(
@@ -316,7 +324,8 @@ def _norm2_bound(a: np.ndarray) -> float:
 
 
 class _Generator:
-    """Precomputed Lindblad generator: rhs(rho) = G rho + rho G^dag + jumps.
+    """Precomputed Lindblad generator: rhs(rho) = G rho + rho G^dag + jumps,
+    for a Hermitian rho only.
 
     ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 bounds the generator's
     norm as a map on rho with the Frobenius norm.  ||G||_2 is the spectral
@@ -326,12 +335,17 @@ class _Generator:
 
     def __init__(self, h: np.ndarray, noise: NoiseModel):
         self.g, self.jumps = _no_jump_generator(h, noise, IntegrationError)
-        self.gd = self.g.conj().T
         jump_bound = sum(j.rate * _norm2_bound(j.l) ** 2 for j in self.jumps)
         self.bound = 2.0 * float(np.linalg.norm(self.g, 2)) + jump_bound
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
-        out = self.g @ rho + rho @ self.gd
+        """The generator applied to a Hermitian rho in one matrix product:
+        with X = G rho, rho G^dag = X^dag.  With monomial jumps an exactly
+        Hermitian rho gives an exactly Hermitian result, so the Taylor terms
+        and RK4 stages built from rho0 stay Hermitian; :func:`lindblad_rhs`
+        is the general reference."""
+        x = self.g @ rho
+        out = x + x.conj().T
         for jump in self.jumps:
             jump.add_sandwich(rho, out)
         return out
@@ -437,13 +451,16 @@ def integrate_lindblad(
     holds the states at 0 and t_final only.  With an explicit dt, classical
     fixed-step RK4 records every ``record_stride``-th step; a step beyond
     RK4's stability region for this generator is rejected up front.  Either
-    way the state is re-Hermitized ((rho + rho^dag)/2) after every
+    way the state is Hermitized ((rho + rho^dag)/2) on entry and after every
     (sub)step, and a trace drift beyond 1e-5 at a recorded point raises
     :class:`IntegrationError`.  A rho0 that is not a finite density matrix,
     or a rho0 or jump whose dimension is not H's, raises ValueError.
     """
-    rho = np.asarray(rho0, dtype=complex).copy()
+    rho = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho)
+    # the check allows a 1e-10 anti-Hermitian part; the generator's one
+    # product needs an exactly Hermitian state
+    rho = 0.5 * (rho + rho.conj().T)
     gen = _Generator(h, noise)
     if rho.shape != gen.g.shape:
         raise ValueError(f"dimension mismatch: rho {rho.shape}, H {gen.g.shape}")
@@ -516,22 +533,24 @@ def mc_trajectories(
     column with a zero total jump rate, a no-jump norm that grows by more
     than 1e-12 (relative) between steps or across one power, or a
     renormalization off by more than 1e-10, in any column, raises
-    :class:`TrajectoryError`.  A psi0 or jump whose dimension is not H's,
-    or a non-finite psi0 or observable, raises ValueError.
+    :class:`TrajectoryError`.  A psi0, jump or observable whose dimension
+    is not H's, or a non-finite psi0 or observable, raises ValueError.
     """
     _check_t_final(t_final)
     psi0 = np.asarray(psi0, dtype=complex)
     if not np.isfinite(psi0).all():
         raise ValueError("psi0 has non-finite entries")
-    for i, obs in enumerate(observables):
-        if not np.isfinite(obs).all():
-            raise ValueError(f"observable {i} has non-finite entries")
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {nrm!r} is not 1")
     g, jumps = _no_jump_generator(h, noise, TrajectoryError)
     if psi0.shape != g.shape[:1]:
         raise ValueError(f"dimension mismatch: psi0 {psi0.shape}, H {g.shape}")
+    for i, obs in enumerate(observables):
+        if np.shape(obs) != g.shape:
+            raise ValueError(f"dimension mismatch: observable {i} {np.shape(obs)}, H {g.shape}")
+        if not np.isfinite(obs).all():
+            raise ValueError(f"observable {i} has non-finite entries")
     n_traj = config.n_traj
 
     def reduce_values(values: np.ndarray, jumpers: int = 0, jumps: int = 0) -> McResult:

@@ -23,6 +23,7 @@ results do not depend on scheduling order.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .dynamics import (
     NoiseChannel,
     NoiseModel,
     TrajectoryConfig,
+    _check_integers,
     default_timestep,
     integrate_lindblad,
     mc_trajectories,
@@ -182,23 +184,36 @@ def _realize_fig1a(spec: ScenarioSpec) -> _Realized:
     return _Realized(h, NoiseModel(tuple(channels)), psi0, duration, observable)
 
 
+@functools.cache
+def _fig1b_hamiltonian(
+    code_name: str | None, error_kinds: str, use_eth: bool, omega: float
+) -> np.ndarray:
+    """The fig1b swap Hamiltonian, which does not depend on gamma: built once
+    per process for each key and shared, read-only, by every job with it."""
+    if code_name is None:
+        # bare two-level controller: same swap coupling without encoding
+        term = np.kron(SIGMA_MINUS, SIGMA_PLUS)
+        h = omega * (term + term.conj().T)
+    else:
+        code = codes.build_code(code_name)
+        if use_eth:
+            h = eth.controlled_eth(code, codes.error_set(code, error_kinds), omega)
+        else:
+            h = eth.swap_hamiltonian(code, omega)
+    h.flags.writeable = False
+    return h
+
+
 def _realize_fig1b(spec: ScenarioSpec) -> _Realized:
     omega, gamma = spec.omega, spec.gamma * spec.rate_factor
     duration = np.pi / (2 * omega)
     excited = np.diag([0.0, 1.0]).astype(complex)
+    h = _fig1b_hamiltonian(spec.code_name, spec.error_kinds, spec.use_eth, omega)
     if spec.code_name is None:
-        # bare two-level controller: same swap coupling without encoding
-        term = np.kron(SIGMA_MINUS, SIGMA_PLUS)
-        h = omega * (term + term.conj().T)
         n_ctrl = 1
         psi0 = np.kron(basis_state(1, 1), basis_state(1, 0))
     else:
         code = codes.build_code(spec.code_name)
-        errorset = codes.error_set(code, spec.error_kinds)
-        if spec.use_eth:
-            h = eth.controlled_eth(code, errorset, omega)
-        else:
-            h = eth.swap_hamiltonian(code, omega)
         n_ctrl = code.n
         psi0 = np.kron(code.codeword1, basis_state(1, 0))
     n_total = n_ctrl + 1
@@ -407,6 +422,7 @@ class PerturbativeParams:
     k: int
 
     def __post_init__(self):
+        _check_integers(self, "n", "k")
         if self.n < 1 or self.k < 2:
             raise ValueError("need n >= 1 and k >= 2")
         if self.gamma < 0 or self.omega <= 0 or self.delta <= 0:

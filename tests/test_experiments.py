@@ -58,6 +58,14 @@ class TestEffectiveErrorProb:
         with pytest.raises(ValueError):
             PerturbativeParams(n=3, gamma=1e-3, omega=1.0, delta=10.0, k=1)
 
+    @pytest.mark.parametrize("field, value", [("n", True), ("n", 3.0), ("k", 3.5), ("k", False)])
+    def test_integer_counts_required(self, field, value):
+        # k=3.5 used to give a fractional body count in effective_error_prob
+        kwargs = dict(n=3, gamma=1e-3, omega=1.0, delta=10.0, k=3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a finite integer"):
+            PerturbativeParams(**kwargs)
+
 
 class TestBreakeven:
     def test_false_case(self):
@@ -126,6 +134,17 @@ class TestScenarios:
         damp = [c for c in realized.noise.channels if c.label.startswith("damp")]
         assert len(damp) == 5
         assert all(c.rate == pytest.approx(0.07) for c in damp)
+
+    def test_fig1b_hamiltonian_built_once(self):
+        # H does not depend on gamma: every grid point of a scenario shares
+        # one read-only array, and another omega gets its own
+        def h(gamma, omega=1.0):
+            spec = next(s for s in fig1b_scenarios(gamma, omega) if s.label == "eth-5")
+            return _realize(spec).hamiltonian
+
+        assert h(0.01) is h(0.05)
+        assert not h(0.01).flags.writeable
+        assert np.array_equal(h(0.01, omega=2.0), 2.0 * h(0.01))
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
