@@ -30,6 +30,7 @@ from .codes import (
 from .dynamics import SIGMA_PLUS
 from .qcore import (
     PauliString,
+    anticommutes,
     basis_state,
     pauli_action,
     pauli_decompose,
@@ -225,15 +226,9 @@ def controlled_eth(
 
 
 def conjugation_sign(conjugator: PauliString, operator: PauliString) -> int:
-    """+1 or -1 according to whether C P C^dag equals +P or -P (dense check)."""
-    c = to_dense(conjugator)
-    p = to_dense(operator)
-    conj = c @ p @ c.conj().T
-    if np.allclose(conj, p, atol=1e-12):
-        return 1
-    if np.allclose(conj, -p, atol=1e-12):
-        return -1
-    raise ValueError(f"{conjugator!r} conjugates {operator!r} to neither +/- itself")
+    """+1 or -1 according to whether C P C^dag equals +P or -P: Pauli strings
+    commute or anticommute, so C P C^dag = -P exactly when they anticommute."""
+    return -1 if anticommutes(conjugator, operator) else 1
 
 
 def css7_counterexample() -> Css7Report:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -163,87 +163,87 @@ class _Realized:
     observable: np.ndarray  # success probability = Tr(rho_final @ observable)
 
 
-def _realize_fig1a(spec: ScenarioSpec) -> _Realized:
-    omega, gamma = spec.omega, spec.gamma * spec.rate_factor
-    duration = np.pi / omega
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    if spec.code_name is None:
-        h = omega * np.diag([1.0, -1.0]).astype(complex)
+@dataclass(frozen=True)
+class _Scenario:
+    """A job's inputs without gamma, which only sets the site rates."""
+
+    hamiltonian: np.ndarray
+    psi0: np.ndarray
+    duration: float
+    observable: np.ndarray
+    sites: tuple[NoiseChannel, ...]  # each noisy site's jump, at unit rate
+    fixed: tuple[NoiseChannel, ...] = ()  # channels whose rate is not gamma's
+
+
+def _fig1a_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
+    if plain is not None:
+        return replace(plain, hamiltonian=eth.make_eth(code, plain.hamiltonian, errorset))
+    if code is None:
+        n, h = 1, omega * np.diag([1.0, -1.0]).astype(complex)
         psi0 = normalize(basis_state(1, 0) + basis_state(1, 1))
-        channels = site_channels(1, sx, gamma, "X") if gamma > 0 else []
-        return _Realized(h, NoiseModel(tuple(channels)), psi0, duration, pure_density(psi0))
-    code = codes.build_code(spec.code_name)
-    errorset = codes.error_set(code, spec.error_kinds)
-    h0 = eth.encode_logical(code, eth.LogicalHamiltonian(omega, -omega, 0))
-    h = eth.make_eth(code, h0, errorset) if spec.use_eth else h0
-    psi0 = normalize(code.codeword0 + code.codeword1)
-    channels = site_channels(code.n, sx, gamma, "X") if gamma > 0 else []
+    else:
+        n, h = code.n, eth.encode_logical(code, eth.LogicalHamiltonian(omega, -omega, 0))
+        psi0 = normalize(code.codeword0 + code.codeword1)
     observable = pure_density(psi0)
-    if spec.apply_recovery:
+    if code is not None and apply_recovery:
         observable = codes.recover_adjoint(code, errorset, observable)
-    return _Realized(h, NoiseModel(tuple(channels)), psi0, duration, observable)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    return _Scenario(h, psi0, np.pi / omega, observable, tuple(site_channels(n, sx, 1.0, "X")))
+
+
+def _fig1b_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
+    if plain is not None:
+        return replace(plain, hamiltonian=eth.controlled_eth(code, errorset, omega))
+    if code is None:
+        # bare two-level controller: same swap coupling without encoding
+        n_ctrl, term = 1, np.kron(SIGMA_MINUS, SIGMA_PLUS)
+        h = omega * (term + term.conj().T)
+        psi0 = np.kron(basis_state(1, 1), basis_state(1, 0))
+    else:
+        n_ctrl, h = code.n, eth.swap_hamiltonian(code, omega)
+        psi0 = np.kron(code.codeword1, basis_state(1, 0))
+    n = n_ctrl + 1
+    excited = embed_single(n, n_ctrl, np.diag([0.0, 1.0]).astype(complex))
+    sites = tuple(site_channels(n, SIGMA_MINUS, 1.0, "damp", range(n_ctrl)))
+    target = (
+        (SIGMA_PLUS, TARGET_EXCITATION_RATE, "target-up"),
+        (SIGMA_MINUS, TARGET_DAMPING_RATE, "target-down"),
+    )
+    fixed = tuple(NoiseChannel(embed_single(n, n_ctrl, op), r * omega, lb) for op, r, lb in target)
+    return _Scenario(h, psi0, np.pi / (2 * omega), excited, sites, fixed)
 
 
 @functools.cache
-def _fig1b_hamiltonian(
-    code_name: str | None, error_kinds: str, use_eth: bool, omega: float
-) -> np.ndarray:
-    """The fig1b swap Hamiltonian, which does not depend on gamma: built once
-    per process for each key and shared, read-only, by every job with it."""
-    if code_name is None:
-        # bare two-level controller: same swap coupling without encoding
-        term = np.kron(SIGMA_MINUS, SIGMA_PLUS)
-        h = omega * (term + term.conj().T)
-    else:
-        code = codes.build_code(code_name)
-        if use_eth:
-            h = eth.controlled_eth(code, codes.error_set(code, error_kinds), omega)
-        else:
-            h = eth.swap_hamiltonian(code, omega)
-    h.flags.writeable = False
-    return h
+def _build_scenario(family, code_name, error_kinds, use_eth, omega, apply_recovery) -> _Scenario:
+    """Built once per process for each key and shared, read-only, by every job
+    with it, whatever its gamma.  An ETH scenario is its plain twin with another
+    H and shares the twin's other arrays: one copy of a register's jumps and
+    observable per process (ten 256 x 256 matrices for steane7), not per key."""
+    build = {"fig1a": _fig1a_scenario, "fig1b": _fig1b_scenario}.get(family)
+    if build is None:
+        raise ValueError(f"unknown scenario family {family!r}")
+    code = None if code_name is None else codes.build_code(code_name)
+    errorset = None if code is None else codes.error_set(code, error_kinds)
+    plain = None
+    if use_eth and code is not None:
+        plain = _build_scenario(family, code_name, error_kinds, False, omega, apply_recovery)
+    scenario = build(code, errorset, omega, apply_recovery, plain)
+    jumps = [ch.jump for ch in scenario.sites + scenario.fixed]
+    for a in (scenario.hamiltonian, scenario.psi0, scenario.observable, *jumps):
+        a.flags.writeable = False
+    return scenario
 
 
-def _realize_fig1b(spec: ScenarioSpec) -> _Realized:
-    omega, gamma = spec.omega, spec.gamma * spec.rate_factor
-    duration = np.pi / (2 * omega)
-    excited = np.diag([0.0, 1.0]).astype(complex)
-    h = _fig1b_hamiltonian(spec.code_name, spec.error_kinds, spec.use_eth, omega)
-    if spec.code_name is None:
-        n_ctrl = 1
-        psi0 = np.kron(basis_state(1, 1), basis_state(1, 0))
-    else:
-        code = codes.build_code(spec.code_name)
-        n_ctrl = code.n
-        psi0 = np.kron(code.codeword1, basis_state(1, 0))
-    n_total = n_ctrl + 1
-    channels = []
-    if gamma > 0:
-        channels = site_channels(n_total, SIGMA_MINUS, gamma, "damp", range(n_ctrl))
-    channels.append(
-        NoiseChannel(
-            jump=embed_single(n_total, n_ctrl, SIGMA_PLUS),
-            rate=TARGET_EXCITATION_RATE * omega,
-            label="target-up",
-        )
-    )
-    channels.append(
-        NoiseChannel(
-            jump=embed_single(n_total, n_ctrl, SIGMA_MINUS),
-            rate=TARGET_DAMPING_RATE * omega,
-            label="target-down",
-        )
-    )
-    observable = embed_single(n_total, n_ctrl, excited)
-    return _Realized(h, NoiseModel(tuple(channels)), psi0, duration, observable)
+def _scenario(spec: ScenarioSpec) -> _Scenario:
+    key = (spec.family, spec.code_name, spec.error_kinds, spec.use_eth, spec.omega)
+    return _build_scenario(*key, spec.apply_recovery)
 
 
 def _realize(spec: ScenarioSpec) -> _Realized:
-    if spec.family == "fig1a":
-        return _realize_fig1a(spec)
-    if spec.family == "fig1b":
-        return _realize_fig1b(spec)
-    raise ValueError(f"unknown scenario family {spec.family!r}")
+    s = _scenario(spec)
+    rate = spec.gamma * spec.rate_factor
+    sites = tuple(replace(ch, rate=rate) for ch in s.sites) if rate > 0 else ()
+    return _Realized(s.hamiltonian, NoiseModel(sites + s.fixed), s.psi0, s.duration, s.observable)
 
 
 def _finalize_probability(p: float, context: str) -> float:
@@ -383,8 +383,7 @@ def suggested_mc_sample(
     times smaller than the raw event count).  The estimate below bounds the
     event probability per trajectory and asks for ``target_events`` of them.
     """
-    # every physical qubit of the code (one bare qubit without a code) is noisy
-    n_noisy = codes.build_code(spec.code_name).n if spec.code_name else 1
+    n_noisy = len(_scenario(spec).sites)
     if spec.family == "fig1a":
         tau = np.pi / spec.omega
         lam = n_noisy * spec.gamma * spec.rate_factor * tau

@@ -147,10 +147,7 @@ def pauli_action(p: PauliString, v: np.ndarray) -> np.ndarray:
         x = (x << 1) | (ch in "XY")
         z = (z << 1) | (ch in "YZ")
     b = np.arange(1 << p.n)
-    # popcount parity by a bit loop: np.bitwise_count needs numpy >= 2
-    parity = np.zeros_like(b)
-    for k in range(p.n):
-        parity ^= ((b & z) >> k) & 1
+    parity = np.bitwise_count(b & z) & 1
     base = p.phase * (1, 1j, -1, -1j)[p.letters.count("Y") % 4]
     coef = np.where(parity == 1, -base, base)
     src = b ^ x  # row b of P v is coef(b ^ x) v[b ^ x]
@@ -198,7 +195,10 @@ def pauli_decompose(a: np.ndarray, tol: float = 1e-12) -> list[tuple[complex, Pa
 
 
 def require_hermitian(a: np.ndarray, atol: float = 1e-10, what: str = "operator") -> None:
-    """Reject a non-finite or non-Hermitian ``a``, naming it as ``what``."""
+    """Reject a non-square, non-finite or non-Hermitian ``a``, naming it as
+    ``what``."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
     dev = np.max(np.abs(a - a.conj().T))

@@ -4,6 +4,8 @@ Analytic oracles: a qubit under bit-flip noise at rate gamma with H = 0 has
 P0(t) = (1 + exp(-2 gamma t))/2, and independent qubits multiply.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -220,6 +222,14 @@ class TestIntegrateLindblad:
         cfg = IntegrationConfig(dt=0.01, t_final=1.0)
         with pytest.raises(ValueError):
             integrate_lindblad(np.eye(2, dtype=complex), SZ, NoiseModel(), cfg)
+
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    @pytest.mark.parametrize("rho0", [np.ones((2, 3)) / 3, np.full(2, 0.5)], ids=["2x3", "1-D"])
+    def test_non_square_initial_state_rejected(self, rho0, dt):
+        # used to fail with numpy's bare broadcast or diag error
+        msg = rf"density matrix must be a square matrix, got shape {re.escape(str(rho0.shape))}"
+        with pytest.raises(ValueError, match=msg):
+            integrate_lindblad(rho0, SZ, NoiseModel(), IntegrationConfig(dt=dt, t_final=1.0))
 
     def test_unstable_step_rejected_before_stepping(self):
         # dt=10 over one period is a single resized step of pi; RK4 would

@@ -1,8 +1,11 @@
 """Scenario realization, sweep mechanics, and closed-form calculators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from etlab import codes, eth, experiments
 from etlab.experiments import (
     ExperimentError,
     PerturbativeParams,
@@ -19,6 +22,7 @@ from etlab.experiments import (
     fig1b_sweep,
     predicted_logical_rate,
     run_scenario,
+    suggested_mc_sample,
 )
 
 
@@ -135,20 +139,86 @@ class TestScenarios:
         assert len(damp) == 5
         assert all(c.rate == pytest.approx(0.07) for c in damp)
 
-    def test_fig1b_hamiltonian_built_once(self):
-        # H does not depend on gamma: every grid point of a scenario shares
-        # one read-only array, and another omega gets its own
-        def h(gamma, omega=1.0):
-            spec = next(s for s in fig1b_scenarios(gamma, omega) if s.label == "eth-5")
-            return _realize(spec).hamiltonian
+    @pytest.mark.parametrize("family", ["fig1a", "fig1b"])
+    def test_gamma_independent_parts_built_once(self, family):
+        # every grid point of a scenario shares one read-only H, psi0,
+        # observable and jump array, and gamma only sets the site rates;
+        # an ETH scenario shares all but H with its plain twin
+        def arrays(r):
+            return [r.hamiltonian, r.psi0, r.observable] + [c.jump for c in r.noise.channels]
 
-        assert h(0.01) is h(0.05)
-        assert not h(0.01).flags.writeable
-        assert np.array_equal(h(0.01, omega=2.0), 2.0 * h(0.01))
+        make = fig1a_scenarios if family == "fig1a" else fig1b_scenarios
+        fixed = {"fig1a": 0, "fig1b": 2}[family]
+        for spec in make(0.01, 1.0):
+            a, b, zero = (_realize(replace(spec, gamma=g)) for g in (0.01, 0.05, 0.0))
+            pairs = zip(arrays(a), arrays(b), strict=True)
+            assert all(x is y and not x.flags.writeable for x, y in pairs)
+            twin = _realize(replace(spec, gamma=0.01, use_eth=False))
+            assert all(x is y for x, y in zip(arrays(a)[1:], arrays(twin)[1:], strict=True))
+            sites = len(a.noise.channels) - fixed
+            for r, g in ((a, 0.01), (b, 0.05)):
+                assert [c.rate for c in r.noise.channels[:sites]] == [g * spec.rate_factor] * sites
+            assert zero.noise.channels == a.noise.channels[sites:]  # the fixed ones
+            doubled = _realize(replace(spec, omega=2.0))
+            assert np.array_equal(doubled.hamiltonian, 2.0 * a.hamiltonian)
+
+    def test_sweep_builds_each_scenario_once(self, monkeypatch):
+        # a serial sweep builds each scenario key once, however many grid
+        # points it has; fig1a's reduced-rate qubit shares the bare one's
+        # key, and an ETH key builds only its H
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in [
+            (codes, "build_code"),
+            (codes, "recover_adjoint"),
+            (eth, "make_eth"),
+            (eth, "controlled_eth"),
+            (experiments, "site_channels"),
+        ]:
+            count(module, name)
+        experiments._build_scenario.cache_clear()
+        fig1a_sweep([0.0, 0.01, 0.05], 1.0, method="lindblad", max_workers=1)
+        assert calls == {"build_code": 2, "make_eth": 1, "recover_adjoint": 1, "site_channels": 2}
+        calls.clear()
+        fig1b_sweep([0.0, 0.05], 1.0, method="lindblad", max_workers=1)
+        assert calls == {"build_code": 4, "controlled_eth": 2, "site_channels": 3}
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             _realize(ScenarioSpec(label="x", family="fig9", gamma=0.1, omega=1.0))
+
+
+class TestSuggestedMcSample:
+    # pinned: where the noisy-qubit count comes from must not move any value
+    EXPECTED = {
+        ("fig1a", 0.0): {"single": 2000, "single-reduced": 2000, "logical-plain": 2000,
+                         "logical-eth": 2000},
+        ("fig1a", 1e-3): {"single": 95493, "single-reduced": 150000, "logical-plain": 31831,
+                          "logical-eth": 150000},
+        ("fig1a", 0.05): {"single": 2000, "single-reduced": 63662, "logical-plain": 2000,
+                          "logical-eth": 2000},
+        ("fig1b", 0.0): {"plain-5": 150000, "plain-7": 150000, "eth-5": 150000,
+                         "eth-7": 150000, "single": 150000},
+        ("fig1b", 1e-3): {"plain-5": 76395, "plain-7": 54568, "eth-5": 150000,
+                          "eth-7": 150000, "single": 150000},
+        ("fig1b", 0.05): {"plain-5": 2000, "plain-7": 2000, "eth-5": 9439, "eth-7": 4887,
+                          "single": 7640},
+    }
+
+    @pytest.mark.parametrize("family, gamma", list(EXPECTED))
+    def test_pinned_values(self, family, gamma):
+        make = fig1a_scenarios if family == "fig1a" else fig1b_scenarios
+        got = {s.label: suggested_mc_sample(s) for s in make(gamma, 1.0)}
+        assert got == self.EXPECTED[family, gamma]
 
 
 class TestRunScenario:

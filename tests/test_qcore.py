@@ -5,6 +5,8 @@ oracles (np.kron chains and brute-force trace inner products), independent
 of the library's fast paths.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,11 @@ class TestFidelity:
         assert fidelity(basis_state(1, 0), rho) == 1.0
 
 
+_VALIDATORS = pytest.mark.parametrize(
+    "validate, what", [(check_density_matrix, "density matrix"), (require_hermitian, "operator")]
+)
+
+
 class TestHelpers:
     def test_basis_state_bits(self):
         assert np.array_equal(basis_state(3, "011"), basis_state(3, 3))
@@ -296,10 +303,21 @@ class TestHelpers:
         with pytest.raises(ValueError):
             check_density_matrix(bad)
 
-    @pytest.mark.parametrize(
-        "validate, what", [(check_density_matrix, "density matrix"), (require_hermitian, "operator")]
-    )
+    @_VALIDATORS
     def test_nan_matrix_rejected(self, validate, what):
         # every comparison with NaN is False, so a NaN matrix used to pass
         with pytest.raises(ValueError, match=f"{what} has non-finite entries"):
             validate(np.full((2, 2), np.nan, dtype=complex))
+
+    @_VALIDATORS
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_matrix_rejected(self, validate, what, shape):
+        # used to fail with numpy's bare broadcast or diag error
+        msg = rf"{what} must be a square matrix, got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=msg):
+            validate(np.ones(shape, dtype=complex) / 3)
+
+    def test_non_square_hamiltonian_rejected(self):
+        msg = r"Hamiltonian must be a square matrix, got shape \(2, 3\)"
+        with pytest.raises(ValueError, match=msg):
+            evolve_unitary(np.ones((2, 3)), 1.0, basis_state(1, 0))
