@@ -9,8 +9,10 @@ Commands::
     etlab perturbative --n ... --k ...    closed-form rate trade-off
 
 Sweeps always write a CSV (fixed schema, byte-deterministic for a fixed
-seed) and optionally a standalone SVG plot.  Flag values override the
-optional INI config file (section ``[sweep]``).
+seed) and optionally a standalone SVG plot.  The ``sweep`` flags are the one
+table of sweep options.  The optional INI config file (``--config``, section
+``[sweep]``) sets their defaults: each value is parsed by its flag's type,
+and a flag given on the command line beats the file.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 invariant
 failure.
@@ -22,7 +24,6 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from . import checks, codes, eth, experiments, output
 from .dynamics import NumericsError
 from .experiments import DEFAULT_SEED, ExperimentError
 
-__all__ = ["ConfigError", "RunConfig", "run_sweep", "main"]
+__all__ = ["ConfigError", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -41,34 +42,6 @@ EXIT_INVARIANT = 3
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    experiment: str
-    method: str
-    gamma_min: float = 1e-3
-    gamma_max: float = 1e-1
-    gamma_points: int = 21
-    omega: float = 1.0
-    n_traj: int = 2000
-    seed: int = DEFAULT_SEED
-    dt_override: float | None = None
-    output_dir: Path = field(default_factory=lambda: Path("out"))
-    emit_plot: bool = False
-    apply_recovery: bool = True
-    max_workers: int | None = None
-
-    def gamma_grid(self) -> np.ndarray:
-        _require_finite_positive("--gamma-min", self.gamma_min)
-        _require_finite_positive("--gamma-max", self.gamma_max)
-        if self.gamma_max < self.gamma_min:
-            raise ConfigError("--gamma-max must be at least --gamma-min")
-        if self.gamma_points < 1:
-            raise ConfigError("gamma_points must be at least 1")
-        return experiments.default_gamma_grid(
-            points=self.gamma_points, lo=self.gamma_min, hi=self.gamma_max
-        )
 
 
 def _require_finite_positive(flag: str, value: float | None) -> None:
@@ -84,22 +57,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_CONFIG_KEYS = {
-    "method": str,
-    "traj": int,
-    "seed": int,
-    "out": Path,
-    "plot": bool,
-    "gamma_min": float,
-    "gamma_max": float,
-    "gamma_points": int,
-    "omega": float,
-    "dt": float,
-    "workers": int,
-}
-
-
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, sweep: argparse.ArgumentParser) -> dict:
+    """The ``[sweep]`` section as defaults for the sweep flags: ``plot`` as a
+    bool, every other value as its raw string, which argparse then converts
+    with the flag's own type.  A key is a flag's dest; three flags have none."""
+    keys = {a.dest for a in sweep._actions if a.option_strings}
+    keys -= {"help", "config", "no_recovery"}
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -110,20 +73,18 @@ def _load_config_file(path: str) -> dict:
     values = {}
     if parser.has_section("sweep"):
         for key, raw in parser.items("sweep"):
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
-            kind = _CONFIG_KEYS[key]
             try:
-                if kind is bool:
-                    values[key] = parser.getboolean("sweep", key)
-                else:
-                    values[key] = kind(raw)
+                values[key] = parser.getboolean("sweep", key) if key == "plot" else raw
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r} has invalid value {raw!r}") from exc
     return values
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, _Parser]:
+    """The top-level parser and its ``sweep`` subparser, whose flags are the one
+    table of sweep options: each one's type and default is written here only."""
     parser = _Parser(prog="etlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -132,22 +93,34 @@ def _build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="run a scenario sweep over a gamma grid")
     sweep.add_argument("experiment", choices=("fig1a", "fig1b"))
     sweep.add_argument("--config", help="INI config file with a [sweep] section")
-    sweep.add_argument("--method", choices=("lindblad", "mc"))
-    sweep.add_argument("--traj", type=int, help="trajectories per grid point (mc)")
-    sweep.add_argument("--seed", type=int, help="master seed (default 12345)")
-    sweep.add_argument("--out", type=Path, help="output directory (default ./out)")
+    sweep.add_argument(
+        "--method", choices=("lindblad", "mc"), help="default: lindblad for fig1a, mc for fig1b"
+    )
+    sweep.add_argument(
+        "--traj", type=int, default=2000, help="trajectories per grid point (mc; %(default)s)"
+    )
+    sweep.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (%(default)s)")
+    sweep.add_argument("--out", type=Path, default="out", help="output directory (./%(default)s)")
     sweep.add_argument("--plot", action="store_true", help="also emit an SVG plot")
-    sweep.add_argument("--gamma-min", type=float, dest="gamma_min")
-    sweep.add_argument("--gamma-max", type=float, dest="gamma_max")
-    sweep.add_argument("--gamma-points", type=int, dest="gamma_points")
-    sweep.add_argument("--omega", type=float, help="drive frequency (default 1.0)")
+    sweep.add_argument(
+        "--gamma-min", type=float, default=1e-3, help="lowest gamma/omega (%(default)s)"
+    )
+    sweep.add_argument(
+        "--gamma-max", type=float, default=1e-1, help="highest gamma/omega (%(default)s)"
+    )
+    sweep.add_argument(
+        "--gamma-points", type=int, default=21, help="log-spaced, gamma = 0 added (%(default)s)"
+    )
+    sweep.add_argument("--omega", type=float, default=1.0, help="drive frequency (%(default)s)")
     sweep.add_argument(
         "--dt",
         type=float,
         help="RK4 step for lindblad, jump-placement step for mc; "
         "default: exact lindblad propagation",
     )
-    sweep.add_argument("--workers", type=int, help="process pool size")
+    sweep.add_argument(
+        "--workers", type=int, default=os.cpu_count(), help="process pool size (one per CPU)"
+    )
     sweep.add_argument(
         "--no-recovery",
         action="store_true",
@@ -168,90 +141,51 @@ def _build_parser() -> _Parser:
     pert.add_argument("--omega", type=float, required=True, help="2-body interaction rate")
     pert.add_argument("--delta", type=float, required=True, help="auxiliary level spacing")
     pert.add_argument("--k", type=int, required=True, help="target body-ness")
-    return parser
-
-
-# RunConfig field -> its flag's dest, which is also its config-file key
-_SWEEP_KEYS = {
-    "method": "method",
-    "gamma_min": "gamma_min",
-    "gamma_max": "gamma_max",
-    "gamma_points": "gamma_points",
-    "omega": "omega",
-    "n_traj": "traj",
-    "seed": "seed",
-    "dt_override": "dt",
-    "output_dir": "out",
-    "max_workers": "workers",
-}
-
-
-def _sweep_config(args: argparse.Namespace) -> RunConfig:
-    """A flag beats the config file; a field set by neither keeps its RunConfig
-    default, except the experiment's method and one worker per CPU."""
-    file_values = _load_config_file(args.config) if args.config else {}
-    values = {
-        "method": "lindblad" if args.experiment == "fig1a" else "mc",
-        "max_workers": os.cpu_count(),
-    }
-    for name, key in _SWEEP_KEYS.items():
-        if getattr(args, key) is not None:
-            values[name] = getattr(args, key)
-        elif key in file_values:
-            values[name] = file_values[key]
-    config = RunConfig(
-        experiment=args.experiment,
-        emit_plot=bool(args.plot or file_values.get("plot", False)),
-        apply_recovery=not args.no_recovery,
-        **values,
-    )
-    if config.method not in ("lindblad", "mc"):
-        raise ConfigError(f"unknown method {config.method!r}")
-    if config.n_traj < 1:
-        raise ConfigError("traj must be at least 1")
-    if config.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    _require_finite_positive("--omega", config.omega)
-    _require_finite_positive("--dt", config.dt_override)
-    if config.max_workers is not None and config.max_workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {config.max_workers}")
-    return config
-
-
-def run_sweep(config: RunConfig) -> tuple[Path, Path | None]:
-    """Execute one sweep; returns (csv path, plot path or None)."""
-    grid = config.gamma_grid() * config.omega
-    runner = experiments.fig1a_sweep if config.experiment == "fig1a" else experiments.fig1b_sweep
-    kwargs = dict(
-        omega=config.omega,
-        method=config.method,
-        n_traj=config.n_traj,
-        seed=config.seed,
-        dt=config.dt_override,
-        max_workers=config.max_workers,
-    )
-    if config.experiment == "fig1a":
-        kwargs["apply_recovery"] = config.apply_recovery
-    elif not config.apply_recovery:
-        raise ConfigError("--no-recovery applies to fig1a only; fig1b has no recovery step")
-    result = runner(grid, **kwargs)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = config.output_dir / f"{config.experiment}-{config.method}.csv"
-    output.emit_csv(result, csv_path)
-    plot_path = None
-    if config.emit_plot:
-        plot_path = config.output_dir / f"{config.experiment}-{config.method}.svg"
-        output.emit_plot(result, plot_path)
-    return csv_path, plot_path
+    return parser, sweep
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _sweep_config(args)
-    csv_path, plot_path = run_sweep(config)
-    with open(csv_path, encoding="utf-8") as fh:
-        n_rows = sum(1 for _ in fh) - 1
-    print(f"{config.experiment} [{config.method}]: {n_rows} rows -> {csv_path}")
-    if plot_path is not None:
+    method = args.method
+    if method is None:
+        method = "lindblad" if args.experiment == "fig1a" else "mc"
+    if method not in ("lindblad", "mc"):
+        raise ConfigError(f"unknown method {method!r}")
+    if args.traj < 1:
+        raise ConfigError("--traj must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    _require_finite_positive("--omega", args.omega)
+    _require_finite_positive("--dt", args.dt)
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    _require_finite_positive("--gamma-min", args.gamma_min)
+    _require_finite_positive("--gamma-max", args.gamma_max)
+    if args.gamma_max < args.gamma_min:
+        raise ConfigError("--gamma-max must be at least --gamma-min")
+    if args.gamma_points < 1:
+        raise ConfigError("--gamma-points must be at least 1")
+    kwargs = dict(
+        omega=args.omega,
+        method=method,
+        n_traj=args.traj,
+        seed=args.seed,
+        dt=args.dt,
+        max_workers=args.workers,
+    )
+    if args.experiment == "fig1a":
+        kwargs["apply_recovery"] = not args.no_recovery
+    elif args.no_recovery:
+        raise ConfigError("--no-recovery applies to fig1a only; fig1b has no recovery step")
+    grid = experiments.default_gamma_grid(args.gamma_points, args.gamma_min, args.gamma_max)
+    runner = experiments.fig1a_sweep if args.experiment == "fig1a" else experiments.fig1b_sweep
+    result = runner(grid * args.omega, **kwargs)
+    args.out.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out / f"{args.experiment}-{method}.csv"
+    output.emit_csv(result, csv_path)
+    print(f"{args.experiment} [{method}]: {len(result.rows)} rows -> {csv_path}")
+    if args.plot:
+        plot_path = args.out / f"{args.experiment}-{method}.svg"
+        output.emit_plot(result, plot_path)
         print(f"plot -> {plot_path}")
     return EXIT_OK
 
@@ -315,9 +249,14 @@ def _cmd_perturbative(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, sweep = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "sweep" and args.config:
+            # the file's values become the flags' defaults, so a flag given
+            # on the command line still beats the file
+            sweep.set_defaults(**_load_config_file(args.config, sweep))
+            args = parser.parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "sweep":

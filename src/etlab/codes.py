@@ -114,15 +114,13 @@ def _fix_global_phase(psi: np.ndarray) -> np.ndarray:
 
 
 def codewords_from_stabilizers(
-    generators: Sequence[PauliString],
-    logical_x: PauliString,
-    seed_basis_state: int = 0,
+    generators: Sequence[PauliString], logical_x: PauliString
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project a seed basis state onto the +1 eigenspace of all generators.
+    """Project |0...0> onto the +1 eigenspace of all generators.
 
-    codeword0 is the normalized image of the seed under prod_i (I + S_i)/2;
+    codeword0 is the normalized image of |0...0> under prod_i (I + S_i)/2;
     codeword1 = logical_x applied to codeword0.  Raises if the generators do
-    not commute or the projector annihilates the seed.
+    not commute or the projector annihilates |0...0>.
     """
     gens = tuple(generators)
     for i, g in enumerate(gens):
@@ -130,13 +128,14 @@ def codewords_from_stabilizers(
             if anticommutes(g, h):
                 raise ValueError(f"generators {g!r} and {h!r} do not commute")
     n = gens[0].n
-    psi = basis_state(n, seed_basis_state)
+    psi = basis_state(n, 0)
     for g in gens:
         psi = (psi + pauli_action(g, psi)) / 2.0
     nrm = np.linalg.norm(psi)
     if nrm < 1e-9:
         raise ValueError(
-            f"stabilizer projector annihilates basis state {seed_basis_state}; pick another seed"
+            "stabilizer projector annihilates |0...0>: the code space has no codeword "
+            "with a |0...0> component"
         )
     psi0 = _fix_global_phase(psi / nrm)
     psi1 = _fix_global_phase(pauli_action(logical_x, psi0))
@@ -148,7 +147,6 @@ def _code_from_strings(
     generators: Sequence[str],
     logical_x: str,
     logical_z: str,
-    seed: int = 0,
 ) -> StabilizerCode:
     gens = tuple(PauliString(s) for s in generators)
     lx = PauliString(logical_x)
@@ -159,7 +157,7 @@ def _code_from_strings(
             raise ValueError(f"logical operator clashes with generator {g!r}")
     if not anticommutes(lx, lz):
         raise ValueError("logical X and Z must anticommute")
-    cw0, cw1 = codewords_from_stabilizers(gens, lx, seed)
+    cw0, cw1 = codewords_from_stabilizers(gens, lx)
     return StabilizerCode(
         n=n,
         generators=gens,

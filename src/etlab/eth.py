@@ -185,10 +185,10 @@ def verify_et(
     return float(np.linalg.norm(resid[:, states.shape[1] :], axis=0).max(initial=0.0))
 
 
-def bodyness(h: np.ndarray, tol: float = 1e-10) -> int:
-    """Maximum Pauli weight among terms with |coefficient| above tol."""
+def bodyness(h: np.ndarray) -> int:
+    """Maximum Pauli weight among terms with |coefficient| above 1e-10."""
     terms = pauli_decompose(np.asarray(h, dtype=complex))
-    return max((weight(p) for c, p in terms if abs(c) > tol), default=0)
+    return max((weight(p) for c, p in terms if abs(c) > 1e-10), default=0)
 
 
 def swap_hamiltonian(code: StabilizerCode, omega: float) -> np.ndarray:

@@ -94,6 +94,16 @@ class ScenarioSpec:
     rate_factor: float = 1.0  # scales gamma for this scenario's noise
     apply_recovery: bool = True  # fig1a success metric option
 
+    def __post_init__(self):
+        # a NaN or negative rate would fail the site channels' own rate check,
+        # but a job attaches them only when gamma * rate_factor > 0
+        for name in ("gamma", "rate_factor"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{self.label}: {name} must be finite and >= 0, got {value!r}")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"{self.label}: omega must be finite and > 0, got {self.omega!r}")
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -118,17 +128,9 @@ class SweepResult:
         )
 
 
-def default_gamma_grid(
-    points: int = 21,
-    lo: float = 1e-3,
-    hi: float = 1e-1,
-    include_zero: bool = True,
-) -> np.ndarray:
+def default_gamma_grid(points: int = 21, lo: float = 1e-3, hi: float = 1e-1) -> np.ndarray:
     """21 logarithmic points on [1e-3, 1e-1], with gamma = 0 prepended."""
-    grid = np.geomspace(lo, hi, points)
-    if include_zero:
-        grid = np.concatenate(([0.0], grid))
-    return grid
+    return np.concatenate(([0.0], np.geomspace(lo, hi, points)))
 
 
 def fig1a_scenarios(
@@ -366,12 +368,7 @@ def fig1b_sweep(
     return _run_sweep(specs, method, n_traj, seed, dt, max_workers)
 
 
-def suggested_mc_sample(
-    spec: ScenarioSpec,
-    target_events: int = 150,
-    n_min: int = 2000,
-    n_max: int = 150_000,
-) -> int:
+def suggested_mc_sample(spec: ScenarioSpec) -> int:
     """Trajectory count sized so statistically impactful events are sampled.
 
     Under an ETH a single controller jump barely moves the success metric
@@ -381,7 +378,8 @@ def suggested_mc_sample(
     target-noise jumps in the swap experiment -- occur well over a hundred
     times (their impact spread is wide, so the effective sample is several
     times smaller than the raw event count).  The estimate below bounds the
-    event probability per trajectory and asks for ``target_events`` of them.
+    event probability per trajectory and asks for 150 of them, between 2000
+    and 150,000 trajectories.
     """
     n_noisy = len(_scenario(spec).sites)
     if spec.family == "fig1a":
@@ -397,8 +395,8 @@ def suggested_mc_sample(
         else:
             p_event = max(0.5 * lam, p_target)
     if p_event <= 0:
-        return n_min
-    return int(min(n_max, max(n_min, np.ceil(target_events / p_event))))
+        return 2000
+    return int(min(150_000, max(2000, np.ceil(150 / p_event))))
 
 
 # ---------------------------------------------------------------------------

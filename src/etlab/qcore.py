@@ -167,11 +167,11 @@ def num_qubits(dim: int) -> int:
 _DECOMP_T = np.stack([PAULI_MATS[ch].conj().reshape(4) for ch in "IXYZ"]) / 2.0
 
 
-def pauli_decompose(a: np.ndarray, tol: float = 1e-12) -> list[tuple[complex, PauliString]]:
+def pauli_decompose(a: np.ndarray) -> list[tuple[complex, PauliString]]:
     """Expand a dense operator in the Pauli-string basis.
 
     Returns ``[(c, P), ...]`` with c = Tr(P^dag A) / 2^n, sorted
-    lexicographically by letters (I < X < Y < Z), entries with |c| < tol
+    lexicographically by letters (I < X < Y < Z), entries with |c| < 1e-12
     dropped.  The coefficient tensor is built one qubit at a time, so the
     cost is n * 4^n rather than 8^n.
     """
@@ -188,21 +188,21 @@ def pauli_decompose(a: np.ndarray, tol: float = 1e-12) -> list[tuple[complex, Pa
         # after n rounds the axes are back in qubit order
         t = np.tensordot(t, _DECOMP_T, axes=([0], [1]))
     terms = []
-    for idx in np.argwhere(np.abs(t) >= tol):
+    for idx in np.argwhere(np.abs(t) >= 1e-12):
         letters = "".join("IXYZ"[k] for k in idx)
         terms.append((complex(t[tuple(idx)]), PauliString(letters)))
     return terms
 
 
-def require_hermitian(a: np.ndarray, atol: float = 1e-10, what: str = "operator") -> None:
-    """Reject a non-square, non-finite or non-Hermitian ``a``, naming it as
-    ``what``."""
+def require_hermitian(a: np.ndarray, what: str = "operator") -> None:
+    """Reject a non-square, non-finite or non-Hermitian ``a`` (an entry of
+    A - A^dag above 1e-10 in magnitude), naming it as ``what``."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > atol:
+    if dev > 1e-10:
         raise ValueError(f"{what} is not Hermitian (max |A - A^dag| = {dev:.3e})")
 
 
@@ -273,21 +273,16 @@ def trace_out_first(rho: np.ndarray, keep_dim: int) -> np.ndarray:
     return np.einsum("aiaj->ij", rho.reshape(lead, keep_dim, lead, keep_dim))
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_atol: float = 1e-10,
-    trace_atol: float = 1e-8,
-    eig_floor: float = -1e-8,
-) -> None:
-    """Validate finiteness, Hermiticity, unit trace, and positivity of a
-    density matrix."""
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Validate finiteness, Hermiticity, unit trace (to 1e-8), and positivity
+    (no eigenvalue below -1e-8) of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    require_hermitian(rho, atol=herm_atol, what="density matrix")
+    require_hermitian(rho, what="density matrix")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_atol:
+    if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"density matrix trace {tr!r} is not 1")
     wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if wmin < eig_floor:
+    if wmin < -1e-8:
         raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: commands, config handling, exit codes, determinism."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,42 @@ class TestSweepCommand:
         assert run_cli(["sweep", "fig1a", "--config", str(cfg)]) == 1
         assert "traj" in capsys.readouterr().err
 
+    def test_plot_false_in_config_writes_no_svg(self, tmp_path):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[sweep]\nplot = false\ngamma_points = 1\nworkers = 1\n")
+        out = tmp_path / "r"
+        assert run_cli(["sweep", "fig1a", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "fig1a-lindblad.csv").exists()
+        assert not (out / "fig1a-lindblad.svg").exists()
+        # the flag beats the file
+        assert run_cli(["sweep", "fig1a", "--config", str(cfg), "--out", str(out), "--plot"]) == 0
+        assert (out / "fig1a-lindblad.svg").exists()
+
+    @pytest.mark.parametrize(
+        "line, named", [("plot = maybe", "plot"), ("dt = abc", "dt"), ("method = exact", "exact")]
+    )
+    def test_bad_config_values_exit_1(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[sweep]\n%s\nout = %s\n" % (line, tmp_path / "r"))
+        assert run_cli(["sweep", "fig1a", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_readme_config_example_accepted(self, tmp_path):
+        # keeps the README's [sweep] block and the sweep flags in step
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(\[sweep\]\n.*?)```", readme, re.DOTALL).group(1)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(block)
+        _, sweep = cli._build_parser()
+        values = cli._load_config_file(str(cfg), sweep)
+        assert len(values) == 11
+        sweep.set_defaults(**values)
+        args = sweep.parse_args(["fig1a"])
+        # every value but method's was converted by its flag's type
+        assert [k for k in values if isinstance(getattr(args, k), str)] == ["method"]
+        assert (args.traj, args.dt, args.out, args.plot) == (4000, 0.002, Path("results"), True)
+
     def test_missing_config_file_exit_1(self, capsys):
         assert run_cli(["sweep", "fig1a", "--config", "/no/such.ini"]) == 1
 
@@ -200,7 +237,15 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--gamma-min", "nan"), ("--omega", "nan"), ("--dt", "-1"), ("--gamma-max", "inf")],
+        [
+            ("--gamma-min", "nan"),
+            ("--omega", "nan"),
+            ("--dt", "-1"),
+            ("--gamma-max", "inf"),
+            ("--traj", "0"),
+            ("--seed", "-2"),
+            ("--gamma-points", "0"),
+        ],
     )
     def test_nonfinite_or_nonpositive_input_exit_1(self, tmp_path, capsys, flag, value):
         out = tmp_path / "r"

@@ -112,22 +112,20 @@ class TestSteane7:
 class TestCodewordsFromStabilizers:
     def test_already_stabilized_seed(self):
         gens = [PauliString("ZZI"), PauliString("IZZ")]
-        cw0, cw1 = codewords_from_stabilizers(gens, PauliString("XXX"), 0)
+        cw0, cw1 = codewords_from_stabilizers(gens, PauliString("XXX"))
         assert np.array_equal(cw0, basis_state(3, "000"))
         assert np.array_equal(cw1, basis_state(3, "111"))
 
     def test_noncommuting_generators_rejected(self):
         with pytest.raises(ValueError, match="commute"):
             codewords_from_stabilizers(
-                [PauliString("XII"), PauliString("ZII")], PauliString("XXX"), 0
+                [PauliString("XII"), PauliString("ZII")], PauliString("XXX")
             )
 
     def test_annihilated_seed_rejected(self):
-        # -Z stabilizer annihilates |0>; use Z generator with seed |1> instead
+        # the -Z stabilizer fixes only |1>, so it annihilates |0>
         with pytest.raises(ValueError, match="annihilates"):
-            codewords_from_stabilizers(
-                [PauliString("Z", -1)], PauliString("X"), 0
-            )
+            codewords_from_stabilizers([PauliString("Z", -1)], PauliString("X"))
 
     def test_eigenstate_postcondition(self):
         code = build_perfect5()

@@ -196,6 +196,36 @@ class TestScenarios:
         with pytest.raises(ValueError):
             _realize(ScenarioSpec(label="x", family="fig9", gamma=0.1, omega=1.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gamma", np.nan),
+            ("gamma", -0.05),
+            ("gamma", np.inf),
+            ("rate_factor", np.nan),
+            ("rate_factor", -1.0),
+            ("omega", 0.0),
+            ("omega", -1.0),
+            ("omega", np.nan),
+            ("omega", np.inf),
+        ],
+    )
+    def test_invalid_rates_rejected(self, field, value):
+        # a NaN or negative gamma used to run noiseless: the site channels,
+        # and with them their rate check, are attached only for a rate > 0;
+        # omega = 0 raised a bare ZeroDivisionError
+        spec = dict(label="single", family="fig1a", gamma=0.01, omega=1.0)
+        spec[field] = value
+        with pytest.raises(ValueError, match=f"single: {field} must be finite") as info:
+            ScenarioSpec(**spec)
+        assert repr(value) in str(info.value)
+
+    def test_invalid_gamma_rejected_by_sweeps(self):
+        with pytest.raises(ValueError, match="gamma"):
+            run_scenario(fig1a_scenarios(np.nan, 1.0)[0])
+        with pytest.raises(ValueError, match="plain-5: gamma must be finite and >= 0, got -0.05"):
+            fig1b_sweep([-0.05], method="lindblad", max_workers=1)
+
 
 class TestSuggestedMcSample:
     # pinned: where the noisy-qubit count comes from must not move any value
