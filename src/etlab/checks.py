@@ -269,7 +269,7 @@ def check_eth_hermiticity() -> str:
 
 def check_analytic_xnoise() -> str:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    noise = NoiseModel((NoiseChannel(sx, 1.0, "X"),))
+    noise = NoiseModel((NoiseChannel.from_matrix(sx, 1.0, "X"),))
     cfg = IntegrationConfig(dt=1e-3, t_final=1.0, record_stride=100)
     res = integrate_lindblad(pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise, cfg)
     after = int(np.count_nonzero(res.times > 0))
@@ -343,7 +343,7 @@ def check_lindblad_positivity() -> str:
 
 def check_trajectory_norms() -> str:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    noise = NoiseModel((NoiseChannel(sx, 0.5, "X"),))
+    noise = NoiseModel((NoiseChannel.from_matrix(sx, 0.5, "X"),))
     h = np.diag([1.0, -1.0]).astype(complex)
     res = mc_trajectories(
         normalize(np.array([1.0, 1.0])),

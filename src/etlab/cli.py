@@ -177,6 +177,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elif args.no_recovery:
         raise ConfigError("--no-recovery applies to fig1a only; fig1b has no recovery step")
     grid = experiments.default_gamma_grid(args.gamma_points, args.gamma_min, args.gamma_max)
+    # as Python floats, an overflow gives inf without numpy's warning
+    if not (np.isfinite(float(grid.max()) * args.omega) and np.isfinite(np.pi / args.omega)):
+        raise ConfigError(f"--omega {args.omega!r} overflows gamma * omega or pi / omega")
     runner = experiments.fig1a_sweep if args.experiment == "fig1a" else experiments.fig1b_sweep
     result = runner(grid * args.omega, **kwargs)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -26,12 +26,12 @@ Two methods cross-validate each other:
   of one matrix; the engine checks its own norms, column by column, as it
   goes.
 
-Both methods see the noise through one representation, built once per run:
-each channel's jump is checked against H's dimension, and the no-jump
-generator G = -iH - K/2 is formed, and rejected when non-finite, in one
-place.  Every jump used here (Pauli letters, raising/lowering on one site)
-has at most one nonzero per column, so L psi, L rho L^dag and L^dag L are
-gathers and scatters; dense jumps fall back to matmuls.
+Both methods see the noise through one representation: a
+:class:`NoiseChannel` holds its monomial jump (as is a Pauli letter or
+raising/lowering on one site) as its nonzeros only, so L psi, L rho L^dag
+and the diagonal L^dag L are gathers and scatters and no d x d jump matrix
+is formed.  Each jump is checked against H's dimension, and the no-jump
+generator G = -iH - K/2 is formed, and rejected when non-finite, in one place.
 
 A run draws every random number from one generator,
 ``default_rng(seed)``: first every trajectory's jump threshold in one call,
@@ -44,7 +44,6 @@ reproducible for a fixed seed; sweeps give each job its own seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,15 +87,72 @@ class TrajectoryError(NumericsError):
 
 @dataclass(frozen=True)
 class NoiseChannel:
-    jump: np.ndarray
+    """One channel rate D[L] on a ``dim``-dimensional space.  The jump L is
+    monomial, at most one nonzero per row and column as is a Pauli letter or
+    a raising/lowering operator on one site, and is held as its nonzeros:
+    numpy arrays with L[rows[i], cols[i]] = vals[i], cols ascending, checked
+    on construction in O(nnz log nnz) along with a finite rate >= 0.  A dense
+    matrix enters through :meth:`from_matrix`, an operator on one qubit of a
+    register through :meth:`on_site`."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
     rate: float
     label: str = ""
 
     def __post_init__(self):
         if not (np.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
-        if not np.isfinite(self.jump).all():
+        if not np.isfinite(self.vals).all():
             raise ValueError(f"jump {self.label!r} has non-finite entries")
+        # sorted flat rows keep the given shape only if it is 1-D; np.unique
+        # would import numpy.ma, 10 ms in each new worker process
+        rows, cols, dim = np.sort(self.rows, axis=None), self.cols, self.dim
+        if not (
+            self.rows.shape == cols.shape == self.vals.shape == rows.shape
+            and np.all(rows[1:] > rows[:-1]) and np.all(cols[1:] > cols[:-1])
+            and (not rows.size or min(rows[0], cols[0]) >= 0 and max(rows[-1], cols[-1]) < dim)
+        ):
+            raise ValueError(
+                f"jump {self.label!r} is not monomial: need 1-D rows, cols and vals of one "
+                f"length, indices in [0, {dim}), cols ascending and rows unique"
+            )
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray, rate: float, label: str = "") -> NoiseChannel:
+        """The channel of a dense square matrix; one that is not square, finite
+        and monomial raises ValueError naming ``label``."""
+        m = np.asarray(m, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"jump {label!r} must be a square matrix, got shape {m.shape}")
+        # column-major, so cols ascend; NaN and inf are nonzero and reach the checks
+        cols, rows = np.nonzero(m.T)
+        return cls(rows, cols, m[rows, cols], len(m), rate, label)
+
+    @classmethod
+    def on_site(cls, n: int, site: int, op: np.ndarray, rate: float, label: str) -> NoiseChannel:
+        """The monomial 2x2 ``op`` on one qubit of an n-qubit register, qubit 0
+        the most significant bit, by bit arithmetic: column c of L holds op's
+        nonzero in column b, b the site's bit of c, at row c with that bit
+        replaced by the nonzero's row."""
+        single = cls.from_matrix(op, rate, label)
+        if single.dim != 2 or not 0 <= site < n:
+            raise ValueError(f"jump {label!r} needs a 2x2 op and a site in [0, {n}), got {site}")
+        shift = n - 1 - site
+        cols = np.arange(1 << n)
+        cols = cols[np.isin((cols >> shift) & 1, single.cols)]
+        k = np.searchsorted(single.cols, (cols >> shift) & 1)
+        rows = cols ^ ((single.cols[k] ^ single.rows[k]) << shift)
+        return cls(rows, cols, single.vals[k], 1 << n, rate, label)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """L as a dense dim x dim matrix, built on each call."""
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m[self.rows, self.cols] = self.vals
+        return m
 
 
 @dataclass(frozen=True)
@@ -106,7 +162,7 @@ class NoiseModel:
     channels: tuple[NoiseChannel, ...] = ()
 
     def __post_init__(self):
-        dims = {ch.jump.shape[0] for ch in self.channels}
+        dims = {ch.dim for ch in self.channels}
         if len(dims) > 1:
             raise ValueError(f"jump operators disagree on dimension: {sorted(dims)}")
 
@@ -117,14 +173,10 @@ class NoiseModel:
 def site_channels(
     n: int, op: np.ndarray, rate: float, label: str, sites: Iterable[int] | None = None
 ) -> list[NoiseChannel]:
-    """One channel per site applying a 2x2 jump operator at the given rate."""
-    from .qcore import embed_single
-
+    """One channel per site applying a monomial 2x2 jump operator at the given
+    rate, labelled ``label`` and the site."""
     chosen = range(n) if sites is None else sites
-    return [
-        NoiseChannel(jump=embed_single(n, q, op), rate=rate, label=f"{label}{q}")
-        for q in chosen
-    ]
+    return [NoiseChannel.on_site(n, q, op, rate, f"{label}{q}") for q in chosen]
 
 
 def _check_t_final(t_final: float) -> None:
@@ -222,7 +274,7 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
         raise ValueError(f"dimension mismatch: rho {rho.shape}, H {h.shape}")
     out = -1j * (h @ rho - rho @ h)
     for ch in noise.channels:
-        l = ch.jump
+        l = ch.matrix
         if l.shape != rho.shape:
             raise ValueError(f"dimension mismatch: rho {rho.shape}, jump {l.shape}")
         ld = l.conj().T
@@ -231,89 +283,25 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
     return out
 
 
-class _Jump:
-    """One channel's jump operator ``l`` at its rate, as both engines use it.
-
-    A monomial l (at most one nonzero per column, unique rows) is also held
-    as its nonzeros ``mono`` = (rows, cols, vals), sorted by column, and its
-    three operations are gathers and scatters in which each entry is a
-    single product; otherwise ``mono`` is None and they are matmuls.
-    """
-
-    def __init__(self, l: np.ndarray, rate: float):
-        self.l = l
-        self.rate = rate
-        self.mono = None
-        rows, cols = np.nonzero(np.abs(l) > 0)
-        if len(set(rows.tolist())) == len(rows) and len(set(cols.tolist())) == len(cols):
-            order = np.argsort(cols)
-            rows, cols = rows[order], cols[order]
-            self.mono = rows, cols, l[rows, cols].astype(complex)
-
-    def act(self, psi: np.ndarray) -> np.ndarray:
-        """l @ psi, for a vector or a matrix of columns."""
-        if self.mono is None:
-            return self.l @ psi
-        rows, cols, vals = self.mono
-        out = np.zeros(psi.shape, dtype=complex)
-        out[rows] = vals.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi[cols]
-        return out
-
-    def add_decay(self, k: np.ndarray) -> None:
-        """k += rate l^dag l."""
-        if self.mono is None:
-            k += self.rate * (self.l.conj().T @ self.l)
-        else:
-            _, cols, vals = self.mono
-            k[cols, cols] += self.rate * (vals.conj() * vals)
-
-    def add_sandwich(self, rho: np.ndarray, out: np.ndarray) -> None:
-        """out += rate l rho l^dag; ``out`` must be C-contiguous, so that the
-        monomial path's flat view of it writes into it."""
-        if self.mono is None:
-            out += self.rate * (self.l @ rho @ self.l.conj().T)
-        else:
-            to, frm, weights = self._sandwich
-            out.reshape(-1)[to] += weights * rho.reshape(-1)[frm]
-
-    @cached_property
-    def _sandwich(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # flat indices into the raveled d x d matrices, the entries of l rho
-        # l^dag and the rho entries they read, and the weights rate vals_a
-        # vals_b^*, raveled alike: built on first use, since only the
-        # Lindblad rhs needs them, and scaled in place
-        rows, cols, vals = self.mono
-        d = len(self.l)
-        weights = np.outer(vals, vals.conj())
-        weights *= self.rate
-        to = (rows[:, None] * d + rows).ravel()
-        frm = (cols[:, None] * d + cols).ravel()
-        return to, frm, weights.ravel()
-
-
 def _no_jump_generator(
     h: np.ndarray, noise: NoiseModel, error: type[NumericsError]
-) -> tuple[np.ndarray, list[_Jump]]:
-    """G = -iH - K/2, with K = sum_k rate_k L_k^dag L_k summed in channel
-    order, and every channel's jump analysed once; a jump whose shape is
-    not H's is rejected, and a non-finite H, checked before any arithmetic,
-    or G raises the engine's ``error``."""
+) -> np.ndarray:
+    """G = -iH - K/2, with K = sum_k rate_k L_k^dag L_k, a diagonal, summed
+    in channel order; a jump whose dimension is not H's is rejected, and a
+    non-finite H, checked before any arithmetic, or G raises the engine's
+    ``error``."""
     h = np.asarray(h, dtype=complex)
     if not np.isfinite(h).all():
         raise error("the Hamiltonian has non-finite entries")
     k = np.zeros(h.shape, dtype=complex)
-    jumps = []
     for ch in noise.channels:
-        l = np.asarray(ch.jump, dtype=complex)
-        if l.shape != h.shape:
-            raise ValueError(f"dimension mismatch: H {h.shape}, jump {ch.label!r} {l.shape}")
-        jump = _Jump(l, ch.rate)
-        jump.add_decay(k)
-        jumps.append(jump)
+        if (ch.dim, ch.dim) != h.shape:
+            raise ValueError(f"dimension mismatch: H {h.shape}, jump {ch.label!r} {(ch.dim,) * 2}")
+        k[ch.cols, ch.cols] += ch.rate * (ch.vals.conj() * ch.vals)
     g = -1j * h - 0.5 * k
     if not np.isfinite(g).all():
         raise error("the generator has non-finite entries")
-    return g, jumps
+    return g
 
 
 def _norm2_bound(a: np.ndarray) -> float:
@@ -323,31 +311,43 @@ def _norm2_bound(a: np.ndarray) -> float:
     return float(np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max()))
 
 
+def _sandwich(ch: NoiseChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rate L rho L^dag as a flat gather and scatter: the flat indices into
+    the raveled d x d matrices of the entries of L rho L^dag and of the rho
+    entries they read, and the weights rate vals_a vals_b^*, raveled alike."""
+    d = ch.dim
+    weights = np.outer(ch.vals, ch.vals.conj())
+    weights *= ch.rate
+    to = (ch.rows[:, None] * d + ch.rows).ravel()
+    frm = (ch.cols[:, None] * d + ch.cols).ravel()
+    return to, frm, weights.ravel()
+
+
 class _Generator:
     """Precomputed Lindblad generator: rhs(rho) = G rho + rho G^dag + jumps,
     for a Hermitian rho only.
 
     ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 bounds the generator's
     norm as a map on rho with the Frobenius norm.  ||G||_2 is the spectral
-    norm itself (one SVD per run); each ||L_k||_2 is bounded as in
-    :func:`_norm2_bound`, which is exact for monomial jumps.
+    norm itself (one SVD per run); a monomial L_k has ||L_k||_2 = max |vals|.
     """
 
     def __init__(self, h: np.ndarray, noise: NoiseModel):
-        self.g, self.jumps = _no_jump_generator(h, noise, IntegrationError)
-        jump_bound = sum(j.rate * _norm2_bound(j.l) ** 2 for j in self.jumps)
+        self.g = _no_jump_generator(h, noise, IntegrationError)
+        jump_bound = sum(c.rate * np.max(np.abs(c.vals), initial=0.0) ** 2 for c in noise.channels)
         self.bound = 2.0 * float(np.linalg.norm(self.g, 2)) + jump_bound
+        self.sandwiches = [_sandwich(ch) for ch in noise.channels]
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """The generator applied to a Hermitian rho in one matrix product:
-        with X = G rho, rho G^dag = X^dag.  With monomial jumps an exactly
-        Hermitian rho gives an exactly Hermitian result, so the Taylor terms
-        and RK4 stages built from rho0 stay Hermitian; :func:`lindblad_rhs`
-        is the general reference."""
+        with X = G rho, rho G^dag = X^dag.  An exactly Hermitian rho gives an
+        exactly Hermitian result, so the Taylor terms and RK4 stages built
+        from rho0 stay Hermitian; :func:`lindblad_rhs` is the reference."""
         x = self.g @ rho
         out = x + x.conj().T
-        for jump in self.jumps:
-            jump.add_sandwich(rho, out)
+        flat, src = out.reshape(-1), rho.reshape(-1)
+        for to, frm, weights in self.sandwiches:
+            flat[to] += weights * src[frm]
         return out
 
 
@@ -528,8 +528,8 @@ def mc_trajectories(
     ``default_rng(config.seed)``, first draws all n_traj thresholds at once;
     then draws round-major within bounded blocks, blocks in index order: per
     round, every live column's channel, then every live column's next
-    threshold.  For monomial jumps the channel weights rate_k ||L_k psi||^2
-    of a block are one product with a matrix of rate_k |L_k|^2 rows.  A
+    threshold.  The channel weights rate_k ||L_k psi||^2 of a block are one
+    product with a matrix of rate_k |L_k|^2 rows.  A
     column with a zero total jump rate, a no-jump norm that grows by more
     than 1e-12 (relative) between steps or across one power, or a
     renormalization off by more than 1e-10, in any column, raises
@@ -543,7 +543,7 @@ def mc_trajectories(
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {nrm!r} is not 1")
-    g, jumps = _no_jump_generator(h, noise, TrajectoryError)
+    g = _no_jump_generator(h, noise, TrajectoryError)
     if psi0.shape != g.shape[:1]:
         raise ValueError(f"dimension mismatch: psi0 {psi0.shape}, H {g.shape}")
     for i, obs in enumerate(observables):
@@ -582,7 +582,7 @@ def mc_trajectories(
     for s in range(1, n_steps + 1):
         states0[:, s] = u_step @ states0[:, s - 1]
     values = np.tile(values_of(states0[:, -1:]), (1, n_traj))
-    if not jumps:
+    if not noise.channels:
         return reduce_values(values)
     norms2 = _norms2(states0)
     if np.any(norms2[1:] > norms2[:-1] * (1 + 1e-12)):
@@ -602,7 +602,7 @@ def mc_trajectories(
     powers = [u_step]
     while 2 ** len(powers) <= n_steps:
         powers.append(powers[-1] @ powers[-1])
-    decay_rows = _decay_rows(jumps, len(psi0))
+    decay_rows = _decay_rows(noise.channels, len(psi0))
 
     # Each round, every live column jumps from the state at its crossing step
     # and follows its no-jump stretch by binary lifting over the powers: the
@@ -616,7 +616,7 @@ def mc_trajectories(
         step = n_steps - counts[live] + 1
         psi = states0[:, step]
         while live.size:
-            phi, n2 = _jump_columns(rng, psi, jumps, decay_rows)
+            phi, n2 = _jump_columns(rng, psi, noise.channels, decay_rows)
             threshold = rng.random(live.size)
             for b in reversed(range(len(powers))):
                 fits = np.nonzero(step + 2**b <= n_steps)[0]
@@ -638,15 +638,12 @@ def mc_trajectories(
     return reduce_values(values, len(jumpers), total_jumps)
 
 
-def _decay_rows(jumps: list[_Jump], dim: int) -> np.ndarray | None:
+def _decay_rows(channels: Sequence[NoiseChannel], dim: int) -> np.ndarray:
     """rows[k, cols_k] = rate_k |vals_k|^2, so that rows @ |psi|^2 holds every
-    rate_k ||L_k psi||^2 when all jumps are monomial; None otherwise."""
-    if any(j.mono is None for j in jumps):
-        return None
-    rows = np.zeros((len(jumps), dim))
-    for k, j in enumerate(jumps):
-        _, cols, vals = j.mono
-        rows[k, cols] = j.rate * np.abs(vals) ** 2
+    rate_k ||L_k psi||^2."""
+    rows = np.zeros((len(channels), dim))
+    for k, ch in enumerate(channels):
+        rows[k, ch.cols] = ch.rate * np.abs(ch.vals) ** 2
     return rows
 
 
@@ -656,7 +653,7 @@ def _norms2(psi: np.ndarray) -> np.ndarray:
 
 
 def _jump_columns(
-    rng, psi: np.ndarray, jumps: list[_Jump], decay_rows: np.ndarray | None
+    rng, psi: np.ndarray, channels: Sequence[NoiseChannel], decay_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every column of psi after one jump, renormalized, and its squared norm.
 
@@ -665,19 +662,16 @@ def _jump_columns(
     channels all have zero weight, or whose renormalized norm is off by more
     than 1e-10, raises :class:`TrajectoryError`.
     """
-    if decay_rows is None:
-        weights = np.array([j.rate * _norms2(j.act(psi)) for j in jumps])
-    else:
-        weights = decay_rows @ (psi.real**2 + psi.imag**2)
+    weights = decay_rows @ (psi.real**2 + psi.imag**2)
     total = weights.sum(axis=0)
     if np.any(total <= 0):
         raise TrajectoryError("jump threshold crossed but every channel has zero rate")
     u = rng.random(psi.shape[1]) * total
-    chosen = np.minimum((np.cumsum(weights, axis=0) <= u).sum(axis=0), len(jumps) - 1)
-    phi = np.empty_like(psi)
+    chosen = np.minimum((np.cumsum(weights, axis=0) <= u).sum(axis=0), len(channels) - 1)
+    phi = np.zeros_like(psi)
     for k in np.unique(chosen):
-        picked = chosen == k
-        phi[:, picked] = jumps[k].act(psi[:, picked])
+        ch, picked = channels[k], np.nonzero(chosen == k)[0]
+        phi[ch.rows[:, None], picked] = ch.vals[:, None] * psi[ch.cols[:, None], picked]
     phi /= np.sqrt(_norms2(phi))
     n2 = _norms2(phi)
     if np.any(np.abs(np.sqrt(n2) - 1.0) > 1e-10):

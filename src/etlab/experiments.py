@@ -211,7 +211,7 @@ def _fig1b_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
         (SIGMA_PLUS, TARGET_EXCITATION_RATE, "target-up"),
         (SIGMA_MINUS, TARGET_DAMPING_RATE, "target-down"),
     )
-    fixed = tuple(NoiseChannel(embed_single(n, n_ctrl, op), r * omega, lb) for op, r, lb in target)
+    fixed = tuple(NoiseChannel.on_site(n, n_ctrl, op, r * omega, lb) for op, r, lb in target)
     return _Scenario(h, psi0, np.pi / (2 * omega), excited, sites, fixed)
 
 
@@ -219,8 +219,8 @@ def _fig1b_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
 def _build_scenario(family, code_name, error_kinds, use_eth, omega, apply_recovery) -> _Scenario:
     """Built once per process for each key and shared, read-only, by every job
     with it, whatever its gamma.  An ETH scenario is its plain twin with another
-    H and shares the twin's other arrays: one copy of a register's jumps and
-    observable per process (ten 256 x 256 matrices for steane7), not per key."""
+    H and shares the twin's other arrays: one copy of a register's jump
+    nonzeros and observable per process, not per key."""
     build = {"fig1a": _fig1a_scenario, "fig1b": _fig1b_scenario}.get(family)
     if build is None:
         raise ValueError(f"unknown scenario family {family!r}")
@@ -230,7 +230,7 @@ def _build_scenario(family, code_name, error_kinds, use_eth, omega, apply_recove
     if use_eth and code is not None:
         plain = _build_scenario(family, code_name, error_kinds, False, omega, apply_recovery)
     scenario = build(code, errorset, omega, apply_recovery, plain)
-    jumps = [ch.jump for ch in scenario.sites + scenario.fixed]
+    jumps = [a for ch in scenario.sites + scenario.fixed for a in (ch.rows, ch.cols, ch.vals)]
     for a in (scenario.hamiltonian, scenario.psi0, scenario.observable, *jumps):
         a.flags.writeable = False
     return scenario

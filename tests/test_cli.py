@@ -253,6 +253,21 @@ class TestConfigValidation:
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--omega", "1e308", "--gamma-min", "10", "--gamma-max", "20", "--gamma-points", "1"],
+            ["--omega", "1e-310", "--gamma-points", "1", "--workers", "1"],
+        ],
+        ids=["gamma-overflows", "duration-overflows"],
+    )
+    def test_overflowing_omega_exit_1(self, tmp_path, capsys, args):
+        # gamma * omega or pi / omega overflowed to inf and ended in a
+        # ValueError traceback from the scenario or the integrator
+        assert run_cli(["sweep", "fig1a", *args, "--out", str(tmp_path / "r")]) == 1
+        assert "--omega" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_workers_flag_exit_1(self, tmp_path, capsys, value):
         out = tmp_path / "r"

@@ -34,7 +34,7 @@ from etlab.dynamics import (
     _no_jump_generator,
     _norm2_bound,
 )
-from etlab.qcore import basis_state, normalize, pure_density
+from etlab.qcore import basis_state, embed_single, normalize, pure_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -42,24 +42,29 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
 
 
+def _triple(rows, cols, label):
+    """A channel on two levels built from its nonzeros directly, all ones."""
+    return NoiseChannel(np.array(rows), np.array(cols), np.ones(len(cols)), 2, 0.5, label)
+
+
 class TestNoiseModel:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            NoiseChannel(SX, -0.1, "bad")
+            NoiseChannel.from_matrix(SX, -0.1, "bad")
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: NoiseChannel(SX, float("nan"), "nan"),
-            lambda: NoiseChannel(SX, float("inf"), "inf"),
+            lambda: NoiseChannel.from_matrix(SX, float("nan"), "nan"),
+            lambda: NoiseChannel.from_matrix(SX, float("inf"), "inf"),
             lambda: IntegrationConfig(dt=float("nan"), t_final=1.0),
             lambda: IntegrationConfig(dt=0.1, t_final=float("inf")),
             lambda: TrajectoryConfig(n_traj=1, seed=0, dt=float("nan")),
             lambda: IntegrationConfig(t_final=float("nan")),
             # a NaN entry used to drop out of the monomial scan, so MC
             # returned an estimate for a channel that exact Lindblad rejected
-            lambda: NoiseChannel(np.array([[0, 1], [np.nan, 0]]), 0.5, "nan-jump"),
-            lambda: NoiseChannel(np.array([[0, 1], [np.inf, 0]]), 0.5, "inf-jump"),
+            lambda: NoiseChannel.from_matrix(np.array([[0, 1], [np.nan, 0]]), 0.5, "nan-jump"),
+            lambda: NoiseChannel.from_matrix(np.array([[0, 1], [np.inf, 0]]), 0.5, "inf-jump"),
             # a non-integer seed or count used to pass validation and then
             # fail inside the engine with a bare TypeError
             lambda: TrajectoryConfig(n_traj=1, seed=1.5, dt=0.1),
@@ -76,7 +81,12 @@ class TestNoiseModel:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            NoiseModel((NoiseChannel(SX, 1.0, "a"), NoiseChannel(np.eye(4), 1.0, "b")))
+            NoiseModel(
+                (
+                    NoiseChannel.from_matrix(SX, 1.0, "a"),
+                    NoiseChannel.from_matrix(np.eye(4), 1.0, "b"),
+                )
+            )
 
     def test_decay_operator_equals_dense_formula(self):
         # monomial jumps skip the dense product; the sum K must keep its bits.
@@ -85,17 +95,47 @@ class TestNoiseModel:
 
         for spec in fig1a_scenarios(0.3, 1.0) + fig1b_scenarios(0.05, 1.0):
             noise = _realize(spec).noise
-            dim = noise.channels[0].jump.shape[0]
+            dim = noise.channels[0].dim
             dense = np.zeros((dim, dim), dtype=complex)
             for ch in noise.channels:
-                dense += ch.rate * (ch.jump.conj().T @ ch.jump)
-            g, _ = _no_jump_generator(np.zeros((dim, dim)), noise, IntegrationError)
+                dense += ch.rate * (ch.matrix.conj().T @ ch.matrix)
+            g = _no_jump_generator(np.zeros((dim, dim)), noise, IntegrationError)
             assert np.array_equal(-2 * g, dense), spec.label
 
     def test_site_channels(self):
         chans = site_channels(3, SX, 0.5, "X")
         assert [c.label for c in chans] == ["X0", "X1", "X2"]
-        assert all(c.jump.shape == (8, 8) for c in chans)
+        assert all(c.matrix.shape == (8, 8) for c in chans)
+
+    @pytest.mark.parametrize(
+        "op",
+        [SX, SY, SZ, SIGMA_MINUS, SIGMA_PLUS, np.array([[0, 2.0], [0.5j, 0]]), 0.3 * SIGMA_MINUS],
+        ids=["X", "Y", "Z", "sigma-", "sigma+", "skew", "0.3sigma-"],
+    )
+    def test_site_channels_match_kron_embedding(self, op):
+        # the bit-arithmetic lift against the Kronecker product it replaces
+        for n in range(1, 9):
+            for q, ch in enumerate(site_channels(n, op, 0.5, "s")):
+                assert np.array_equal(ch.matrix, embed_single(n, q, op)), (n, q)
+
+    @pytest.mark.parametrize(
+        "make, msg",
+        [
+            (lambda: NoiseChannel.from_matrix(np.ones((2, 2)), 0.5, "ones"), "'ones' is not mono"),
+            (lambda: NoiseChannel.from_matrix(np.ones((2, 3)), 0.5, "wide"), "'wide' must be a sq"),
+            (lambda: NoiseChannel.from_matrix(np.ones(4), 0.5, "flat"), "'flat' must be a sq"),
+            (lambda: site_channels(2, np.eye(4), 0.5, "big"), "'big0' needs a 2x2 op"),
+            (lambda: site_channels(2, SX, 0.5, "far", [2]), "'far2' needs .* site in \\[0, 2\\)"),
+            (lambda: _triple([0, 0], [0, 1], "rows"), "'rows' is not monomial"),
+            (lambda: _triple([0, 1], [1, 0], "cols"), "'cols' is not monomial"),
+            (lambda: _triple([0, 2], [0, 1], "range"), "'range' is not monomial"),
+            (lambda: _triple([0], [0, 1], "lengths"), "'lengths' is not monomial"),
+        ],
+        ids=["ones", "non-square", "1-D", "4x4", "site", "rows", "cols", "range", "lengths"],
+    )
+    def test_malformed_jump_rejected(self, make, msg):
+        with pytest.raises(ValueError, match=msg):
+            make()
 
     def test_default_timestep(self):
         assert default_timestep(1.0, 0.0) == pytest.approx(np.pi / 2000)
@@ -104,14 +144,14 @@ class TestNoiseModel:
 
 class TestLindbladRhs:
     def test_maximally_mixed_fixed_point(self):
-        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
         out = lindblad_rhs(np.eye(2, dtype=complex) / 2, np.zeros((2, 2)), noise)
         assert np.max(np.abs(out)) < 1e-14
 
     def test_ground_state_under_x_noise(self):
         # hand computation: gamma (|1><1| - |0><0|)
         gamma = 0.7
-        noise = NoiseModel((NoiseChannel(SX, gamma, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, gamma, "X"),))
         out = lindblad_rhs(pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise)
         assert np.allclose(out, gamma * np.diag([-1.0, 1.0]), atol=1e-14)
 
@@ -145,11 +185,10 @@ class TestLindbladRhs:
         rho /= np.trace(rho)
         h = rng.standard_normal((8, 8))
         h = (h + h.T).astype(complex)
-        dense_jump = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         noise = NoiseModel(
             tuple(site_channels(3, SX, 0.3, "X"))
             + tuple(site_channels(3, SIGMA_MINUS, 0.2, "d"))
-            + (NoiseChannel(dense_jump, 0.05, "dense"),)
+            + (NoiseChannel.from_matrix(_random_monomial(8, seed=7), 0.05, "random"),)
         )
         gen = _Generator(h, noise)
         assert np.max(np.abs(gen.rhs(rho) - lindblad_rhs(rho, h, noise))) < 1e-12
@@ -205,7 +244,12 @@ class TestIntegrateLindblad:
             assert abs(np.trace(rho).real - 1) < 1e-7
 
     def test_positivity(self):
-        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"), NoiseChannel(SIGMA_MINUS, 0.3, "d")))
+        noise = NoiseModel(
+            (
+                NoiseChannel.from_matrix(SX, 1.0, "X"),
+                NoiseChannel.from_matrix(SIGMA_MINUS, 0.3, "d"),
+            )
+        )
         cfg = IntegrationConfig(dt=1e-3, t_final=1.5, record_stride=100)
         res = integrate_lindblad(pure_density(normalize(np.array([1, 1j]))), SZ, noise, cfg)
         for rho in res.states:
@@ -213,7 +257,7 @@ class TestIntegrateLindblad:
 
     def test_trace_drift_signals_failure(self):
         # absurdly large dt blows up the integration
-        noise = NoiseModel((NoiseChannel(SX, 50.0, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, 50.0, "X"),))
         cfg = IntegrationConfig(dt=0.5, t_final=5.0)
         with pytest.raises(IntegrationError, match="smaller dt"):
             integrate_lindblad(pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise, cfg)
@@ -241,7 +285,7 @@ class TestIntegrateLindblad:
 
     @pytest.mark.parametrize("dt, steps", [(0.01, 100), (0.3, 3)])
     def test_rk4_reports_four_applications_per_step(self, dt, steps):
-        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
         cfg = IntegrationConfig(dt=dt, t_final=1.0, record_stride=7)
         res = integrate_lindblad(pure_density(basis_state(1, 0)), SZ, noise, cfg)
         assert res.applications == 4 * steps
@@ -295,7 +339,7 @@ def test_nonfinite_hamiltonian_raises(method, bad):
     # MC used to return mean and stderr NaN without a word
     h = np.array([[bad, 0], [0, 1]], dtype=complex)
     with pytest.raises(NumericsError, match="non-finite"):
-        _run(method, basis_state(1, 0), h, NoiseModel((NoiseChannel(SX, 0.5, "X"),)))
+        _run(method, basis_state(1, 0), h, NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),)))
 
 
 @_METHODS
@@ -304,7 +348,7 @@ def test_nonfinite_state_rejected(method):
     # stderr 0, and Lindblad failed later with a misleading Taylor error
     what = "psi0" if method == "mc" else "density matrix"
     with pytest.raises(ValueError, match=f"{what} has non-finite entries"):
-        _run(method, np.full(2, np.nan), SZ, NoiseModel((NoiseChannel(SX, 0.5, "X"),)))
+        _run(method, np.full(2, np.nan), SZ, NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),)))
 
 
 def _liouvillian(h, noise):
@@ -315,15 +359,25 @@ def _liouvillian(h, noise):
     return np.array([lindblad_rhs(e, h, noise).reshape(-1) for e in units]).T
 
 
-def _dense_jump_case():
-    """A random two-qubit H, a random dense jump at rate 0.3 plus sigma- at
-    0.5 per site, and a random full-rank rho0."""
+def _random_monomial(dim, seed):
+    """A random monomial dim x dim matrix: a random permutation whose
+    entries have random phases and moduli in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((dim, dim), dtype=complex)
+    vals = rng.uniform(0.5, 1.5, dim) * np.exp(2j * np.pi * rng.random(dim))
+    m[rng.permutation(dim), np.arange(dim)] = vals
+    return m
+
+
+def _random_monomial_case():
+    """A random two-qubit H, a random monomial jump at rate 0.3 plus sigma-
+    at 0.5 per site, and a random full-rank rho0."""
     rng = np.random.default_rng(19)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = h + h.conj().T
-    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     noise = NoiseModel(
-        (NoiseChannel(dense, 0.3, "dense"),) + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
+        (NoiseChannel.from_matrix(_random_monomial(4, seed=20), 0.3, "random"),)
+        + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
     )
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho0 = a @ a.conj().T
@@ -344,14 +398,15 @@ def _liouvillian_propagator(h, noise, t):
     eye = np.eye(h.shape[0])
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for ch in noise.channels:
-        l, ll = ch.jump, ch.jump.conj().T @ ch.jump
+        l = ch.matrix
+        ll = l.conj().T @ l
         sup += ch.rate * (np.kron(l, l.conj()) - 0.5 * np.kron(ll, eye) - 0.5 * np.kron(eye, ll.T))
     return expm(t * sup)
 
 
 class TestExactPropagation:
     def test_analytic_x_noise(self):
-        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
         for t in (0.3, 1.0, 4.0):
             res = integrate_lindblad(
                 pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise,
@@ -388,18 +443,24 @@ class TestExactPropagation:
 
         assert np.max(np.abs(final(None) - final(realized.duration / 1024))) <= 1e-9
 
-    def test_dense_jump_matches_liouvillian_exponential(self):
-        h, noise, rho0 = _dense_jump_case()
+    def test_random_monomial_jump_matches_liouvillian_exponential(self):
+        h, noise, rho0 = _random_monomial_case()
         t = 1.7
         res = integrate_lindblad(rho0, h, noise, IntegrationConfig(t_final=t))
         expected = (_liouvillian_propagator(h, noise, t) @ rho0.reshape(-1)).reshape(4, 4)
         assert np.max(np.abs(res.final - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("case", ["fig1b-single", "fig1a-logical-eth", "dense-jump"])
+    @pytest.mark.parametrize(
+        "case", ["fig1b-single", "fig1a-logical-eth", "random-monomial", "strong-jump"]
+    )
     def test_bound_covers_liouvillian_norm(self, case):
         # the substep count and the tail stop rely on bound >= ||L||_2
-        if case == "dense-jump":
-            h, noise, _ = _dense_jump_case()
+        if case == "random-monomial":
+            h, noise, _ = _random_monomial_case()
+        elif case == "strong-jump":
+            # ||L||_2 = 4 far from 1: the jump term must be rate ||L||_2^2
+            h = np.zeros((2, 2))
+            noise = NoiseModel((NoiseChannel.from_matrix([[0, 4.0], [0.5, 0]], 1.0, "strong"),))
         else:
             realized = _realized(*case.split("-", 1), gamma=0.05)
             h, noise = realized.hamiltonian, realized.noise
@@ -452,7 +513,7 @@ class TestExactPropagation:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_TAYLOR_MAX_TERMS", 2)
-        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
         with pytest.raises(IntegrationError, match="did not converge in 2 terms"):
             integrate_lindblad(
                 pure_density(basis_state(1, 0)), SZ, noise, IntegrationConfig(t_final=1.0)
@@ -467,7 +528,7 @@ class TestOneStepPropagator:
     )
     def test_matches_scipy_on_scenarios(self, family, label):
         realized = _realized(family, label, gamma=0.05)
-        g, _ = _no_jump_generator(realized.hamiltonian, realized.noise, TrajectoryError)
+        g = _no_jump_generator(realized.hamiltonian, realized.noise, TrajectoryError)
         t = realized.duration
         for dt in (default_timestep(1.0, realized.noise.max_rate()), t / 128):
             a = g * (t / max(1, round(t / dt)))
@@ -485,19 +546,12 @@ class TestOneStepPropagator:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_TAYLOR_MAX_TERMS", 2)
-        noise = NoiseModel((NoiseChannel(SX, 1.0, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
         with pytest.raises(TrajectoryError, match="did not converge in 2 terms"):
             mc_trajectories(
                 basis_state(1, 0), SZ, noise, 1.0, [P0],
                 TrajectoryConfig(n_traj=10, seed=0, dt=0.1),
             )
-
-
-def _random_jump(dim, seed):
-    """A dense complex dim x dim matrix with spectral norm 1."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return a / np.linalg.norm(a, 2)
 
 
 def _reference_values(psi0, h, noise, t_final, obs, cfg):
@@ -510,7 +564,7 @@ def _reference_values(psi0, h, noise, t_final, obs, cfg):
     import etlab.dynamics as dyn
 
     n_steps = max(1, round(t_final / cfg.dt))
-    jumps = [(ch.jump, ch.rate) for ch in noise.channels]
+    jumps = [(ch.matrix, ch.rate) for ch in noise.channels]
     decay = sum(rate * (l.conj().T @ l) for l, rate in jumps)
     u_step = expm((-1j * h - 0.5 * decay) * (t_final / n_steps))
 
@@ -599,7 +653,7 @@ class TestMcTrajectories:
 
     def test_analytic_x_noise_within_three_stderr(self):
         gamma = 1.0
-        noise = NoiseModel((NoiseChannel(SX, gamma, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, gamma, "X"),))
         res = mc_trajectories(
             basis_state(1, 0),
             np.zeros((2, 2)),
@@ -612,7 +666,7 @@ class TestMcTrajectories:
         assert abs(res.means[0] - exact) <= 3 * res.stderrs[0]
 
     def test_same_seed_bitwise_identical(self):
-        noise = NoiseModel((NoiseChannel(SX, 0.8, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, 0.8, "X"),))
         cfg = TrajectoryConfig(n_traj=300, seed=42, dt=1e-3)
         a = mc_trajectories(basis_state(1, 0), SZ, noise, 1.0, [P0], cfg)
         b = mc_trajectories(basis_state(1, 0), SZ, noise, 1.0, [P0], cfg)
@@ -623,7 +677,10 @@ class TestMcTrajectories:
         # same seeds -> same jump decisions -> near-identical estimates as a
         # plain one-trajectory-at-a-time stepper
         noise = NoiseModel(
-            (NoiseChannel(SX, 0.6, "X"), NoiseChannel(SIGMA_MINUS, 0.4, "d"))
+            (
+                NoiseChannel.from_matrix(SX, 0.6, "X"),
+                NoiseChannel.from_matrix(SIGMA_MINUS, 0.4, "d"),
+            )
         )
         h = 0.8 * SZ
         psi0 = normalize(np.array([1.0, 1.0]))
@@ -664,10 +721,10 @@ class TestMcTrajectories:
             (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.28, 1e-2),
             # a single step: every jump lands on the final step
             (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.0, 1.0),
-            # a jump with no monomial structure, applied as a dense matrix
+            # a random permutation with entries of random phase and modulus
             (
                 NoiseModel(
-                    (NoiseChannel(_random_jump(4, seed=23), 0.8, "dense"),)
+                    (NoiseChannel.from_matrix(_random_monomial(4, seed=23), 0.8, "random"),)
                     + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
                 ),
                 np.kron(SZ, SX),
@@ -675,7 +732,7 @@ class TestMcTrajectories:
                 1e-2,
             ),
         ],
-        ids=["many-jumps", "127-steps", "128-steps", "one-step", "dense-jump"],
+        ids=["many-jumps", "127-steps", "128-steps", "one-step", "random-monomial"],
     )
     def test_engine_matches_reference_stepper(self, noise, h, t_final, dt):
         psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
@@ -752,7 +809,7 @@ class TestMcTrajectories:
         assert (res.jumpers, res.jumps) == (0, 0)
 
     def test_norm_checks_pass(self):
-        noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 0.6, "d"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 0.6, "d"),))
         mc_trajectories(
             basis_state(1, 1),
             SZ,
@@ -766,7 +823,7 @@ class TestMcTrajectories:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_expm", lambda a: 1.001 * expm(a))
-        noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 0.6, "d"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 0.6, "d"),))
         with pytest.raises(TrajectoryError, match="no-jump norm increased"):
             mc_trajectories(
                 basis_state(1, 1), SZ, noise, 2.0, [P0],
@@ -779,7 +836,7 @@ class TestMcTrajectories:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_expm", lambda a: np.diag([0.99, 1.001]).astype(complex))
-        noise = NoiseModel((NoiseChannel(SIGMA_PLUS, 1.0, "u"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_PLUS, 1.0, "u"),))
         with pytest.raises(TrajectoryError, match="no-jump norm increased between steps"):
             mc_trajectories(
                 basis_state(1, 0), SZ, noise, 1.0, [P0],
@@ -800,7 +857,9 @@ class TestMcTrajectories:
         monkeypatch.setattr(dyn, "_expm", lambda a: u)
         to_2, to_3 = np.zeros((4, 4)), np.zeros((4, 4))
         to_2[2, 0] = to_3[3, 1] = 1.0
-        noise = NoiseModel((NoiseChannel(to_2, 1.0, "a"), NoiseChannel(to_3, 1.0, "b")))
+        noise = NoiseModel(
+            (NoiseChannel.from_matrix(to_2, 1.0, "a"), NoiseChannel.from_matrix(to_3, 1.0, "b"))
+        )
         thresholds = np.random.default_rng(14).random(8)
         norms2 = 0.99 ** (2 * np.arange(1, 21))
         first = [np.argmax(norms2 <= t) + 1 for t in thresholds if t >= norms2[-1]]
@@ -813,7 +872,7 @@ class TestMcTrajectories:
 
     @pytest.mark.parametrize("t_final", [-1.0, float("nan"), float("inf")])
     def test_bad_t_final_rejected(self, t_final):
-        noise = NoiseModel((NoiseChannel(SX, 0.5, "X"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),))
         with pytest.raises(ValueError, match="t_final must be finite and nonnegative"):
             mc_trajectories(
                 basis_state(1, 0), SZ, noise, t_final, [P0],
@@ -835,12 +894,12 @@ class TestMcTrajectories:
             ValueError, match=r"dimension mismatch: observable 1 \(4, 4\), H \(2, 2\)"
         ):
             mc_trajectories(
-                basis_state(1, 0), SZ, NoiseModel((NoiseChannel(SX, 0.5, "X"),)), 1.0,
+                basis_state(1, 0), SZ, NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),)), 1.0,
                 [P0, np.eye(4)], TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
             )
 
     def test_damping_reaches_ground(self):
-        noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 2.0, "d"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 2.0, "d"),))
         res = mc_trajectories(
             basis_state(1, 1),
             np.zeros((2, 2)),
@@ -854,9 +913,9 @@ class TestMcTrajectories:
     def test_zero_total_jump_rate_signals(self, monkeypatch):
         # jump operator annihilates the only populated level while a fake
         # decay term still drags the norm down
-        noise = NoiseModel((NoiseChannel(SIGMA_MINUS, 1.0, "d"),))
+        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 1.0, "d"),))
         h = np.zeros((2, 2), dtype=complex)
-        gen = [(np.asarray(noise.channels[0].jump), 1.0)]
+        gen = [(noise.channels[0].matrix, 1.0)]
         psi = basis_state(1, 0)  # sigma_minus annihilates |0>
         weights = np.array([rate * np.linalg.norm(l @ psi) ** 2 for l, rate in gen])
         assert weights.sum() == 0  # precondition for the guard

@@ -1,5 +1,6 @@
 """Scenario realization, sweep mechanics, and closed-form calculators."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from etlab.experiments import (
     run_scenario,
     suggested_mc_sample,
 )
+from etlab.output import emit_csv
 
 
 class TestEffectiveRate:
@@ -142,10 +144,13 @@ class TestScenarios:
     @pytest.mark.parametrize("family", ["fig1a", "fig1b"])
     def test_gamma_independent_parts_built_once(self, family):
         # every grid point of a scenario shares one read-only H, psi0,
-        # observable and jump array, and gamma only sets the site rates;
-        # an ETH scenario shares all but H with its plain twin
+        # observable and set of jump arrays, and gamma only sets the site
+        # rates; an ETH scenario shares all but H with its plain twin; a jump
+        # holds its nonzeros only, at most d of each of rows, cols and vals
         def arrays(r):
-            return [r.hamiltonian, r.psi0, r.observable] + [c.jump for c in r.noise.channels]
+            jumps = [x for c in r.noise.channels for x in (c.rows, c.cols, c.vals)]
+            assert all(x.size <= len(r.psi0) for x in jumps)
+            return [r.hamiltonian, r.psi0, r.observable] + jumps
 
         make = fig1a_scenarios if family == "fig1a" else fig1b_scenarios
         fixed = {"fig1a": 0, "fig1b": 2}[family]
@@ -165,7 +170,8 @@ class TestScenarios:
     def test_sweep_builds_each_scenario_once(self, monkeypatch):
         # a serial sweep builds each scenario key once, however many grid
         # points it has; fig1a's reduced-rate qubit shares the bare one's
-        # key, and an ETH key builds only its H
+        # key, and an ETH key builds only its H; no jump is built as a dense
+        # matrix, so embed_single serves fig1b's observable only
         calls = {}
 
         def count(module, name):
@@ -183,6 +189,7 @@ class TestScenarios:
             (eth, "make_eth"),
             (eth, "controlled_eth"),
             (experiments, "site_channels"),
+            (experiments, "embed_single"),
         ]:
             count(module, name)
         experiments._build_scenario.cache_clear()
@@ -190,7 +197,8 @@ class TestScenarios:
         assert calls == {"build_code": 2, "make_eth": 1, "recover_adjoint": 1, "site_channels": 2}
         calls.clear()
         fig1b_sweep([0.0, 0.05], 1.0, method="lindblad", max_workers=1)
-        assert calls == {"build_code": 4, "controlled_eth": 2, "site_channels": 3}
+        expected = {"build_code": 4, "controlled_eth": 2, "site_channels": 3, "embed_single": 3}
+        assert calls == expected
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -305,6 +313,27 @@ class TestSweeps:
         # used to run serially without a word
         with pytest.raises(ValueError, match=f"max_workers must be at least 1, got {workers}"):
             sweep([0.0, 0.01], 1.0, method="lindblad", max_workers=workers)
+
+    def test_cheapest_csv_contracts(self, tmp_path):
+        # the CSV bytes of the default fig1a sweep and of the reduced fig1b
+        # MC sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj 2000
+        # --seed 7`), pinned for numpy 2.4 with OpenBLAS 0.3.31 on x86-64
+        contracts = [
+            (
+                "fig1a-lindblad",
+                fig1a_sweep(default_gamma_grid(), 1.0, max_workers=1),
+                "cbeeba86248de84826e4fc610f0ec482e4d064a0110fd380a9f1d40d25e98b5a",
+            ),
+            (
+                "fig1b-mc",
+                fig1b_sweep(default_gamma_grid(3), 1.0, n_traj=2000, seed=7, max_workers=1),
+                "2b43f7d9e6fd7c82b7503abe698e77155ea9c4520e87034969cec76e62ce429d",
+            ),
+        ]
+        for name, result, digest in contracts:
+            path = tmp_path / f"{name}.csv"
+            emit_csv(result, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
 
     def test_mc_rows_have_stderr(self):
         res = fig1a_sweep([0.05], 1.0, method="mc", n_traj=100, seed=2)
