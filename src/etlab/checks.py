@@ -3,7 +3,7 @@
 Each check raises :class:`CheckFailure` (or any exception) to fail and
 returns a short detail string on success.  The registry is ordered so the
 cheap algebraic checks run before the simulation-heavy ones; the whole
-suite takes about 10 s on 2 cores.  Each check is the one body of its
+suite takes about 6 s on 2 cores.  Each check is the one body of its
 invariant: ``tests/test_checks.py`` runs every entry of :data:`CHECKS` as a
 test, and the acceptance criteria that share an invariant call its check.
 """
@@ -362,28 +362,36 @@ def check_trajectory_norms() -> str:
     )
 
 
+def _mc_pull(spec: experiments.ScenarioSpec, seed: int) -> float:
+    """|mc - lindblad| in MC standard errors at one scenario point.
+
+    MC runs :func:`experiments.suggested_mc_sample` trajectories, on
+    ``_FIG1B_MC_DT`` for fig1b and the default step for fig1a.  A pull above
+    4 fails, and so does a zero-stderr MC estimate more than 1e-6 from
+    Lindblad; such a deterministic point returns 0.
+    """
+    dt = _FIG1B_MC_DT if spec.family == "fig1b" else None
+    n_traj = experiments.suggested_mc_sample(spec)
+    p_l, _ = experiments.run_scenario(spec, method="lindblad")
+    p_m, se = experiments.run_scenario(spec, method="mc", n_traj=n_traj, seed=seed, dt=dt)
+    context = f"{spec.family}/{spec.label} at gamma={spec.gamma}"
+    if se == 0:
+        _require(abs(p_m - p_l) < 1e-6, f"{context}: deterministic mismatch")
+        return 0.0
+    pull = abs(p_m - p_l) / se
+    _require(pull <= 4, f"{context}: |mc - lindblad| = {pull:.2f} stderr")
+    return pull
+
+
 def check_mc_lindblad_agreement() -> str:
-    worst_pull = 0.0
-    gammas = (0.01, 0.05, 0.1)
-    for family, make in (("fig1a", experiments.fig1a_scenarios), ("fig1b", experiments.fig1b_scenarios)):
-        for g in gammas:
-            for spec in make(g, 1.0):
-                dt_m = _FIG1B_MC_DT if family == "fig1b" else None
-                n_traj = max(1000, experiments.suggested_mc_sample(spec))
-                p_l, _ = experiments.run_scenario(spec, method="lindblad")
-                p_m, se = experiments.run_scenario(
-                    spec, method="mc", n_traj=n_traj, seed=314, dt=dt_m
-                )
-                if se == 0:
-                    _require(abs(p_m - p_l) < 1e-6, f"{spec.label}: deterministic mismatch")
-                    continue
-                pull = abs(p_m - p_l) / se
-                worst_pull = max(worst_pull, pull)
-                _require(
-                    pull <= 4,
-                    f"{family}/{spec.label} at gamma={g}: |mc-lindblad| = {pull:.2f} stderr",
-                )
-    return f"worst |mc - lindblad| = {worst_pull:.2f} stderr over 27 scenario points"
+    specs = [
+        spec
+        for make in (experiments.fig1a_scenarios, experiments.fig1b_scenarios)
+        for g in (0.01, 0.05, 0.1)
+        for spec in make(g, 1.0)
+    ]
+    worst = max(_mc_pull(spec, seed=314) for spec in specs)
+    return f"worst |mc - lindblad| = {worst:.2f} stderr over {len(specs)} scenario points"
 
 
 def check_monotonicity() -> str:
@@ -420,23 +428,7 @@ def check_two_error_cancellation() -> str:
 
 def check_method_agreement() -> str:
     grid = [0.0, 1e-3, 0.01, 0.05, 0.1]
-    worst = 0.0
-    for g in grid:
-        spec = experiments.fig1b_scenarios(g, 1.0)[2]  # eth-5
-        p_l, _ = experiments.run_scenario(spec, method="lindblad")
-        p_m, se = experiments.run_scenario(
-            spec,
-            method="mc",
-            n_traj=experiments.suggested_mc_sample(spec),
-            seed=271,
-            dt=_FIG1B_MC_DT,
-        )
-        if se == 0:
-            _require(abs(p_m - p_l) < 1e-6, f"gamma={g}: deterministic mismatch")
-            continue
-        pull = abs(p_m - p_l) / se
-        worst = max(worst, pull)
-        _require(pull <= 4, f"gamma={g}: methods disagree by {pull:.2f} stderr")
+    worst = max(_mc_pull(experiments.fig1b_scenarios(g, 1.0)[2], seed=271) for g in grid)  # eth-5
     return f"lindblad vs mc within {worst:.2f} stderr on shared grid"
 
 

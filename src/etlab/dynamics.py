@@ -85,7 +85,7 @@ class TrajectoryError(NumericsError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseChannel:
     """One channel rate D[L] on a ``dim``-dimensional space.  The jump L is
     monomial, at most one nonzero per row and column as is a Pauli letter or
@@ -669,7 +669,8 @@ def _jump_columns(
     u = rng.random(psi.shape[1]) * total
     chosen = np.minimum((np.cumsum(weights, axis=0) <= u).sum(axis=0), len(channels) - 1)
     phi = np.zeros_like(psi)
-    for k in np.unique(chosen):
+    # np.unique would import numpy.ma, 10 ms in each new worker process
+    for k in np.flatnonzero(np.bincount(chosen, minlength=len(channels))):
         ch, picked = channels[k], np.nonzero(chosen == k)[0]
         phi[ch.rows[:, None], picked] = ch.vals[:, None] * psi[ch.cols[:, None], picked]
     phi /= np.sqrt(_norms2(phi))

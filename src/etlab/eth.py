@@ -10,6 +10,9 @@ sandwich E_i H0 E_i.
 Errors are never densified: E H0 E^dag is H0 with rows and columns
 signed-permuted, which is exact, and the other checks use the sector basis
 of :mod:`etlab.codes`; a controlled ETH uses the joint basis V0 (x) I_2.
+:func:`verify_et` checks transparency, H E psi = E H0 psi, on every state
+of the code space at once: the residual is linear in psi, so its worst case
+is a largest singular value.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ from .dynamics import SIGMA_PLUS
 from .qcore import (
     PauliString,
     anticommutes,
-    basis_state,
     pauli_action,
     pauli_decompose,
-    spanning_logical_states,
     to_dense,
     weight,
 )
@@ -147,42 +148,35 @@ def _eth(basis: np.ndarray, h0: np.ndarray, errors: Sequence[PauliString]) -> np
     return h
 
 
-def _spanning_states(code: StabilizerCode, h0_dim: int) -> list[np.ndarray]:
-    states = spanning_logical_states(code.codeword0, code.codeword1)
-    if h0_dim == code.dim:
-        return states
-    if h0_dim != 2 * code.dim:
-        raise ValueError(
-            f"H0 dimension {h0_dim} matches neither the code ({code.dim}) "
-            f"nor code-plus-target ({2 * code.dim})"
-        )
-    g = basis_state(1, 0)
-    e = basis_state(1, 1)
-    s = 1 / np.sqrt(2)
-    target_states = [g, e, s * (g + e), s * (g + 1j * e)]
-    return [np.kron(psi, t) for psi in states for t in target_states]
-
-
 def verify_et(
     h: np.ndarray,
     h0: np.ndarray,
     code: StabilizerCode,
     errors: "ErrorSet | Iterable[PauliString]",
 ) -> float:
-    """Worst-case transparency residual max ||H E psi - E H0 psi||.
+    """Worst-case transparency residual: the largest ||H E psi - E H0 psi||
+    over the errors E and every unit state psi of the code space.
 
-    psi runs over six states spanning the code space (both codewords plus
-    the four equatorial superpositions, which catch relative-phase errors
-    the codewords alone would miss).  When H0 lives on code-plus-target,
-    the spanning set is tensored with four target states.
+    The residual is linear in psi, so for each error its supremum is the
+    largest singular value of (H E - E H0) V, V the orthonormal code basis:
+    the two codewords V0, or V0 (x) I_2 when H0 acts on code-plus-target.
     """
     h = np.asarray(h, dtype=complex)
     h0 = np.asarray(h0, dtype=complex)
-    states = np.stack(_spanning_states(code, h0.shape[0]), axis=1)
+    basis = _code_basis(code)
+    if h0.shape[0] == 2 * code.dim:
+        basis = np.kron(basis, np.eye(2))
+    elif h0.shape[0] != code.dim:
+        raise ValueError(
+            f"H0 dimension {h0.shape[0]} matches neither the code ({code.dim}) "
+            f"nor code-plus-target ({2 * code.dim})"
+        )
     errs = _as_errors(errors)
-    # column block j >= 1 holds H E_j psi - E_j H0 psi for every state psi
-    resid = h @ _sectors(states, errs) - _sectors(h0 @ states, errs)
-    return float(np.linalg.norm(resid[:, states.shape[1] :], axis=0).max(initial=0.0))
+    d, k = basis.shape
+    # column block j >= 1 holds (H E_j - E_j H0) V, here resid[:, j - 1, :]
+    resid = (h @ _sectors(basis, errs) - _sectors(h0 @ basis, errs))[:, k:]
+    resid = resid.reshape(d, len(errs), k)
+    return float(np.linalg.norm(resid, 2, axis=(0, 2)).max(initial=0.0))
 
 
 def bodyness(h: np.ndarray) -> int:

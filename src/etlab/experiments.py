@@ -90,7 +90,6 @@ class ScenarioSpec:
     omega: float
     code_name: str | None = None  # None = bare single qubit
     use_eth: bool = False
-    error_kinds: str = "X"
     rate_factor: float = 1.0  # scales gamma for this scenario's noise
     apply_recovery: bool = True  # fig1a success metric option
 
@@ -146,7 +145,7 @@ def fig1a_scenarios(
 
 
 def fig1b_scenarios(gamma: float, omega: float) -> list[ScenarioSpec]:
-    common = dict(family="fig1b", gamma=gamma, omega=omega, error_kinds="XYZ")
+    common = dict(family="fig1b", gamma=gamma, omega=omega)
     return [
         ScenarioSpec(label="plain-5", code_name="perfect5", **common),
         ScenarioSpec(label="plain-7", code_name="steane7", **common),
@@ -216,7 +215,7 @@ def _fig1b_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
 
 
 @functools.cache
-def _build_scenario(family, code_name, error_kinds, use_eth, omega, apply_recovery) -> _Scenario:
+def _build_scenario(family, code_name, use_eth, omega, apply_recovery) -> _Scenario:
     """Built once per process for each key and shared, read-only, by every job
     with it, whatever its gamma.  An ETH scenario is its plain twin with another
     H and shares the twin's other arrays: one copy of a register's jump
@@ -225,10 +224,10 @@ def _build_scenario(family, code_name, error_kinds, use_eth, omega, apply_recove
     if build is None:
         raise ValueError(f"unknown scenario family {family!r}")
     code = None if code_name is None else codes.build_code(code_name)
-    errorset = None if code is None else codes.error_set(code, error_kinds)
+    errorset = None if code is None else codes.error_set(code, codes.DESIGNED_KINDS[code_name])
     plain = None
     if use_eth and code is not None:
-        plain = _build_scenario(family, code_name, error_kinds, False, omega, apply_recovery)
+        plain = _build_scenario(family, code_name, False, omega, apply_recovery)
     scenario = build(code, errorset, omega, apply_recovery, plain)
     jumps = [a for ch in scenario.sites + scenario.fixed for a in (ch.rows, ch.cols, ch.vals)]
     for a in (scenario.hamiltonian, scenario.psi0, scenario.observable, *jumps):
@@ -237,8 +236,8 @@ def _build_scenario(family, code_name, error_kinds, use_eth, omega, apply_recove
 
 
 def _scenario(spec: ScenarioSpec) -> _Scenario:
-    key = (spec.family, spec.code_name, spec.error_kinds, spec.use_eth, spec.omega)
-    return _build_scenario(*key, spec.apply_recovery)
+    key = (spec.family, spec.code_name, spec.use_eth, spec.omega, spec.apply_recovery)
+    return _build_scenario(*key)
 
 
 def _realize(spec: ScenarioSpec) -> _Realized:
@@ -329,7 +328,8 @@ def _run_sweep(
         for si, spec in enumerate(specs):
             jobs.append((spec, method, n_traj, _job_seed(seed, si, pi), dt))
     if max_workers is not None and max_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        # a fork pool starts all its workers at the first submit, used or not
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
             rows = list(pool.map(_run_job, jobs))
     else:
         rows = [_run_job(j) for j in jobs]
@@ -381,19 +381,14 @@ def suggested_mc_sample(spec: ScenarioSpec) -> int:
     event probability per trajectory and asks for 150 of them, between 2000
     and 150,000 trajectories.
     """
-    n_noisy = len(_scenario(spec).sites)
-    if spec.family == "fig1a":
-        tau = np.pi / spec.omega
-        lam = n_noisy * spec.gamma * spec.rate_factor * tau
-        p_event = 0.4 * lam * lam if spec.use_eth else 0.5 * lam
-    else:
-        tau = np.pi / (2 * spec.omega)
-        lam = 0.5 * n_noisy * spec.gamma * tau
-        p_target = (TARGET_EXCITATION_RATE + TARGET_DAMPING_RATE) * spec.omega * tau
-        if spec.use_eth:
-            p_event = 0.4 * lam * lam + p_target
-        else:
-            p_event = max(0.5 * lam, p_target)
+    s = _scenario(spec)
+    # expected site jumps per trajectory; a damped site jumps only from its
+    # excited level, occupied about half the time
+    lam = len(s.sites) * spec.gamma * spec.rate_factor * s.duration
+    if spec.family == "fig1b":
+        lam *= 0.5
+    p_fixed = sum(ch.rate for ch in s.fixed) * s.duration
+    p_event = 0.4 * lam * lam + p_fixed if spec.use_eth else max(0.5 * lam, p_fixed)
     if p_event <= 0:
         return 2000
     return int(min(150_000, max(2000, np.ceil(150 / p_event))))

@@ -284,16 +284,3 @@ def check_density_matrix(rho: np.ndarray) -> None:
     wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
     if wmin < -1e-8:
         raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
-
-
-def spanning_logical_states(psi0: np.ndarray, psi1: np.ndarray) -> list[np.ndarray]:
-    """Six states spanning (and phase-probing) the 2D span of two kets."""
-    s = 1 / np.sqrt(2)
-    return [
-        psi0,
-        psi1,
-        s * (psi0 + psi1),
-        s * (psi0 - psi1),
-        s * (psi0 + 1j * psi1),
-        s * (psi0 - 1j * psi1),
-    ]

@@ -5,6 +5,8 @@ P0(t) = (1 + exp(-2 gamma t))/2, and independent qubits multiply.
 """
 
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +80,13 @@ class TestNoiseModel:
     def test_nonfinite_parameters_rejected(self, make):
         with pytest.raises(ValueError, match="finite"):
             make()
+
+    def test_channels_compare_by_identity(self):
+        # field equality over numpy arrays raised "truth value ... ambiguous"
+        a = site_channels(2, SX, 1.0, "X")[0]
+        b = site_channels(2, SX, 1.0, "X")[0]
+        assert a == a and a != b
+        assert NoiseModel((a,)) == NoiseModel((a,))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -807,6 +816,21 @@ class TestMcTrajectories:
             TrajectoryConfig(n_traj=20, seed=1, dt=1e-2),
         )
         assert (res.jumpers, res.jumps) == (0, 0)
+
+    def test_jumps_leave_numpy_ma_unimported(self):
+        # numpy.ma costs each new worker process about 10 ms; np.unique imports it
+        code = (
+            "import sys; import numpy as np; from etlab.dynamics import *; "
+            "sx = np.array([[0, 1], [1, 0]], dtype=complex); "
+            "noise = NoiseModel((NoiseChannel.from_matrix(sx, 1.0, 'X'),)); "
+            "res = mc_trajectories(np.array([1, 0], dtype=complex), np.zeros((2, 2)), noise, "
+            "1.0, [np.eye(2)], TrajectoryConfig(n_traj=50, seed=1, dt=0.01)); "
+            "print(res.jumps > 0, 'numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split() == ["True", "False"]
 
     def test_norm_checks_pass(self):
         noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 0.6, "d"),))

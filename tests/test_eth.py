@@ -178,6 +178,22 @@ class TestVerifyEt:
         residual = verify_et(h0, h0, bitflip3, [PauliString("XII")])
         assert residual == pytest.approx(omega, abs=1e-12)
 
+    def test_residual_is_worst_case_over_code_space(self, bitflip3):
+        # bare H0 against X errors: H0 annihilates the flipped code space, so
+        # the residual is ||X1 H0 V0||_2, which no sampled state may exceed
+        h0 = encode_logical(bitflip3, LogicalHamiltonian(1.1, -0.7, 0.3 + 0.4j))
+        es = error_set(bitflip3, "X")
+        v0 = np.stack([bitflip3.codeword0, bitflip3.codeword1], axis=1)
+        x1 = to_dense(PauliString("XII"))
+        residual = verify_et(h0, h0, bitflip3, es)
+        assert residual == pytest.approx(np.linalg.norm(x1 @ h0 @ v0, 2), abs=1e-12)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            psi = v0 @ normalize(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            for e in es:
+                m = to_dense(e)
+                assert np.linalg.norm((h0 @ m - m @ h0) @ psi) <= residual + 1e-12
+
     def test_perfect5_full_eth(self, perfect5):
         es = error_set(perfect5, "XYZ")
         h0 = encode_logical(perfect5, LogicalHamiltonian(1, -1, 0))

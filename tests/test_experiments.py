@@ -314,6 +314,28 @@ class TestSweeps:
         with pytest.raises(ValueError, match=f"max_workers must be at least 1, got {workers}"):
             sweep([0.0, 0.01], 1.0, method="lindblad", max_workers=workers)
 
+    def test_pool_no_larger_than_job_count(self, monkeypatch):
+        # a fork pool starts every worker it is allowed at the first submit
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+        fig1a_sweep([0.0], 1.0, method="lindblad", max_workers=64)
+        fig1a_sweep([0.0, 0.01, 0.05], 1.0, method="lindblad", max_workers=2)
+        assert sizes == [4, 2]
+
     def test_cheapest_csv_contracts(self, tmp_path):
         # the CSV bytes of the default fig1a sweep and of the reduced fig1b
         # MC sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj 2000
