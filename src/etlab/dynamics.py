@@ -13,18 +13,27 @@ Two methods cross-validate each other:
   selects fixed-step RK4 instead, guarded against steps beyond its
   stability region.  The generator is applied only to Hermitian states
   (rho0, Hermitized on entry, each Taylor term and each RK4 stage), so
-  G rho + rho G^dag costs one matrix product, X + X^dag with X = G rho.
+  G rho + rho G^dag costs one application of G, X + X^dag with X = G rho.
 * :func:`mc_trajectories` -- quantum-jump unravelling (Dalibard, Castin &
   Molmer, PRL 68, 580 (1992)).  Deterministic segments use the one-step
   propagator exp((-iH - K/2) dt), formed once per run by the same scaled
-  Taylor series applied to the identity, and jumps fire when the decaying
-  norm crosses a per-trajectory uniform threshold (no sub-step
+  Taylor series on each of G's components, and jumps fire when the
+  decaying norm crosses a per-trajectory uniform threshold (no sub-step
   interpolation).  Every trajectory follows the same deterministic flow
-  between jumps, so the no-jump backbone is computed once, and after a
-  jump each no-jump stretch takes O(log n_steps) products by binary lifting
-  over the powers u^(2^b), shared by the jumpers of a block as the columns
-  of one matrix; the engine checks its own norms, column by column, as it
-  goes.
+  between jumps, so the no-jump backbone is computed once, by doubling
+  with the powers u^(2^b), and after a jump each no-jump stretch takes
+  O(log n_steps) products by binary lifting over the same powers, shared
+  by the jumpers of a block as the columns of one matrix; the engine
+  checks its own norms, column by column, as it goes.
+
+Both engines hold the no-jump generator G = -iH - K/2 by the connected
+components of its nonzero pattern (:class:`_Components`): K is diagonal,
+and an ETH acts inside each error sector, so G splits into small blocks
+(fig1b eth-7 at d = 256: one 16-state component, fourteen 8-state ones
+and 128 single states; every fig1a G is diagonal).  Applying G, or a
+function of it such as exp(G dt) and its powers, is one row scaling by
+the diagonal plus one stacked block product per component size; a dense H
+is one d-state component.
 
 Both methods see the noise through one representation: a
 :class:`NoiseChannel` holds its monomial jump (as is a Pauli letter or
@@ -306,9 +315,83 @@ def _no_jump_generator(
 
 def _norm2_bound(a: np.ndarray) -> float:
     """sqrt(||a||_1 ||a||_inf), an upper bound on the spectral norm that is
-    exact for a matrix with at most one nonzero per row and column."""
+    exact for a matrix with at most one nonzero per row and column; the
+    largest over a stack (..., m, m)."""
     m = np.abs(a)
-    return float(np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max()))
+    return float(np.sqrt(m.sum(axis=-2).max(axis=-1) * m.sum(axis=-1).max(axis=-1)).max())
+
+
+def _component_labels(a: np.ndarray) -> np.ndarray:
+    """The smallest index of each state's connected component in the
+    undirected graph of a square matrix's off-diagonal nonzeros, by label
+    propagation in O(nnz) per round: each edge pulls both ends to the
+    smaller label, then each label jumps to its own label's label."""
+    rows, cols = np.nonzero(a)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    labels = np.arange(len(a))
+    while True:
+        low = np.minimum(labels[rows], labels[cols])
+        nxt = labels.copy()
+        np.minimum.at(nxt, rows, low)
+        np.minimum.at(nxt, cols, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
+class _Components:
+    """A square matrix held by the connected components of its nonzero
+    pattern: its diagonal, and for each component size m >= 2 the indices
+    ``idx`` (nb, m) of its nb components of that size, each ascending, and
+    their blocks (nb, m, m), a[idx[c, i], idx[c, j]].  Applying it is one
+    row scaling by the diagonal, whose rows in a component are then
+    overwritten by the blocks' products; a dense matrix is one component."""
+
+    def __init__(self, diag: np.ndarray, stacks: list[tuple[np.ndarray, np.ndarray]]):
+        self.diag = diag
+        self.stacks = stacks
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> _Components:
+        labels = _component_labels(a)
+        sizes = np.bincount(labels, minlength=len(a))
+        # members grouped by label, ascending within each (np.unique would
+        # import numpy.ma, 10 ms in each new worker process)
+        order = np.argsort(labels, kind="stable")
+        starts = np.searchsorted(labels[order], np.arange(len(a)))
+        stacks = []
+        for m in np.flatnonzero(np.bincount(sizes)):
+            if m < 2:
+                continue
+            idx = order[starts[sizes == m][:, None] + np.arange(m)]
+            stacks.append((idx, a[idx[:, :, None], idx[:, None, :]]))
+        return cls(np.diagonal(a).copy(), stacks)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diag),) * 2
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times a vector or a d x k matrix x."""
+        x2 = x.reshape(len(x), -1)
+        out = self.diag[:, None] * x2
+        for idx, blocks in self.stacks:
+            out[idx] = blocks @ x2[idx]
+        return out.reshape(x.shape)
+
+    def map(self, f) -> _Components:
+        """The matrix f(a) for an f that acts on each component alone and
+        keeps the pattern, as are exp(a dt) and a @ a: f is given the
+        diagonal as a stack of 1 x 1 matrices and then each stack of blocks."""
+        diag = f(self.diag[:, None, None])[:, 0, 0]
+        return _Components(diag, [(idx, f(blocks)) for idx, blocks in self.stacks])
+
+    def norm2(self) -> float:
+        """The spectral norm: the largest of every block's and of |diag|."""
+        blocks = [np.linalg.norm(b, 2, axis=(1, 2)).max() for _, b in self.stacks]
+        return float(max([np.abs(self.diag).max(initial=0.0)] + blocks))
 
 
 def _sandwich(ch: NoiseChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,25 +408,27 @@ def _sandwich(ch: NoiseChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class _Generator:
     """Precomputed Lindblad generator: rhs(rho) = G rho + rho G^dag + jumps,
-    for a Hermitian rho only.
+    for a Hermitian rho only.  G is held by its connected components
+    (:class:`_Components`).
 
     ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 bounds the generator's
     norm as a map on rho with the Frobenius norm.  ||G||_2 is the spectral
-    norm itself (one SVD per run); a monomial L_k has ||L_k||_2 = max |vals|.
+    norm itself, the largest over G's components (an SVD of each block); a
+    monomial L_k has ||L_k||_2 = max |vals|.
     """
 
     def __init__(self, h: np.ndarray, noise: NoiseModel):
-        self.g = _no_jump_generator(h, noise, IntegrationError)
+        self.g = _Components.of(_no_jump_generator(h, noise, IntegrationError))
         jump_bound = sum(c.rate * np.max(np.abs(c.vals), initial=0.0) ** 2 for c in noise.channels)
-        self.bound = 2.0 * float(np.linalg.norm(self.g, 2)) + jump_bound
+        self.bound = 2.0 * self.g.norm2() + jump_bound
         self.sandwiches = [_sandwich(ch) for ch in noise.channels]
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
-        """The generator applied to a Hermitian rho in one matrix product:
-        with X = G rho, rho G^dag = X^dag.  An exactly Hermitian rho gives an
-        exactly Hermitian result, so the Taylor terms and RK4 stages built
+        """The generator applied to a Hermitian rho with one application of
+        G: with X = G rho, rho G^dag = X^dag.  An exactly Hermitian rho gives
+        an exactly Hermitian result, so the Taylor terms and RK4 stages built
         from rho0 stay Hermitian; :func:`lindblad_rhs` is the reference."""
-        x = self.g @ rho
+        x = self.g.apply(rho)
         out = x + x.conj().T
         flat, src = out.reshape(-1), rho.reshape(-1)
         for to, frm, weights in self.sandwiches:
@@ -429,11 +514,13 @@ def _propagate_exact(
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by the same scaled Taylor series, applied to the identity by
-    X -> a X; ||a||_2 is bounded as in :func:`_norm2_bound`, so no SVD."""
+    """exp(a) of a matrix, or of each matrix of a stack (..., m, m) such as
+    the blocks of :class:`_Components`, by the same scaled Taylor series
+    applied to a stack of identities by X -> a X, in substeps sized for the
+    stack's largest ||a||_2 as bounded by :func:`_norm2_bound` (no SVD)."""
     bound = _norm2_bound(a)
     n_sub = _n_substeps(1.0, bound)
-    u = np.eye(len(a), dtype=complex)
+    u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
     for _ in range(n_sub):
         u, _ = _taylor_substep(a.__matmul__, u, 1.0 / n_sub, bound, TrajectoryError)
     return u
@@ -518,13 +605,16 @@ def mc_trajectories(
     of <psi|O|psi> at t_final for each observable, and how many trajectories
     jumped and how many jumps they made.
 
-    Every trajectory follows the same deterministic flow between jumps: the
-    no-jump path is computed once and places every first jump, and each
-    later stretch up to the next jump or t_final costs O(log n_steps)
-    products with the powers u_step^(2^b).  The trajectories that jump, in
-    ascending index order, are split into blocks of at most _BLOCK_BYTES of
-    state, and a block's trajectories advance together as the columns of
-    one matrix, in rounds of one jump each.  One generator,
+    Every trajectory follows the same deterministic flow between jumps.
+    u_step = exp(G dt) and its powers u_step^(2^b), by repeated squaring,
+    are formed on G's components.  The no-jump path is computed once, by
+    doubling (columns [2^b, 2^(b+1)) are u_step^(2^b) times columns
+    [0, 2^b)), and places every first jump; each later stretch up to the
+    next jump or t_final costs O(log n_steps) products with the powers.
+    The trajectories that jump, in ascending index order, are split into
+    blocks of at most _BLOCK_BYTES of state, and a block's trajectories
+    advance together as the columns of one matrix, in rounds of one jump
+    each.  One generator,
     ``default_rng(config.seed)``, first draws all n_traj thresholds at once;
     then draws round-major within bounded blocks, blocks in index order: per
     round, every live column's channel, then every live column's next
@@ -573,14 +663,21 @@ def mc_trajectories(
         return reduce_values(np.tile(values_of(psi0[:, None]), (1, n_traj)))
 
     n_steps = max(1, round(t_final / config.dt))
-    u_step = _expm(g * (t_final / n_steps))
+    dt = t_final / n_steps
+    u_step = _Components.of(g).map(lambda a: _expm(a * dt))
     del g
+    # u_step^(2^b) for b = 0 .. floor(log2 n_steps), by repeated squaring
+    powers = [u_step]
+    while 2 ** len(powers) <= n_steps:
+        powers.append(powers[-1].map(lambda a: a @ a))
 
-    # the deterministic no-jump backbone, shared by every trajectory
+    # the deterministic no-jump backbone, shared by every trajectory, by
+    # doubling: columns [2^b, 2^(b+1)) are u_step^(2^b) times columns [0, 2^b)
     states0 = np.empty((psi0.shape[0], n_steps + 1), dtype=complex)
     states0[:, 0] = psi0
-    for s in range(1, n_steps + 1):
-        states0[:, s] = u_step @ states0[:, s - 1]
+    for b, power in enumerate(powers):
+        stop = min(2 ** (b + 1), n_steps + 1)
+        states0[:, 2**b : stop] = power.apply(states0[:, : stop - 2**b])
     values = np.tile(values_of(states0[:, -1:]), (1, n_traj))
     if not noise.channels:
         return reduce_values(values)
@@ -598,10 +695,6 @@ def mc_trajectories(
     counts = np.searchsorted(ascending, thresholds, side="right")
     jumpers = np.nonzero(counts > 0)[0]
 
-    # u_step^(2^b) for b = 0 .. floor(log2 n_steps), by repeated squaring
-    powers = [u_step]
-    while 2 ** len(powers) <= n_steps:
-        powers.append(powers[-1] @ powers[-1])
     decay_rows = _decay_rows(noise.channels, len(psi0))
 
     # Each round, every live column jumps from the state at its crossing step
@@ -622,7 +715,7 @@ def mc_trajectories(
                 fits = np.nonzero(step + 2**b <= n_steps)[0]
                 if not fits.size:
                     continue
-                nxt = powers[b] @ phi[:, fits]
+                nxt = powers[b].apply(phi[:, fits])
                 nxt_n2 = _norms2(nxt)
                 if np.any(nxt_n2 > n2[fits] * (1 + 1e-12)):
                     raise TrajectoryError("no-jump norm increased between steps")
@@ -634,7 +727,7 @@ def mc_trajectories(
             done = step == n_steps
             values[:, live[done]] = values_of(phi[:, done])
             live, step = live[~done], step[~done] + 1
-            psi = u_step @ phi[:, ~done]
+            psi = u_step.apply(phi[:, ~done])
     return reduce_values(values, len(jumpers), total_jumps)
 
 

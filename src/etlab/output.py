@@ -12,9 +12,9 @@ output is byte-deterministic.
 from __future__ import annotations
 
 import csv
+import html
 from decimal import Decimal
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .experiments import SweepResult, SweepRow
 
@@ -149,7 +149,7 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
             f"{sx(r.gamma_over_omega):.2f},{sy(r.probability):.2f}" for r in series
         )
         parts.append(
-            f'<polyline class="curve" data-scenario="{escape(label)}" points="{pts}" '
+            f'<polyline class="curve" data-scenario="{html.escape(label, quote=True)}" points="{pts}" '
             f'fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
         for r in series:
@@ -173,7 +173,7 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
         )
         parts.append(
             f'<text class="legend-label" x="{lx + 30}" y="{ly}" font-size="13">'
-            f"{escape(label)}</text>"
+            f"{html.escape(label, quote=True)}</text>"
         )
     parts.append("</svg>")
     try:

@@ -30,6 +30,7 @@ from etlab.dynamics import (
 )
 from etlab.dynamics import (
     _TAYLOR_THETA,
+    _Components,
     _Generator,
     _expm,
     _n_substeps,
@@ -529,6 +530,75 @@ class TestExactPropagation:
             )
 
 
+def _hidden_blocks(seed):
+    """A matrix of blocks of sizes 1, 2, 3 and 8 and a 40-state chain, its
+    states shuffled by a random permutation, and its components as sorted
+    index tuples of the shuffled matrix.  Each block is upper triangular and
+    the chain couples each state to the next but only every other state
+    back, so half of the couplings lie above the diagonal and half below."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 3, 8, 40]
+    d = sum(sizes)
+    a = np.zeros((d, d), dtype=complex)
+    start = 0
+    for m in sizes:
+        block = np.triu(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        if m == 40:
+            block = np.diag(np.diag(block)) + np.diag(1.0 + rng.random(m - 1), 1)
+            block[np.arange(2, m, 2), np.arange(1, m - 1, 2)] = 0.5
+        a[start : start + m, start : start + m] = block
+        start += m
+    perm = rng.permutation(d)
+    inv = np.argsort(perm)
+    bounds = np.cumsum([0] + sizes)
+    parts = {tuple(sorted(inv[lo:hi])) for lo, hi in zip(bounds, bounds[1:]) if hi - lo >= 2}
+    return a[perm][:, perm], parts
+
+
+class TestComponents:
+    """G held by the connected components of its nonzero pattern."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hidden_blocks_recovered_exactly(self, seed):
+        a, parts = _hidden_blocks(seed)
+        comps = _Components.of(a)
+        found = {tuple(row) for idx, _ in comps.stacks for row in idx}
+        assert found == parts
+        assert sorted(len(p) for p in parts) == [2, 3, 8, 40]
+        for idx, blocks in comps.stacks:
+            assert np.array_equal(blocks, a[idx[:, :, None], idx[:, None, :]])
+        assert np.array_equal(comps.diag, np.diagonal(a))
+
+    def test_apply_matches_matrix_product(self):
+        rng = np.random.default_rng(5)
+        a, _ = _hidden_blocks(5)
+        d = len(a)
+        dense = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        diagonal = np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        vector = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        columns = rng.standard_normal((d, 7)) + 1j * rng.standard_normal((d, 7))
+        for g in (a, dense, diagonal):
+            for x in (vector, columns):
+                out = _Components.of(g).apply(x)
+                assert out.shape == x.shape
+                assert np.max(np.abs(out - g @ x)) <= 1e-13 * np.max(np.abs(g @ x))
+        assert [idx.shape for idx, _ in _Components.of(dense).stacks] == [(1, d)]
+        assert _Components.of(diagonal).stacks == []
+
+    @pytest.mark.parametrize(
+        "family, label",
+        [("fig1a", lab) for lab in ("single", "single-reduced", "logical-plain", "logical-eth")]
+        + [("fig1b", lab) for lab in ("single", "plain-5", "eth-5", "plain-7", "eth-7")],
+    )
+    def test_bound_equals_dense_svd_formula(self, family, label):
+        realized = _realized(family, label, gamma=0.05)
+        h, noise = realized.hamiltonian, realized.noise
+        g = _no_jump_generator(h, noise, IntegrationError)
+        jumps = sum(ch.rate * np.max(np.abs(ch.vals)) ** 2 for ch in noise.channels)
+        expected = 2.0 * np.linalg.norm(g, 2) + jumps
+        assert _Generator(h, noise).bound == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 class TestOneStepPropagator:
     """The scaled-Taylor exp(G dt) that MC steps with, against scipy's expm."""
 
@@ -745,7 +815,9 @@ class TestMcTrajectories:
     )
     def test_engine_matches_reference_stepper(self, noise, h, t_final, dt):
         psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
-        obs = np.kron(P0, np.eye(2)).astype(complex)
+        # both qubits: under kron(SZ, SX) and X noise qubit 0's population
+        # alone stays exactly 1/2 in every trajectory
+        obs = np.kron(P0, P0).astype(complex)
         cfg = TrajectoryConfig(n_traj=300, seed=61, dt=dt)
         a = mc_trajectories(psi0, h, noise, t_final, [obs], cfg)
         mean, stderr = _reference_trajectories(psi0, h, noise, t_final, obs, cfg)
@@ -770,6 +842,20 @@ class TestMcTrajectories:
         assert a.jumps > a.jumpers > 0
         assert a.means[0] == pytest.approx(mean, abs=1e-9)
         assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
+
+    def test_fig1b_eth7_matches_reference_stepper(self):
+        # d = 256 with one 16-state and fourteen 8-state components, on the
+        # fig1b Monte Carlo step of tau/128
+        realized = _realized("fig1b", "eth-7", gamma=0.1)
+        h, noise, t = realized.hamiltonian, realized.noise, realized.duration
+        obs = realized.observable
+        cfg = TrajectoryConfig(n_traj=100, seed=71, dt=t / 128)
+        a = mc_trajectories(realized.psi0, h, noise, t, [obs], cfg)
+        values, n_jumps = _reference_values(realized.psi0, h, noise, t, obs, cfg)
+        assert a.jumpers == np.count_nonzero(n_jumps) > 0
+        assert a.jumps == n_jumps.sum()
+        assert a.means[0] == pytest.approx(np.mean(values), abs=1e-9)
+        assert a.stderrs[0] == pytest.approx(np.std(values, ddof=1) / np.sqrt(100), abs=1e-9)
 
     def test_jump_counts_match_reference_stepper(self):
         # the many-jumps case: both counts equal the reference stepper's, and
@@ -856,10 +942,11 @@ class TestMcTrajectories:
 
     def test_norm_check_fires_after_a_jump(self, monkeypatch):
         # |0> decays, so the backbone passes its check; the jump lands on |1>,
-        # which the doctored propagator grows by 1.001 per step
+        # which the doctored propagator grows by 1.001 per step.  G is
+        # diagonal, so the propagator is its stack of two 1 x 1 components
         import etlab.dynamics as dyn
 
-        monkeypatch.setattr(dyn, "_expm", lambda a: np.diag([0.99, 1.001]).astype(complex))
+        monkeypatch.setattr(dyn, "_expm", lambda a: np.array([0.99, 1.001]).reshape(2, 1, 1))
         noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_PLUS, 1.0, "u"),))
         with pytest.raises(TrajectoryError, match="no-jump norm increased between steps"):
             mc_trajectories(
@@ -875,10 +962,13 @@ class TestMcTrajectories:
         # block, and only the last of them from an odd step
         import etlab.dynamics as dyn
 
-        u = np.zeros((4, 4), dtype=complex)
-        u[0, 1] = u[1, 0] = 0.99
-        u[2, 2], u[3, 3] = 0.9, 1.001
-        monkeypatch.setattr(dyn, "_expm", lambda a: u)
+        # H couples |0> and |1> into one component, and |2> and |3> are
+        # singletons; the doctored propagator acts on each stack by its shape
+        h = np.zeros((4, 4))
+        h[0, 1] = h[1, 0] = 1.0
+        swap = np.array([[[0, 0.99], [0.99, 0]]], dtype=complex)
+        diag = np.array([1.0, 1.0, 0.9, 1.001], dtype=complex).reshape(4, 1, 1)
+        monkeypatch.setattr(dyn, "_expm", lambda a: swap if a.shape == (1, 2, 2) else diag)
         to_2, to_3 = np.zeros((4, 4)), np.zeros((4, 4))
         to_2[2, 0] = to_3[3, 1] = 1.0
         noise = NoiseModel(
@@ -890,7 +980,7 @@ class TestMcTrajectories:
         assert [s % 2 for s in first] == [0, 0, 0, 0, 1]
         with pytest.raises(TrajectoryError, match="no-jump norm increased between steps"):
             mc_trajectories(
-                basis_state(2, 0), np.zeros((4, 4)), noise, 1.0, [np.eye(4)],
+                basis_state(2, 0), h, noise, 1.0, [np.eye(4)],
                 TrajectoryConfig(n_traj=8, seed=14, dt=0.05),
             )
 

@@ -349,7 +349,7 @@ class TestSweeps:
             (
                 "fig1b-mc",
                 fig1b_sweep(default_gamma_grid(3), 1.0, n_traj=2000, seed=7, max_workers=1),
-                "2b43f7d9e6fd7c82b7503abe698e77155ea9c4520e87034969cec76e62ce429d",
+                "227258609a15da980f0d1177f467bc06a97e485efa983b1ab9c451e3292474a3",
             ),
         ]
         for name, result, digest in contracts:

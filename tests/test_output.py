@@ -118,6 +118,17 @@ class TestEmitPlot:
         assert 'xmlns="http://www.w3.org/2000/svg"' in text
         assert "href" not in text  # no external references
 
+    def test_label_with_markup_characters_round_trips(self, tmp_path):
+        # a quote used to end the data-scenario attribute early
+        label = 'a"b<&'
+        path = tmp_path / "plot.svg"
+        emit_plot(SweepResult(rows=(row(0.0, label, 0.9), row(0.1, label, 0.8))), path)
+        root = ET.parse(path).getroot()
+        curves = [el for el in root.iter(f"{SVG_NS}polyline") if el.get("class") == "curve"]
+        legend = [el.text for el in root.iter(f"{SVG_NS}text") if el.get("class") == "legend-label"]
+        assert [c.get("data-scenario") for c in curves] == [label]
+        assert legend == [label]
+
     def test_empty_result_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             emit_plot(SweepResult(rows=()), tmp_path / "x.svg")
