@@ -1,16 +1,16 @@
-"""Invariant suites behind ``etlab verify``.
+"""Invariant suites: the registry that ``etlab verify`` runs.
 
-Each check raises :class:`CheckFailure` (or any exception) to fail and
-returns a short detail string on success.  The registry is ordered so the
-cheap algebraic checks run before the simulation-heavy ones; the whole
-suite takes about 6 s on 2 cores.  Each check is the one body of its
-invariant: ``tests/test_checks.py`` runs every entry of :data:`CHECKS` as a
-test, and the acceptance criteria that share an invariant call its check.
+:data:`CHECKS` is an ordered list of (name, check) pairs.  A check raises
+:class:`CheckFailure` (or any exception) to fail and returns a short detail
+string on success; ``etlab verify`` times each one, reports an exception as
+a FAIL and exits 3 if any fails.  The registry is ordered so the cheap
+algebraic checks run before the simulation-heavy ones; the whole suite
+takes about 6 s on 2 cores.  Each check is the one body of its invariant:
+``tests/test_checks.py`` runs every entry of :data:`CHECKS` as a test, and
+the acceptance criteria that share an invariant call its check.
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .qcore import (
     to_dense,
 )
 
-__all__ = ["CheckFailure", "CheckOutcome", "CHECKS", "run_all"]
+__all__ = ["CheckFailure", "CHECKS"]
 
 _FIG1B_MC_DT = np.pi / 2 / 128
 
@@ -538,25 +538,3 @@ CHECKS = [
     ("cli.csv-roundtrip", check_csv_roundtrip),
     ("cli.sweep-determinism", check_sweep_determinism),
 ]
-
-
-class CheckOutcome:
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.seconds = seconds
-
-
-def run_all(progress=None) -> list[CheckOutcome]:
-    outcomes = []
-    for name, fn in CHECKS:
-        start = perf_counter()
-        try:
-            passed, detail = True, fn()
-        except Exception as exc:  # noqa: BLE001 - verify reports, never crashes
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
-        outcomes.append(CheckOutcome(name, passed, detail, perf_counter() - start))
-        if progress is not None:
-            progress(outcomes[-1])
-    return outcomes

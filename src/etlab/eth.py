@@ -13,6 +13,9 @@ of :mod:`etlab.codes`; a controlled ETH uses the joint basis V0 (x) I_2.
 :func:`verify_et` checks transparency, H E psi = E H0 psi, on every state
 of the code space at once: the residual is linear in psi, so its worst case
 is a largest singular value.
+
+Every function returns plain arrays and numbers; there is no report type,
+and ``etlab eth inspect`` calls the functions it summarizes directly.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .qcore import (
 
 __all__ = [
     "LogicalHamiltonian",
-    "EthReport",
     "Css7Report",
     "encode_logical",
     "deduplicate_errors",
@@ -54,7 +56,6 @@ __all__ = [
     "controlled_eth",
     "conjugation_sign",
     "css7_counterexample",
-    "eth_report",
 ]
 
 @dataclass(frozen=True)
@@ -64,14 +65,6 @@ class LogicalHamiltonian:
     a: float
     b: float
     c: complex = 0j
-
-
-@dataclass(frozen=True)
-class EthReport:
-    hamiltonian: np.ndarray
-    max_residual: float
-    bodyness: int
-    term_count: int
 
 
 @dataclass(frozen=True)
@@ -241,21 +234,4 @@ def css7_counterexample() -> Css7Report:
     return Css7Report(
         conjugated_sign=sign,
         naive_sum_is_zero=bool(np.max(np.abs(total)) < 1e-12),
-    )
-
-
-def eth_report(
-    code: StabilizerCode,
-    lh: LogicalHamiltonian,
-    errors: "ErrorSet | Iterable[PauliString]",
-) -> EthReport:
-    """Build the ETH for a logical generator and summarize it."""
-    h0 = encode_logical(code, lh)
-    reps, _ = deduplicate_errors(code, errors)
-    h = make_eth(code, h0, reps)
-    return EthReport(
-        hamiltonian=h,
-        max_residual=verify_et(h, h0, code, reps),
-        bodyness=bodyness(h),
-        term_count=1 + len(reps),
     )

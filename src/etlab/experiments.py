@@ -417,6 +417,9 @@ class PerturbativeParams:
         _check_integers(self, "n", "k")
         if self.n < 1 or self.k < 2:
             raise ValueError("need n >= 1 and k >= 2")
+        for name in ("gamma", "omega", "delta"):  # NaN passes every comparison below
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.gamma < 0 or self.omega <= 0 or self.delta <= 0:
             raise ValueError("rates must be positive (gamma may be zero)")
         if self.omega >= self.delta:

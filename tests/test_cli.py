@@ -1,5 +1,6 @@
 """CLI behavior: commands, config handling, exit codes, determinism."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -7,10 +8,33 @@ import pytest
 
 import etlab.checks as checks
 import etlab.cli as cli
+import etlab.experiments as experiments
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+PERTURBATIVE_ARGS = {"--n": "3", "--gamma": "1e-3", "--omega": "1", "--delta": "10", "--k": "3"}
+
+
+def perturbative_argv(**overrides):
+    values = dict(PERTURBATIVE_ARGS, **overrides)
+    return ["perturbative", *(item for pair in values.items() for item in pair)]
+
+
+def numeric_flags(command):
+    """(flag, dest, a value outside any domain) for each numeric flag of a
+    command in the parser table: nan for a float, -1 for an int."""
+    parser, _ = cli._build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    params = []
+    for a in sub.choices[command]._actions:
+        if getattr(a.type, "__name__", None) in ("int", "float"):
+            flag = a.option_strings[0]
+            bad = "nan" if a.type.__name__ == "float" else "-1"
+            params.append(pytest.param(flag, a.dest, bad, id=flag))
+    return params
 
 
 class TestPerturbativeCommand:
@@ -39,6 +63,14 @@ class TestPerturbativeCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--omega", "inf"), ("--delta", "inf")])
+    def test_nonfinite_rate_exit_1(self, capsys, flag, value):
+        # these exited 0 printing nan/inf, or (--delta inf) ended in a
+        # ZeroDivisionError traceback
+        assert run_cli(perturbative_argv(**{flag: value})) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
 
 class TestEthInspectCommand:
     def test_steane_report_shows_counterexample(self, capsys):
@@ -52,8 +84,11 @@ class TestEthInspectCommand:
         code = run_cli(["eth", "inspect", "--code", "bitflip3"])
         out = capsys.readouterr().out
         assert code == 0
+        assert "terms in ETH:        4" in out
         assert "body-ness:           3" in out
         assert "controlled body-ness: 4" in out
+        residual = re.search(r"transparency residual: (\S+)", out).group(1)
+        assert float(residual) < 1e-12
 
     def test_unknown_code_exit_1(self, capsys):
         assert run_cli(["eth", "inspect", "--code", "shor9"]) == 1
@@ -189,6 +224,32 @@ class TestSweepCommand:
         assert "--no-recovery" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_out_is_a_file_exit_1_before_any_job(self, tmp_path, capsys, monkeypatch):
+        # the whole sweep used to run first, then end in a FileExistsError
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(experiments, "fig1a_sweep", never)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(["sweep", "fig1a", "--gamma-points", "1", "--out", str(out)]) == 1
+        assert "--out" in capsys.readouterr().err
+
+    def test_unwritable_csv_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        (out / "fig1a-lindblad.csv").mkdir(parents=True)
+        assert run_cli(["sweep", "fig1a", "--gamma-points", "1", "--out", str(out)]) == 1
+        assert "--out" in capsys.readouterr().err
+
+    def test_default_workers_start_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "r"
+        assert run_cli(["sweep", "fig1a", "--gamma-points", "1", "--out", str(out)]) == 0
+        assert (out / "fig1a-lindblad.csv").exists()
+
     def test_unstable_dt_exit_2(self, tmp_path, capsys):
         # one RK4 step of pi on the noiseless qubit used to return probability
         # 23.6, caught only by the final [0,1] guard
@@ -268,6 +329,15 @@ class TestConfigValidation:
         assert "--omega" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_repeated_gamma_exit_1(self, tmp_path, capsys):
+        # each repeat ran under its own job seed: two mc rows for one
+        # (scenario, gamma) key with different values
+        args = ["--gamma-min", "0.05", "--gamma-max", "0.05", "--gamma-points", "2"]
+        assert run_cli(["sweep", "fig1a", *args, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "--gamma-min" in err and "--gamma-max" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_workers_flag_exit_1(self, tmp_path, capsys, value):
         out = tmp_path / "r"
@@ -282,3 +352,23 @@ class TestConfigValidation:
         assert run_cli(["sweep", "fig1a", "--config", str(cfg)]) == 1
         assert "--workers" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+
+class TestFlagDomains:
+    """Every numeric flag in the parser table declares its domain, so a flag
+    added without one fails here."""
+
+    @pytest.mark.parametrize("flag, dest, bad", numeric_flags("sweep"))
+    def test_sweep_value_outside_domain_exit_1(self, tmp_path, capsys, flag, dest, bad):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(f"[sweep]\n{dest} = {bad}\n")
+        out = str(tmp_path / "r")
+        for argv in (["fig1a", flag, bad, "--out", out], ["fig1a", "--config", str(cfg), "--out", out]):
+            assert run_cli(["sweep", *argv]) == 1
+            assert flag in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("flag, dest, bad", numeric_flags("perturbative"))
+    def test_perturbative_value_outside_domain_exit_1(self, capsys, flag, dest, bad):
+        assert run_cli(perturbative_argv(**{flag: bad})) == 1
+        assert flag in capsys.readouterr().err

@@ -19,7 +19,6 @@ from etlab.eth import (
     css7_counterexample,
     deduplicate_errors,
     encode_logical,
-    eth_report,
     extend_to_target,
     make_eth,
     swap_hamiltonian,
@@ -299,11 +298,3 @@ class TestCss7Counterexample:
         z = to_dense(PauliString("IIIIZII"))
         x = to_dense(PauliString("IIIIXXX"))
         assert np.allclose(z @ x @ z, -x, atol=1e-14)
-
-
-class TestEthReport:
-    def test_bitflip_report(self, bitflip3):
-        report = eth_report(bitflip3, LogicalHamiltonian(1, -1, 0), error_set(bitflip3, "X"))
-        assert report.term_count == 4
-        assert report.bodyness == 3
-        assert report.max_residual < 1e-12

@@ -64,6 +64,15 @@ class TestEffectiveErrorProb:
         with pytest.raises(ValueError):
             PerturbativeParams(n=3, gamma=1e-3, omega=1.0, delta=10.0, k=1)
 
+    @pytest.mark.parametrize("field", ["gamma", "omega", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_rates_rejected(self, field, value):
+        # NaN passed every range comparison
+        kwargs = dict(n=3, gamma=1e-3, omega=1.0, delta=10.0, k=3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PerturbativeParams(**kwargs)
+
     @pytest.mark.parametrize("field, value", [("n", True), ("n", 3.0), ("k", 3.5), ("k", False)])
     def test_integer_counts_required(self, field, value):
         # k=3.5 used to give a fractional body count in effective_error_prob
