@@ -298,3 +298,13 @@ class TestCss7Counterexample:
         z = to_dense(PauliString("IIIIZII"))
         x = to_dense(PauliString("IIIIXXX"))
         assert np.allclose(z @ x @ z, -x, atol=1e-14)
+
+
+class TestEthReport:
+    def test_bitflip_report(self, bitflip3):
+        h0 = encode_logical(bitflip3, LogicalHamiltonian(1, -1, 0))
+        reps, _ = deduplicate_errors(bitflip3, error_set(bitflip3, "X"))
+        h = make_eth(bitflip3, h0, reps)
+        assert 1 + len(reps) == 4
+        assert bodyness(h) == 3
+        assert verify_et(h, h0, bitflip3, reps) < 1e-12
