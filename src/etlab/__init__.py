@@ -7,12 +7,8 @@ Lindblad integration cross-validated against quantum-jump Monte Carlo).
 """
 
 from .codes import (
-    ErrorSet,
     StabilizerCode,
-    build_bitflip3,
     build_code,
-    build_perfect5,
-    build_steane7,
     codewords_from_stabilizers,
     error_set,
     error_spaces_orthogonal,

@@ -110,7 +110,7 @@ def check_unitary_evolution() -> str:
     return f"norm {worst_norm:.1e}, composition {worst_comp:.1e}"
 
 
-def _code_table(*names: str) -> list[tuple[codes.StabilizerCode, codes.ErrorSet]]:
+def _code_table(*names: str) -> list[tuple[codes.StabilizerCode, tuple[PauliString, ...]]]:
     """(code, designed error set) for the named built-in codes, all by default."""
     built = [codes.build_code(name) for name in names or codes.DESIGNED_KINDS]
     return [(code, codes.error_set(code, codes.DESIGNED_KINDS[code.name])) for code in built]
@@ -224,7 +224,7 @@ def check_first_order_commutation() -> str:
     for code, es in _code_table("bitflip3", "perfect5"):
         h0 = eth.encode_logical(code, eth.LogicalHamiltonian(1.0, -1.0, 0.3))
         h = eth.make_eth(code, h0, es)
-        for e in es.errors[:: max(1, len(es) // 5)]:
+        for e in es[:: max(1, len(es) // 5)]:
             m = to_dense(e)
             for _ in range(3):
                 psi = _random_logical(code, rng)
@@ -416,7 +416,7 @@ def check_two_error_cancellation() -> str:
     h0 = eth.encode_logical(code, eth.LogicalHamiltonian(1.0, -1.0, 0))
     h = eth.make_eth(code, h0, es)
     psi = normalize(code.codeword0 + code.codeword1)
-    x1 = to_dense(es.errors[0])
+    x1 = to_dense(es[0])
     t1, t2, tau = 0.7, 1.9, np.pi
     # two flips on the same qubit: evolve, flip, evolve, flip, evolve
     staged = evolve_unitary(h, tau - t2, x1 @ evolve_unitary(h, t2 - t1, x1 @ evolve_unitary(h, t1, psi)))

@@ -160,7 +160,7 @@ def _build_parser() -> tuple[_Parser, _Parser]:
     eth_sub = eth_cmd.add_subparsers(dest="action", required=True)
     inspect = eth_sub.add_parser("inspect", help="body-ness and transparency report")
     inspect.set_defaults(handler=_cmd_eth_inspect)
-    inspect.add_argument("--code", required=True, choices=sorted(codes.CODE_BUILDERS))
+    inspect.add_argument("--code", required=True, choices=sorted(codes.DESIGNED_KINDS))
     inspect.add_argument(
         "--kinds", default=None, help="error kinds, e.g. X or XYZ (default: code's design set)"
     )
@@ -248,7 +248,8 @@ def _cmd_eth_inspect(args: argparse.Namespace) -> int:
         controlled = eth.controlled_eth(code, errorset, 1.0)
     except ValueError as exc:
         raise ConfigError(f"no ETH for code {code.name} with kinds {kinds}: {exc}") from exc
-    print(f"code: {code.name}  (n={code.n}, {len(errorset)} errors, kinds={''.join(errorset.kinds)})")
+    ordered = "".join(k for k in "XYZ" if k in kinds)
+    print(f"code: {code.name}  (n={code.n}, {len(errorset)} errors, kinds={ordered})")
     print(f"  terms in ETH:        {1 + len(reps)}")
     print(f"  body-ness:           {eth.bodyness(h)}")
     print(f"  transparency residual: {eth.verify_et(h, h0, code, reps):.3e}")
@@ -262,9 +263,12 @@ def _cmd_eth_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturbative(args: argparse.Namespace) -> int:
-    params = experiments.PerturbativeParams(
-        n=args.n, gamma=args.gamma, omega=args.omega, delta=args.delta, k=args.k
-    )
+    try:
+        params = experiments.PerturbativeParams(
+            n=args.n, gamma=args.gamma, omega=args.omega, delta=args.delta, k=args.k
+        )
+    except ValueError as exc:
+        raise ConfigError(f"--omega, --delta and --k: {exc}") from exc
     omega_k = experiments.effective_rate(params.omega, params.delta, params.k)
     p_prime, p = experiments.effective_error_prob(params)
     print(f"effective {params.k}-body rate omega_k: {omega_k:.6g}")

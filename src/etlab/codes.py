@@ -6,7 +6,14 @@ W = [V0 | E_1 V0 | ... | E_m V0] of an orthonormal code-space basis V0 and
 its images under the errors, applied as signed permutations
 (:func:`~etlab.qcore.pauli_action`), never as dense matrices.
 
-Built-ins cover one logical qubit each:
+An error set is a plain tuple of Pauli strings (:func:`error_set` builds
+the weight-1 ones); every function here and in :mod:`etlab.eth` takes any
+iterable of them.
+
+The built-in codes are the rows of one table, ``_CODES``: generators,
+logical X and Z, and the error kinds the code is designed to correct.
+:func:`build_code` builds one by name, and ``DESIGNED_KINDS`` is read off
+the table.  Each encodes one logical qubit:
 
 * ``bitflip3`` -- |0_L> = |000>, |1_L> = |111>; corrects bit flips only.
 * ``perfect5`` -- the [[5,1,3]] code, generators XZZXI and its cyclic shifts.
@@ -30,17 +37,12 @@ from .qcore import (
     basis_state,
     pauli_action,
     pure_density,
-    weight,
 )
 
 __all__ = [
     "StabilizerCode",
-    "ErrorSet",
-    "build_bitflip3",
-    "build_perfect5",
-    "build_steane7",
     "build_code",
-    "CODE_BUILDERS",
+    "DESIGNED_KINDS",
     "codewords_from_stabilizers",
     "error_set",
     "syndrome",
@@ -73,35 +75,6 @@ class StabilizerCode:
     def projector(self) -> np.ndarray:
         """Projector onto the 2D code space."""
         return pure_density(self.codeword0) + pure_density(self.codeword1)
-
-
-@dataclass(frozen=True)
-class ErrorSet:
-    """Deduplicated weight-1 Pauli errors, in qubit-major then X<Y<Z order."""
-
-    errors: tuple[PauliString, ...]
-    kinds: tuple[str, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for e in self.errors:
-            if weight(e) != 1:
-                raise ValueError(f"error {e!r} does not have weight 1")
-            if (e.letters, e.phase) in seen:
-                raise ValueError(f"duplicate error {e!r}")
-            seen.add((e.letters, e.phase))
-
-    def __len__(self) -> int:
-        return len(self.errors)
-
-    def __iter__(self):
-        return iter(self.errors)
-
-
-def _as_errors(errors: "ErrorSet | Iterable[PauliString]") -> tuple[PauliString, ...]:
-    if isinstance(errors, ErrorSet):
-        return errors.errors
-    return tuple(errors)
 
 
 def _fix_global_phase(psi: np.ndarray) -> np.ndarray:
@@ -142,16 +115,29 @@ def codewords_from_stabilizers(
     return psi0, psi1
 
 
-def _code_from_strings(
-    name: str,
-    generators: Sequence[str],
-    logical_x: str,
-    logical_z: str,
-) -> StabilizerCode:
-    gens = tuple(PauliString(s) for s in generators)
-    lx = PauliString(logical_x)
-    lz = PauliString(logical_z)
-    n = gens[0].n
+# name: (generators, logical X, logical Z, the error kinds the code is designed to correct)
+_CODES = {
+    "bitflip3": (("ZZI", "IZZ"), "XXX", "ZII", "X"),
+    "perfect5": (("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"), "XXXXX", "ZZZZZ", "XYZ"),
+    "steane7": (
+        ("XXXXIII", "IIXXIXX", "IXIXXIX", "ZZZZIII", "IIZZIZZ", "IZIZZIZ"),
+        "IIIIXXX",
+        "IIIIZZZ",
+        "XYZ",
+    ),
+}
+
+DESIGNED_KINDS = {name: row[3] for name, row in _CODES.items()}
+
+
+def build_code(name: str) -> StabilizerCode:
+    """The built-in code ``name``: one row of ``_CODES``, with its logicals
+    checked to commute with the generators and to anticommute with each other."""
+    if name not in _CODES:
+        raise ValueError(f"unknown code {name!r}; choose from {sorted(_CODES)}")
+    generators, logical_x, logical_z, _ = _CODES[name]
+    gens = tuple(map(PauliString, generators))
+    lx, lz = PauliString(logical_x), PauliString(logical_z)
     for g in gens:
         if anticommutes(lx, g) or anticommutes(lz, g):
             raise ValueError(f"logical operator clashes with generator {g!r}")
@@ -159,7 +145,7 @@ def _code_from_strings(
         raise ValueError("logical X and Z must anticommute")
     cw0, cw1 = codewords_from_stabilizers(gens, lx)
     return StabilizerCode(
-        n=n,
+        n=gens[0].n,
         generators=gens,
         logical_x=lx,
         logical_z=lz,
@@ -169,68 +155,19 @@ def _code_from_strings(
     )
 
 
-def build_bitflip3() -> StabilizerCode:
-    """3-qubit repetition code: |000> and |111>, protecting against X only."""
-    return _code_from_strings("bitflip3", ["ZZI", "IZZ"], "XXX", "ZII")
-
-
-def build_perfect5() -> StabilizerCode:
-    """[[5,1,3]] code with generators XZZXI and its three cyclic shifts."""
-    return _code_from_strings(
-        "perfect5",
-        ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],
-        "XXXXX",
-        "ZZZZZ",
-    )
-
-
-def build_steane7() -> StabilizerCode:
-    """[[7,1,3]] CSS code ordered so the logical X is IIIIXXX."""
-    return _code_from_strings(
-        "steane7",
-        [
-            "XXXXIII",
-            "IIXXIXX",
-            "IXIXXIX",
-            "ZZZZIII",
-            "IIZZIZZ",
-            "IZIZZIZ",
-        ],
-        "IIIIXXX",
-        "IIIIZZZ",
-    )
-
-
-CODE_BUILDERS = {
-    "bitflip3": build_bitflip3,
-    "perfect5": build_perfect5,
-    "steane7": build_steane7,
-}
-
-# the error kinds each built-in code is designed to correct
-DESIGNED_KINDS = {"bitflip3": "X", "perfect5": "XYZ", "steane7": "XYZ"}
-
-
-def build_code(name: str) -> StabilizerCode:
-    try:
-        return CODE_BUILDERS[name]()
-    except KeyError:
-        raise ValueError(f"unknown code {name!r}; choose from {sorted(CODE_BUILDERS)}") from None
-
-
-def error_set(code: StabilizerCode, kinds: str | Iterable[str]) -> ErrorSet:
+def error_set(code: StabilizerCode, kinds: str | Iterable[str]) -> tuple[PauliString, ...]:
     """All weight-1 errors of the given kinds, qubit-major then X < Y < Z."""
-    kind_list = sorted(set(kinds), key="XYZ".index)
-    if not kind_list:
+    chosen = set(kinds)
+    if not chosen:
         raise ValueError("kinds must be nonempty")
-    if any(k not in "XYZ" for k in kind_list):
+    if not chosen <= set("XYZ"):
         raise ValueError(f"kinds must be drawn from X, Y, Z, got {kinds!r}")
-    errors = []
-    for q in range(code.n):
-        for k in kind_list:
-            letters = "I" * q + k + "I" * (code.n - q - 1)
-            errors.append(PauliString(letters))
-    return ErrorSet(errors=tuple(errors), kinds=tuple(kind_list))
+    return tuple(
+        PauliString("I" * q + k + "I" * (code.n - q - 1))
+        for q in range(code.n)
+        for k in "XYZ"
+        if k in chosen
+    )
 
 
 def syndrome(code: StabilizerCode, e: PauliString) -> tuple[int, ...]:
@@ -270,7 +207,7 @@ def _max_overlap(w: np.ndarray, k: int) -> float:
 
 
 def error_spaces_orthogonal(
-    code: StabilizerCode, errors: "ErrorSet | Iterable[PauliString]"
+    code: StabilizerCode, errors: Iterable[PauliString]
 ) -> float:
     """Largest overlap magnitude between distinct error spaces.
 
@@ -278,12 +215,12 @@ def error_spaces_orthogonal(
     bounds each error space's overlap with the code space.  Zero (to
     rounding) means the recovery channel of :func:`recover` is well posed.
     """
-    return _max_overlap(_sectors(_code_basis(code), _as_errors(errors)), 2)
+    return _max_overlap(_sectors(_code_basis(code), errors), 2)
 
 
 def recover(
     code: StabilizerCode,
-    errors: "ErrorSet | Iterable[PauliString]",
+    errors: Iterable[PauliString],
     rho: np.ndarray,
 ) -> np.ndarray:
     """Ideal recovery channel: map each error space back to the code space.
@@ -298,7 +235,7 @@ def recover(
     P_rest = I - W W^dag.
     """
     v0 = _code_basis(code)
-    w = _orthonormal_sectors(v0, _as_errors(errors))
+    w = _orthonormal_sectors(v0, errors)
     d, k = v0.shape
     blocks = np.einsum(
         "ask,asl->kl", w.conj().reshape(d, -1, k), (rho @ w).reshape(d, -1, k)
@@ -309,7 +246,7 @@ def recover(
 
 def recover_adjoint(
     code: StabilizerCode,
-    errors: "ErrorSet | Iterable[PauliString]",
+    errors: Iterable[PauliString],
     observable: np.ndarray,
 ) -> np.ndarray:
     """Heisenberg picture of :func:`recover`: Tr(R(rho) B) = Tr(rho R*(B)).
@@ -319,7 +256,7 @@ def recover_adjoint(
     Sector j receives V_j (V0^dag B V0) V_j^dag.
     """
     v0 = _code_basis(code)
-    w = _orthonormal_sectors(v0, _as_errors(errors))
+    w = _orthonormal_sectors(v0, errors)
     d, k = v0.shape
     logical = v0.conj().T @ observable @ v0
     lifted = (w.reshape(d, -1, k) @ logical).reshape(d, -1)

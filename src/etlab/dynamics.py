@@ -74,12 +74,7 @@ __all__ = [
     "lindblad_rhs",
     "integrate_lindblad",
     "mc_trajectories",
-    "SIGMA_MINUS",
-    "SIGMA_PLUS",
 ]
-
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|, damping
-SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |e><g|, excitation
 
 
 class NumericsError(RuntimeError):

@@ -14,27 +14,23 @@ of :mod:`etlab.codes`; a controlled ETH uses the joint basis V0 (x) I_2.
 of the code space at once: the residual is linear in psi, so its worst case
 is a largest singular value.
 
-Every function returns plain arrays and numbers; there is no report type,
-and ``etlab eth inspect`` calls the functions it summarizes directly.
+Every function takes its errors as any iterable of Pauli strings, such as
+the tuple :func:`~etlab.codes.error_set` returns, and returns plain arrays
+and numbers; there is no report type, and ``etlab eth inspect`` calls the
+functions it summarizes directly.  The module builds on :mod:`etlab.qcore`
+and :mod:`etlab.codes` only, never on the simulation layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .codes import (
-    ErrorSet,
-    StabilizerCode,
-    _as_errors,
-    _code_basis,
-    _orthonormal_sectors,
-    _sectors,
-)
-from .dynamics import SIGMA_PLUS
+from .codes import StabilizerCode, _code_basis, _orthonormal_sectors, _sectors
 from .qcore import (
+    SIGMA_PLUS,
     PauliString,
     anticommutes,
     pauli_action,
@@ -84,7 +80,7 @@ def encode_logical(code: StabilizerCode, lh: LogicalHamiltonian) -> np.ndarray:
 
 
 def deduplicate_errors(
-    code: StabilizerCode, errors: "ErrorSet | Iterable[PauliString]"
+    code: StabilizerCode, errors: Iterable[PauliString]
 ) -> tuple[list[PauliString], int]:
     """Drop errors whose action on both codewords repeats an earlier one.
 
@@ -93,12 +89,13 @@ def deduplicate_errors(
     where distinct physical errors implement the same logical mapping.
     Returns (representatives, number dropped).
     """
-    return _deduplicate(_code_basis(code), _as_errors(errors))
+    return _deduplicate(_code_basis(code), errors)
 
 
 def _deduplicate(
-    basis: np.ndarray, errors: Sequence[PauliString]
+    basis: np.ndarray, errors: Iterable[PauliString]
 ) -> tuple[list[PauliString], int]:
+    errors = tuple(errors)
     d, k = basis.shape
     images = _sectors(basis, errors)[:, k:].reshape(d, -1, k)
     reps: list[PauliString] = []
@@ -117,17 +114,17 @@ def _deduplicate(
 def make_eth(
     code: StabilizerCode,
     h0: np.ndarray,
-    errors: "ErrorSet | Iterable[PauliString]",
+    errors: Iterable[PauliString],
 ) -> np.ndarray:
     """H = H0 + sum_i E_i H0 E_i^dag over the deduplicated error set.
 
     Requires the (deduplicated) error spaces to be mutually orthogonal and
     orthogonal to the code space, and H0 to be supported on the code space.
     """
-    return _eth(_code_basis(code), h0, _as_errors(errors))
+    return _eth(_code_basis(code), h0, errors)
 
 
-def _eth(basis: np.ndarray, h0: np.ndarray, errors: Sequence[PauliString]) -> np.ndarray:
+def _eth(basis: np.ndarray, h0: np.ndarray, errors: Iterable[PauliString]) -> np.ndarray:
     """make_eth for the code space spanned by the orthonormal columns of basis."""
     h0 = np.asarray(h0, dtype=complex)
     p0 = basis @ basis.conj().T
@@ -145,7 +142,7 @@ def verify_et(
     h: np.ndarray,
     h0: np.ndarray,
     code: StabilizerCode,
-    errors: "ErrorSet | Iterable[PauliString]",
+    errors: Iterable[PauliString],
 ) -> float:
     """Worst-case transparency residual: the largest ||H E psi - E H0 psi||
     over the errors E and every unit state psi of the code space.
@@ -164,7 +161,7 @@ def verify_et(
             f"H0 dimension {h0.shape[0]} matches neither the code ({code.dim}) "
             f"nor code-plus-target ({2 * code.dim})"
         )
-    errs = _as_errors(errors)
+    errs = tuple(errors)
     d, k = basis.shape
     # column block j >= 1 holds (H E_j - E_j H0) V, here resid[:, j - 1, :]
     resid = (h @ _sectors(basis, errs) - _sectors(h0 @ basis, errs))[:, k:]
@@ -190,14 +187,14 @@ def swap_hamiltonian(code: StabilizerCode, omega: float) -> np.ndarray:
     return omega * (term + term.conj().T)
 
 
-def extend_to_target(errors: "ErrorSet | Iterable[PauliString]") -> list[PauliString]:
+def extend_to_target(errors: Iterable[PauliString]) -> list[PauliString]:
     """Append an identity target letter to each controller error (E -> E (x) I)."""
-    return [PauliString(e.letters + "I", e.phase) for e in _as_errors(errors)]
+    return [PauliString(e.letters + "I", e.phase) for e in errors]
 
 
 def controlled_eth(
     code: StabilizerCode,
-    errors: "ErrorSet | Iterable[PauliString]",
+    errors: Iterable[PauliString],
     omega: float,
 ) -> np.ndarray:
     """ETH for a logical controller driving a target qubit.

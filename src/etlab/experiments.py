@@ -24,6 +24,7 @@ results do not depend on scheduling order.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,10 +43,8 @@ from .dynamics import (
     integrate_lindblad,
     mc_trajectories,
     site_channels,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
 )
-from .qcore import basis_state, embed_single, normalize, pure_density
+from .qcore import SIGMA_MINUS, SIGMA_PLUS, basis_state, embed_single, normalize, pure_density
 
 __all__ = [
     "ScenarioSpec",
@@ -422,6 +421,22 @@ class PerturbativeParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.gamma < 0 or self.omega <= 0 or self.delta <= 0:
             raise ValueError("rates must be positive (gamma may be zero)")
+        omega, delta = float(self.omega), float(self.delta)
+        try:  # Python floats: an overflow raises or gives inf, an underflow gives 0
+            omega_k = effective_rate(omega, delta, self.k)
+            representable = (
+                0 < omega_k < math.inf
+                and math.isfinite(self.n * (float(self.gamma) / omega_k) ** 2)
+                and math.isfinite((omega / delta) ** (2 * self.k - 2))
+            )
+        except OverflowError:
+            representable = False
+        if not representable:
+            raise ValueError(
+                f"omega={self.omega!r}, delta={self.delta!r}, k={self.k}: omega_k = "
+                "omega (omega/delta)^(k-1), p' or (omega/delta)^(2k-2) is not a finite "
+                "float above 0"
+            )
         if self.omega >= self.delta:
             warnings.warn(
                 "omega >= delta: outside the perturbative regime, results are nominal",

@@ -19,6 +19,8 @@ import numpy as np
 
 __all__ = [
     "PAULI_MATS",
+    "SIGMA_MINUS",
+    "SIGMA_PLUS",
     "PauliString",
     "pauli_mul",
     "anticommutes",
@@ -32,7 +34,6 @@ __all__ = [
     "normalize",
     "pure_density",
     "embed_single",
-    "trace_out_first",
     "num_qubits",
     "require_hermitian",
     "check_density_matrix",
@@ -44,6 +45,8 @@ PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|, damping
+SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |e><g|, excitation
 
 _PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
@@ -262,15 +265,6 @@ def embed_single(n: int, site: int, op: np.ndarray) -> np.ndarray:
     mats = [np.eye(2, dtype=complex)] * n
     mats[site] = np.asarray(op, dtype=complex)
     return reduce(np.kron, mats)
-
-
-def trace_out_first(rho: np.ndarray, keep_dim: int) -> np.ndarray:
-    """Partial trace over the leading subsystem, keeping the trailing one."""
-    d = rho.shape[0]
-    if d % keep_dim != 0:
-        raise ValueError(f"dimension {d} not divisible by {keep_dim}")
-    lead = d // keep_dim
-    return np.einsum("aiaj->ij", rho.reshape(lead, keep_dim, lead, keep_dim))
 
 
 def check_density_matrix(rho: np.ndarray) -> None:

@@ -71,6 +71,18 @@ class TestPerturbativeCommand:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "omega, delta, k",
+        [("1", "10", "400"), ("10", "1", "400"), ("1", "1e-100", "3"), ("1", "1e100", "3")],
+    )
+    def test_unrepresentable_rates_exit_1(self, capsys, omega, delta, k):
+        # omega_k, p' or (omega/delta)^(2k-2) underflows or overflows; each
+        # ended in a ZeroDivisionError or OverflowError traceback
+        assert run_cli(perturbative_argv(**{"--omega": omega, "--delta": delta, "--k": k})) == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--omega", "--delta", "--k"))
+        assert "Traceback" not in err
+
 
 class TestEthInspectCommand:
     def test_steane_report_shows_counterexample(self, capsys):
@@ -95,7 +107,11 @@ class TestEthInspectCommand:
 
     def test_bad_kinds_exit_1(self, capsys):
         assert run_cli(["eth", "inspect", "--code", "perfect5", "--kinds", "XQ"]) == 1
-        assert "error" in capsys.readouterr().err
+        assert "error: kinds must be drawn from X, Y, Z, got 'XQ'" in capsys.readouterr().err
+
+    def test_kinds_printed_in_xyz_order(self, capsys):
+        assert run_cli(["eth", "inspect", "--code", "perfect5", "--kinds", "ZX"]) == 0
+        assert "(n=5, 10 errors, kinds=XZ)" in capsys.readouterr().out
 
     def test_non_orthogonal_kinds_exit_1(self, capsys):
         # bitflip3 cannot separate Z errors, so no ETH exists for XYZ

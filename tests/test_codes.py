@@ -1,14 +1,12 @@
 """Stabilizer code construction, syndromes, geometry, and recovery."""
 
+import re
+
 import numpy as np
 import pytest
 
 from etlab.codes import (
-    ErrorSet,
-    build_bitflip3,
     build_code,
-    build_perfect5,
-    build_steane7,
     codewords_from_stabilizers,
     error_set,
     error_spaces_orthogonal,
@@ -33,17 +31,17 @@ def anticommute_count(a: str, b: str) -> int:
 
 @pytest.fixture(scope="module")
 def bitflip3():
-    return build_bitflip3()
+    return build_code("bitflip3")
 
 
 @pytest.fixture(scope="module")
 def perfect5():
-    return build_perfect5()
+    return build_code("perfect5")
 
 
 @pytest.fixture(scope="module")
 def steane7():
-    return build_steane7()
+    return build_code("steane7")
 
 
 class TestBitflip3:
@@ -128,7 +126,7 @@ class TestCodewordsFromStabilizers:
             codewords_from_stabilizers([PauliString("Z", -1)], PauliString("X"))
 
     def test_eigenstate_postcondition(self):
-        code = build_perfect5()
+        code = build_code("perfect5")
         for g in code.generators:
             m = to_dense(g)
             assert np.linalg.norm(m @ code.codeword0 - code.codeword0) < 1e-10
@@ -148,19 +146,17 @@ class TestErrorSet:
 
     def test_qubit_major_then_xyz(self, bitflip3):
         errs = error_set(bitflip3, "ZX")
-        assert [e.letters for e in errs.errors[:2]] == ["XII", "ZII"]
+        assert [e.letters for e in errs[:2]] == ["XII", "ZII"]
 
     def test_empty_kinds_rejected(self, bitflip3):
         with pytest.raises(ValueError):
             error_set(bitflip3, "")
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ErrorSet(errors=(PauliString("XI"), PauliString("XI")), kinds=("X",))
-
-    def test_weight_rejected(self):
-        with pytest.raises(ValueError, match="weight"):
-            ErrorSet(errors=(PauliString("XX"),), kinds=("X",))
+    @pytest.mark.parametrize("kinds", ["XQ", "Q", ["XY"]])
+    def test_bad_kinds_named(self, perfect5, kinds):
+        # "XQ" ended in "substring not found", and ["XY"] passed as a substring of "XYZ"
+        with pytest.raises(ValueError, match=re.escape(f"X, Y, Z, got {kinds!r}")):
+            error_set(perfect5, kinds)
 
 
 class TestSyndrome:

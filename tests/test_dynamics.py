@@ -25,8 +25,6 @@ from etlab.dynamics import (
     lindblad_rhs,
     mc_trajectories,
     site_channels,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
 )
 from etlab.dynamics import (
     _TAYLOR_THETA,
@@ -37,7 +35,7 @@ from etlab.dynamics import (
     _no_jump_generator,
     _norm2_bound,
 )
-from etlab.qcore import basis_state, embed_single, normalize, pure_density
+from etlab.qcore import SIGMA_MINUS, SIGMA_PLUS, basis_state, embed_single, normalize, pure_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])

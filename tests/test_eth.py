@@ -5,11 +5,11 @@ import pytest
 
 from etlab.codes import (
     DESIGNED_KINDS,
-    build_bitflip3,
     build_code,
-    build_perfect5,
-    build_steane7,
     error_set,
+    error_spaces_orthogonal,
+    recover,
+    recover_adjoint,
 )
 from etlab.eth import (
     LogicalHamiltonian,
@@ -29,23 +29,24 @@ from etlab.qcore import (
     basis_state,
     evolve_unitary,
     normalize,
+    pure_density,
     to_dense,
 )
 
 
 @pytest.fixture(scope="module")
 def bitflip3():
-    return build_bitflip3()
+    return build_code("bitflip3")
 
 
 @pytest.fixture(scope="module")
 def perfect5():
-    return build_perfect5()
+    return build_code("perfect5")
 
 
 @pytest.fixture(scope="module")
 def steane7():
-    return build_steane7()
+    return build_code("steane7")
 
 
 def kron_chain(*mats):
@@ -98,6 +99,41 @@ class TestEncodeLogical:
         p0 = perfect5.projector()
         assert np.max(np.abs(p0 @ h0 @ p0 - h0)) < 1e-12
         assert np.max(np.abs(h0 - h0.conj().T)) < 1e-12
+
+
+def _h0(code):
+    return encode_logical(code, LogicalHamiltonian(0.8, -1.3, 0.4 - 0.2j))
+
+
+def _random_state(d):
+    v = np.array([1.0, 1j]) @ np.random.default_rng(7).standard_normal((2, d))
+    return pure_density(normalize(v))
+
+
+# every public function that takes an error set, called with one
+ERROR_SET_CALLS = {
+    "error_spaces_orthogonal": lambda code, errs: error_spaces_orthogonal(code, errs),
+    "recover": lambda code, errs: recover(code, errs, _random_state(code.dim)),
+    "recover_adjoint": lambda code, errs: recover_adjoint(code, errs, _random_state(code.dim)),
+    "deduplicate_errors": lambda code, errs: deduplicate_errors(code, errs),
+    "make_eth": lambda code, errs: make_eth(code, _h0(code), errs),
+    # the plain H0 is not transparent, so the residual is far from zero
+    "verify_et": lambda code, errs: verify_et(_h0(code), _h0(code), code, errs),
+    "extend_to_target": lambda code, errs: extend_to_target(errs),
+    "controlled_eth": lambda code, errs: controlled_eth(code, errs, 0.9),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_SET_CALLS)
+def test_error_set_as_tuple_list_or_iterator(perfect5, name):
+    # an error set is a plain tuple; a list or a one-shot iterator of the
+    # same errors must give the same result (verify_et reads them twice)
+    errs = error_set(perfect5, "XYZ")
+    assert type(errs) is tuple
+    call = ERROR_SET_CALLS[name]
+    expected = call(perfect5, errs)
+    for form in (list, iter):
+        np.testing.assert_equal(call(perfect5, form(errs)), expected)
 
 
 class TestMakeEth:

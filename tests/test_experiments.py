@@ -1,6 +1,7 @@
 """Scenario realization, sweep mechanics, and closed-form calculators."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -72,6 +73,16 @@ class TestEffectiveErrorProb:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             PerturbativeParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "omega, delta, k", [(1.0, 10.0, 400), (10.0, 1.0, 400), (1.0, 1e-100, 3), (1.0, 1e100, 3)]
+    )
+    def test_unrepresentable_rates_rejected(self, omega, delta, k):
+        # omega_k underflows to 0, or omega_k, p' or (omega/delta)^(2k-2)
+        # overflows: effective_error_prob or breakeven raised
+        params = dict(n=3, gamma=1e-3, omega=omega, delta=delta, k=k)
+        with pytest.raises(ValueError, match=re.escape(f"omega={omega!r}, delta={delta!r}, k={k}")):
+            PerturbativeParams(**params)
 
     @pytest.mark.parametrize("field, value", [("n", True), ("n", 3.0), ("k", 3.5), ("k", False)])
     def test_integer_counts_required(self, field, value):

@@ -1,8 +1,45 @@
-"""The library's runtime dependency is numpy alone."""
+"""The library's runtime dependency is numpy alone, and the construction
+layer (qcore, codes, eth) does not import the simulation layer."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import etlab
+
+# the etlab modules each construction-layer module may import
+CONSTRUCTION_LAYER = {"qcore": set(), "codes": {"qcore"}, "eth": {"qcore", "codes"}}
+
+
+def etlab_imports(module: str) -> set[str]:
+    """The etlab modules that ``etlab/<module>.py`` imports, read from its source."""
+    tree = ast.parse(Path(etlab.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            full = ".".join(filter(None, ("etlab" if node.level else None, node.module)))
+            if full == "etlab":  # from . import codes
+                found.update(a.name for a in node.names)
+            elif full.startswith("etlab."):
+                found.add(full.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                a.name.removeprefix("etlab.") for a in node.names if a.name.split(".")[0] == "etlab"
+            )
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, allowed", CONSTRUCTION_LAYER.items(), ids=list(CONSTRUCTION_LAYER)
+)
+def test_construction_layer_imports(module, allowed):
+    # static: etlab/__init__ imports every module, so what a fresh
+    # interpreter has loaded cannot show which module imported which
+    assert etlab_imports(module) <= allowed
 
 
 def test_library_imports_no_scipy():

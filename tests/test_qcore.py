@@ -25,7 +25,6 @@ from etlab.qcore import (
     pure_density,
     require_hermitian,
     to_dense,
-    trace_out_first,
     weight,
 )
 
@@ -289,12 +288,6 @@ class TestHelpers:
 
     def test_embed_single(self):
         assert np.allclose(embed_single(3, 1, SX), dense_pauli("IXI"))
-
-    def test_trace_out_first(self):
-        rho_a = pure_density(normalize(np.array([1.0, 2.0])))
-        rho_b = pure_density(normalize(np.array([1.0, 1j])))
-        joint = np.kron(rho_a, rho_b)
-        assert np.allclose(trace_out_first(joint, 2), rho_b)
 
     def test_check_density_matrix_rejects(self):
         with pytest.raises(ValueError):
