@@ -35,6 +35,7 @@ import numpy as np
 from . import codes, eth
 from .dynamics import (
     IntegrationConfig,
+    LindbladSupport,
     NoiseChannel,
     NoiseModel,
     TrajectoryConfig,
@@ -44,7 +45,15 @@ from .dynamics import (
     mc_trajectories,
     site_channels,
 )
-from .qcore import SIGMA_MINUS, SIGMA_PLUS, basis_state, embed_single, normalize, pure_density
+from .qcore import (
+    PAULI_MATS,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    basis_state,
+    embed_single,
+    normalize,
+    pure_density,
+)
 
 __all__ = [
     "ScenarioSpec",
@@ -174,6 +183,13 @@ class _Scenario:
     sites: tuple[NoiseChannel, ...]  # each noisy site's jump, at unit rate
     fixed: tuple[NoiseChannel, ...] = ()  # channels whose rate is not gamma's
 
+    @functools.cached_property
+    def support(self) -> LindbladSupport:
+        """The entries of rho that the master equation reaches from psi0 at
+        every gamma, built by the first Lindblad job of the key."""
+        rho0 = pure_density(self.psi0)
+        return LindbladSupport(self.hamiltonian, self.sites + self.fixed, rho0)
+
 
 def _fig1a_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
     if plain is not None:
@@ -187,8 +203,8 @@ def _fig1a_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
     observable = pure_density(psi0)
     if code is not None and apply_recovery:
         observable = codes.recover_adjoint(code, errorset, observable)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    return _Scenario(h, psi0, np.pi / omega, observable, tuple(site_channels(n, sx, 1.0, "X")))
+    sites = tuple(site_channels(n, PAULI_MATS["X"], 1.0, "X"))
+    return _Scenario(h, psi0, np.pi / omega, observable, sites)
 
 
 def _fig1b_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
@@ -273,7 +289,8 @@ def run_scenario(
         if method == "lindblad":
             config = IntegrationConfig(dt=dt, t_final=realized.duration, record_stride=10**9)
             result = integrate_lindblad(
-                pure_density(realized.psi0), realized.hamiltonian, realized.noise, config
+                pure_density(realized.psi0), realized.hamiltonian, realized.noise, config,
+                _scenario(spec).support,
             )
             prob = float(np.trace(result.final @ realized.observable).real)
             return _finalize_probability(prob, context), 0.0
@@ -438,9 +455,10 @@ class PerturbativeParams:
                 "float above 0"
             )
         if self.omega >= self.delta:
+            # stack: this method, the __init__ that dataclass generates, the caller
             warnings.warn(
                 "omega >= delta: outside the perturbative regime, results are nominal",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -204,7 +204,7 @@ def require_hermitian(a: np.ndarray, what: str = "operator") -> None:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
-    dev = np.max(np.abs(a - a.conj().T))
+    dev = np.max(np.abs(a - a.conj().T), initial=0.0)
     if dev > 1e-10:
         raise ValueError(f"{what} is not Hermitian (max |A - A^dag| = {dev:.3e})")
 
@@ -269,10 +269,19 @@ def embed_single(n: int, site: int, op: np.ndarray) -> np.ndarray:
 
 def check_density_matrix(rho: np.ndarray) -> None:
     """Validate finiteness, Hermiticity, unit trace (to 1e-8), and positivity
-    (no eigenvalue below -1e-8) of a density matrix."""
+    (no eigenvalue below -1e-8) of a density matrix.  The eigenvalues are
+    those of the principal block over the rows and columns that hold a
+    nonzero: a Hermitian matrix that is 0 outside R x R has the spectrum of
+    its R x R block and zeros, so a pure state costs checks and an eigvalsh
+    of its support's size, not of the whole dimension."""
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 2 and rho.shape[0] == rho.shape[1]:
+        # a non-finite or non-Hermitian entry is a nonzero, so it is inside
+        nonzero = rho != 0
+        held = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        rho = rho[held[:, None], held]
     require_hermitian(rho, what="density matrix")
-    tr = np.trace(rho).real
+    tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"density matrix trace {tr!r} is not 1")
     wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())

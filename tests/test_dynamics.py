@@ -15,6 +15,7 @@ from scipy.linalg import expm
 from etlab.dynamics import (
     IntegrationConfig,
     IntegrationError,
+    LindbladSupport,
     NoiseChannel,
     NoiseModel,
     NumericsError,
@@ -595,6 +596,107 @@ class TestComponents:
         jumps = sum(ch.rate * np.max(np.abs(ch.vals)) ** 2 for ch in noise.channels)
         expected = 2.0 * np.linalg.norm(g, 2) + jumps
         assert _Generator(h, noise).bound == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+_ALL_SCENARIOS = pytest.mark.parametrize(
+    "family, label",
+    [("fig1a", lab) for lab in ("single", "single-reduced", "logical-plain", "logical-eth")]
+    + [("fig1b", lab) for lab in ("single", "plain-5", "eth-5", "plain-7", "eth-7")],
+)
+
+
+def _sweep_support(family, label):
+    """The support a sweep's Lindblad jobs of this scenario share."""
+    from etlab.experiments import _scenario, fig1a_scenarios, fig1b_scenarios
+
+    scenarios = fig1a_scenarios if family == "fig1a" else fig1b_scenarios
+    return _scenario(next(s for s in scenarios(0.05, 1.0) if s.label == label)).support
+
+
+class TestLindbladSupport:
+    """rho evolved on the entries it can reach, packed."""
+
+    @_ALL_SCENARIOS
+    def test_closed_under_the_generator(self, family, label):
+        # the reference generator maps any Hermitian rho on the support to a
+        # matrix with no weight off it: products with the zeros off the
+        # support are exact zeros
+        realized = _realized(family, label, gamma=0.05)
+        support = _sweep_support(family, label)
+        rng = np.random.default_rng(43)
+        v = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+        rho = support.unpack(v)
+        rho = rho + rho.conj().T
+        out = lindblad_rhs(rho, realized.hamiltonian, realized.noise).reshape(-1)
+        off = np.ones(out.size, dtype=bool)
+        off[support.flat] = False
+        assert np.any(out[support.flat]) and not np.any(out[off])
+
+    @pytest.mark.parametrize(
+        "family, label, size",
+        [("fig1a", "single", 4), ("fig1a", "logical-plain", 16), ("fig1a", "logical-eth", 16),
+         ("fig1b", "single", 6), ("fig1b", "plain-5", 1926), ("fig1b", "eth-5", 2048),
+         ("fig1b", "plain-7", 1434), ("fig1b", "eth-7", 2022)],
+    )
+    def test_support_sizes(self, family, label, size):
+        # pinned at gamma = 0.05, as built by a job and as shared by a sweep:
+        # a closure that grows back towards d^2 shows here
+        realized = _realized(family, label, gamma=0.05)
+        rho0, cfg = pure_density(realized.psi0), IntegrationConfig(t_final=0.0)
+        res = integrate_lindblad(rho0, realized.hamiltonian, realized.noise, cfg)
+        assert res.support_size == _sweep_support(family, label).size == size
+
+    @pytest.mark.parametrize("label", ["plain-5", "eth-7"])
+    def test_packed_equals_full_support(self, label):
+        # every entry as the support: the dense computation
+        realized = _realized("fig1b", label, gamma=0.05)
+        h, noise = realized.hamiltonian, realized.noise
+        rho0 = pure_density(realized.psi0)
+        cfg = IntegrationConfig(t_final=realized.duration)
+        packed = integrate_lindblad(rho0, h, noise, cfg)
+        full = integrate_lindblad(rho0, h, noise, cfg, LindbladSupport(h, noise.channels))
+        assert full.support_size == h.size > packed.support_size
+        assert packed.applications == full.applications
+        assert np.max(np.abs(packed.final - full.final)) <= 1e-15
+
+    @pytest.mark.parametrize("label", ["plain-7", "eth-7"])
+    def test_sweep_support_serves_zero_rate(self, label):
+        # at gamma = 0 the site channels are absent and rho reaches a subset
+        # of the shared support: 384 entries of it
+        realized = _realized("fig1b", label, gamma=0.0)
+        h, noise = realized.hamiltonian, realized.noise
+        rho0 = pure_density(realized.psi0)
+        cfg = IntegrationConfig(t_final=realized.duration)
+        own = integrate_lindblad(rho0, h, noise, cfg)
+        shared = integrate_lindblad(rho0, h, noise, cfg, _sweep_support("fig1b", label))
+        assert own.support_size == 384 < shared.support_size
+        assert own.applications == shared.applications
+        assert np.max(np.abs(own.final - shared.final)) <= 1e-15
+
+    def test_support_that_does_not_fit_rejected(self):
+        h, noise, rho0 = _random_monomial_case()
+        diagonal = np.diag(np.diag(h))
+        pure = pure_density(basis_state(2, 0))
+        cases = [
+            # built without one of the jumps
+            (h, noise, LindbladSupport(h, noise.channels[1:], rho0), "jump 'random' is not one"),
+            # built for an H whose states are all apart
+            (h, noise, LindbladSupport(diagonal, noise.channels, rho0), "H couples states that"),
+            # built from another rho0
+            (diagonal, NoiseModel(), LindbladSupport(diagonal, (), pure), "entries outside the"),
+            (h, noise, LindbladSupport(SZ, (), np.eye(2)), r"mismatch: H \(4, 4\), support"),
+        ]
+        cfg = IntegrationConfig(t_final=1.0)
+        for h_case, noise_case, support, msg in cases:
+            with pytest.raises(ValueError, match=msg):
+                integrate_lindblad(rho0, h_case, noise_case, cfg, support)
+
+    def test_hermitize_by_transpose(self):
+        support = _sweep_support("fig1b", "eth-7")
+        rng = np.random.default_rng(47)
+        v = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+        rho = support.unpack(v)
+        assert np.array_equal(support.unpack(support.hermitize(v)), 0.5 * (rho + rho.conj().T))
 
 
 class TestOneStepPropagator:

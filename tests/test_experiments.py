@@ -59,6 +59,12 @@ class TestEffectiveErrorProb:
         with pytest.warns(UserWarning, match="perturbative"):
             PerturbativeParams(n=3, gamma=1e-3, omega=2.0, delta=1.0, k=2)
 
+    def test_perturbative_warning_names_the_caller(self):
+        # not the __init__ that dataclass generates, reported as <string>
+        with pytest.warns(UserWarning, match="perturbative") as record:
+            PerturbativeParams(n=3, gamma=1e-3, omega=2.0, delta=1.0, k=2)
+        assert [w.filename for w in record] == [__file__]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PerturbativeParams(n=0, gamma=1e-3, omega=1.0, delta=10.0, k=3)
@@ -190,8 +196,9 @@ class TestScenarios:
     def test_sweep_builds_each_scenario_once(self, monkeypatch):
         # a serial sweep builds each scenario key once, however many grid
         # points it has; fig1a's reduced-rate qubit shares the bare one's
-        # key, and an ETH key builds only its H; no jump is built as a dense
-        # matrix, so embed_single serves fig1b's observable only
+        # key, and an ETH key builds only its H and its Lindblad support; no
+        # jump is built as a dense matrix, so embed_single serves fig1b's
+        # observable only
         calls = {}
 
         def count(module, name):
@@ -210,15 +217,26 @@ class TestScenarios:
             (eth, "controlled_eth"),
             (experiments, "site_channels"),
             (experiments, "embed_single"),
+            (experiments, "LindbladSupport"),
         ]:
             count(module, name)
         experiments._build_scenario.cache_clear()
         fig1a_sweep([0.0, 0.01, 0.05], 1.0, method="lindblad", max_workers=1)
-        assert calls == {"build_code": 2, "make_eth": 1, "recover_adjoint": 1, "site_channels": 2}
+        assert calls == {
+            "build_code": 2, "make_eth": 1, "recover_adjoint": 1, "site_channels": 2,
+            "LindbladSupport": 3,
+        }
         calls.clear()
         fig1b_sweep([0.0, 0.05], 1.0, method="lindblad", max_workers=1)
-        expected = {"build_code": 4, "controlled_eth": 2, "site_channels": 3, "embed_single": 3}
+        expected = {
+            "build_code": 4, "controlled_eth": 2, "site_channels": 3, "embed_single": 3,
+            "LindbladSupport": 5,
+        }
         assert calls == expected
+        calls.clear()
+        experiments._build_scenario.cache_clear()
+        fig1b_sweep([0.05], 1.0, method="mc", n_traj=10, max_workers=1)
+        assert "LindbladSupport" not in calls and calls["build_code"] == 4
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -357,9 +375,10 @@ class TestSweeps:
         assert sizes == [4, 2]
 
     def test_cheapest_csv_contracts(self, tmp_path):
-        # the CSV bytes of the default fig1a sweep and of the reduced fig1b
-        # MC sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj 2000
-        # --seed 7`), pinned for numpy 2.4 with OpenBLAS 0.3.31 on x86-64
+        # the CSV bytes of the default fig1a sweep, of the reduced fig1b MC
+        # sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj 2000
+        # --seed 7`) and of the default fig1b Lindblad sweep, pinned for
+        # numpy 2.4 with OpenBLAS 0.3.31 on x86-64
         contracts = [
             (
                 "fig1a-lindblad",
@@ -370,6 +389,11 @@ class TestSweeps:
                 "fig1b-mc",
                 fig1b_sweep(default_gamma_grid(3), 1.0, n_traj=2000, seed=7, max_workers=1),
                 "227258609a15da980f0d1177f467bc06a97e485efa983b1ab9c451e3292474a3",
+            ),
+            (
+                "fig1b-lindblad",
+                fig1b_sweep(default_gamma_grid(), 1.0, method="lindblad", max_workers=1),
+                "e865a04b6845de72f21da386510daf46845fa0ea202c7c764ee2c0544b5d6890",
             ),
         ]
         for name, result, digest in contracts:

@@ -296,6 +296,20 @@ class TestHelpers:
         with pytest.raises(ValueError):
             check_density_matrix(bad)
 
+    def test_negative_eigenvalue_inside_zero_padding_named(self):
+        # the eigenvalues come from the block of rows and columns holding a
+        # nonzero; zero padding around it must not hide its negative one
+        block = np.array([[1.2, 0.3j], [-0.3j, -0.2]])
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[np.ix_([2, 5], [2, 5])] = block
+        wmin = np.linalg.eigvalsh(block).min()
+        assert wmin < -0.25
+        with pytest.raises(ValueError, match=f"negative eigenvalue {wmin:.3e}"):
+            check_density_matrix(rho)
+        check_density_matrix(pure_density(normalize(rho[:, 2])))
+        with pytest.raises(ValueError, match="trace 0.0 is not 1"):
+            check_density_matrix(np.zeros((3, 3)))
+
     @_VALIDATORS
     def test_nan_matrix_rejected(self, validate, what):
         # every comparison with NaN is False, so a NaN matrix used to pass
