@@ -7,9 +7,15 @@ commute.  The dagger ordering keeps the construction correct even for
 non-self-inverse conjugators; for Pauli errors it coincides with the plain
 sandwich E_i H0 E_i.
 
-Errors are never densified: E H0 E^dag is H0 with rows and columns
-signed-permuted, which is exact, and the other checks use the sector basis
-of :mod:`etlab.codes`; a controlled ETH uses the joint basis V0 (x) I_2.
+Errors are never densified.  A Pauli error E is a signed permutation, row
+b of E v being coef[b] v[src[b]] with src an involution, so
+(E H0 E^dag)[b, c] = coef[b] conj(coef[c]) H0[src[b], src[c]]: H0's nonzero
+block, rows and columns R, moves to rows and columns src[R], scaled by the
+outer product of coef[src[R]] and its conjugate.  Every factor is +-1 or
++-i, so the move is exact.  The support check V (V^dag H0 V) V^dag = H0, V
+the orthonormal code basis, forms only rank-k products; the other checks
+use the sector basis of :mod:`etlab.codes`, and a controlled ETH the joint
+basis V0 (x) I_2.
 :func:`verify_et` checks transparency, H E psi = E H0 psi, on every state
 of the code space at once: the residual is linear in psi, so its worst case
 is a largest singular value.
@@ -32,8 +38,8 @@ from .codes import StabilizerCode, _code_basis, _orthonormal_sectors, _sectors
 from .qcore import (
     SIGMA_PLUS,
     PauliString,
+    _signed_permutation,
     anticommutes,
-    pauli_action,
     pauli_decompose,
     to_dense,
     weight,
@@ -127,14 +133,19 @@ def make_eth(
 def _eth(basis: np.ndarray, h0: np.ndarray, errors: Iterable[PauliString]) -> np.ndarray:
     """make_eth for the code space spanned by the orthonormal columns of basis."""
     h0 = np.asarray(h0, dtype=complex)
-    p0 = basis @ basis.conj().T
-    if np.max(np.abs(p0 @ h0 @ p0 - h0)) > 1e-10:
+    vh = basis.conj().T
+    if np.max(np.abs(basis @ ((vh @ h0) @ basis) @ vh - h0)) > 1e-10:
         raise ValueError("H0 must be supported on the code space")
     reps, _ = _deduplicate(basis, errors)
     _orthonormal_sectors(basis, reps)
+    nz = h0 != 0
+    rows = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    block = h0[np.ix_(rows, rows)]
     h = h0.copy()
-    for e in reps:  # E h0 E^dag = (E (E h0)^dag)^dag
-        h += pauli_action(e, pauli_action(e, h0).conj().T).conj().T
+    for e in reps:  # E h0 E^dag as the block move the module docstring derives
+        coef, src = _signed_permutation(e)
+        dst = src[rows]
+        h[np.ix_(dst, dst)] += np.outer(coef[dst], coef[dst].conj()) * block
     return h
 
 

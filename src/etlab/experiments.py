@@ -292,7 +292,7 @@ def run_scenario(
                 pure_density(realized.psi0), realized.hamiltonian, realized.noise, config,
                 _scenario(spec).support,
             )
-            prob = float(np.trace(result.final @ realized.observable).real)
+            prob = float(np.einsum("ij,ji->", result.final, realized.observable).real)
             return _finalize_probability(prob, context), 0.0
         if method == "mc":
             if dt is None:

@@ -134,27 +134,35 @@ def to_dense(p: PauliString) -> np.ndarray:
     return p.phase * reduce(np.kron, mats)
 
 
-def pauli_action(p: PauliString, v: np.ndarray) -> np.ndarray:
-    """P @ v as a signed permutation of rows; v is (2^n,) or (2^n, k).
+def _signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, src) with row b of P v equal to coef[b] * v[src[b]].
 
     With bit masks x (X or Y letters) and z (Y or Z letters), qubit 0 the
     most significant bit, P|b> = phase i^{#Y} (-1)^{popcount(b & z)} |b ^ x>
-    (Aaronson & Gottesman, PRA 70, 052328 (2004)).  Every factor is +-1 or
-    +-i, so the result equals to_dense(p) @ v exactly.
+    (Aaronson & Gottesman, PRA 70, 052328 (2004)), so src is b ^ x, an
+    involution, and every coef is +-1 or +-i.
     """
-    v = np.asarray(v)
-    if v.shape[0] != 1 << p.n:
-        raise ValueError(f"{p.n}-qubit Pauli cannot act on leading dimension {v.shape[0]}")
     x = z = 0
     for ch in p.letters:
         x = (x << 1) | (ch in "XY")
         z = (z << 1) | (ch in "YZ")
-    b = np.arange(1 << p.n)
-    parity = np.bitwise_count(b & z) & 1
+    src = np.arange(1 << p.n) ^ x
     base = p.phase * (1, 1j, -1, -1j)[p.letters.count("Y") % 4]
-    coef = np.where(parity == 1, -base, base)
-    src = b ^ x  # row b of P v is coef(b ^ x) v[b ^ x]
-    return coef[src].reshape((-1,) + (1,) * (v.ndim - 1)) * v[src]
+    coef = np.where(np.bitwise_count(src & z) & 1, -base, base)
+    return coef, src
+
+
+def pauli_action(p: PauliString, v: np.ndarray) -> np.ndarray:
+    """P @ v as a signed permutation of rows; v is (2^n,) or (2^n, k).
+
+    Every factor is +-1 or +-i (see :func:`_signed_permutation`), so the
+    result equals to_dense(p) @ v exactly.
+    """
+    v = np.asarray(v)
+    if v.shape[0] != 1 << p.n:
+        raise ValueError(f"{p.n}-qubit Pauli cannot act on leading dimension {v.shape[0]}")
+    coef, src = _signed_permutation(p)
+    return coef.reshape((-1,) + (1,) * (v.ndim - 1)) * v[src]
 
 
 def num_qubits(dim: int) -> int:

@@ -75,6 +75,22 @@ def test_eth_equals_dense_formula_bitwise(name):
     assert np.array_equal(controlled_eth(code, es, 0.9), dense_eth(swap, extend_to_target(es)))
 
 
+@pytest.mark.parametrize("name", sorted(DESIGNED_KINDS))
+def test_phased_errors_equal_dense_formula_bitwise(name):
+    # a phase cancels in E H0 E^dag only if the copy is scaled by
+    # coef conj(coef), not coef coef
+    code = build_code(name)
+    phases = (1j, -1, -1j)
+    es = [
+        PauliString(e.letters, phases[i % 3])
+        for i, e in enumerate(error_set(code, DESIGNED_KINDS[name]))
+    ]
+    h0 = encode_logical(code, LogicalHamiltonian(0.8, -1.3, 0.4 - 0.2j))
+    assert np.array_equal(make_eth(code, h0, es), dense_eth(h0, es))
+    swap = swap_hamiltonian(code, 0.9)
+    assert np.array_equal(controlled_eth(code, es, 0.9), dense_eth(swap, extend_to_target(es)))
+
+
 class TestEncodeLogical:
     def test_sigma_z_type(self, bitflip3):
         h0 = encode_logical(bitflip3, LogicalHamiltonian(1.0, -1.0, 0))
@@ -159,6 +175,24 @@ class TestMakeEth:
     def test_requires_code_space_support(self, bitflip3):
         with pytest.raises(ValueError, match="code space"):
             make_eth(bitflip3, np.eye(8, dtype=complex), error_set(bitflip3, "X"))
+
+    @pytest.mark.parametrize("name", sorted(DESIGNED_KINDS))
+    def test_zero_h0_gives_zero(self, name):
+        # no nonzero row or column: the block to move is empty
+        code = build_code(name)
+        h = make_eth(code, np.zeros((code.dim, code.dim)), error_set(code, DESIGNED_KINDS[name]))
+        assert h.dtype == complex and np.array_equal(h, np.zeros((code.dim, code.dim)))
+
+    def test_code_space_support_tolerance(self, bitflip3):
+        # |001> is orthogonal to the code space, so the check sees the whole
+        # leak, against a tolerance of 1e-10
+        h0 = encode_logical(bitflip3, LogicalHamiltonian(1, -1, 0.3))
+        errs = error_set(bitflip3, "X")
+        h0[1, 1] = 1e-9
+        with pytest.raises(ValueError, match="code space"):
+            make_eth(bitflip3, h0, errs)
+        h0[1, 1] = 1e-12
+        assert np.array_equal(make_eth(bitflip3, h0, errs), dense_eth(h0, errs))
 
     def test_overlapping_error_spaces_rejected(self, bitflip3):
         h0 = encode_logical(bitflip3, LogicalHamiltonian(1, -1, 0))

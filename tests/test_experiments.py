@@ -324,6 +324,23 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="method"):
             run_scenario(fig1a_scenarios(0.0, 1.0)[0], method="exact")
 
+    def test_lindblad_score_is_trace_of_final_times_observable(self, monkeypatch):
+        # the score sums the d^2 products of Tr(rho O) without forming rho O
+        finals = []
+        integrate = experiments.integrate_lindblad
+
+        def recording(*args, **kwargs):
+            result = integrate(*args, **kwargs)
+            finals.append(result.final)
+            return result
+
+        monkeypatch.setattr(experiments, "integrate_lindblad", recording)
+        for spec in fig1a_scenarios(0.05, 1.0) + fig1b_scenarios(0.05, 1.0):
+            p, _ = run_scenario(spec)
+            trace = np.trace(finals[-1] @ _realize(spec).observable).real
+            assert abs(p - _finalize_probability(trace, spec.label)) <= 1e-14, spec.label
+        assert len(finals) == 9
+
 
 class TestSweeps:
     def test_fig1a_row_count_and_sorting(self):
@@ -375,15 +392,21 @@ class TestSweeps:
         assert sizes == [4, 2]
 
     def test_cheapest_csv_contracts(self, tmp_path):
-        # the CSV bytes of the default fig1a sweep, of the reduced fig1b MC
-        # sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj 2000
-        # --seed 7`) and of the default fig1b Lindblad sweep, pinned for
-        # numpy 2.4 with OpenBLAS 0.3.31 on x86-64
+        # the CSV bytes of the default fig1a sweep, with and without recovery
+        # (the latter scores the bare observable, not recover_adjoint's), of
+        # the reduced fig1b MC sweep (`etlab sweep fig1b --method mc
+        # --gamma-points 3 --traj 2000 --seed 7`) and of the default fig1b
+        # Lindblad sweep, pinned for numpy 2.4 with OpenBLAS 0.3.31 on x86-64
         contracts = [
             (
                 "fig1a-lindblad",
                 fig1a_sweep(default_gamma_grid(), 1.0, max_workers=1),
                 "cbeeba86248de84826e4fc610f0ec482e4d064a0110fd380a9f1d40d25e98b5a",
+            ),
+            (
+                "fig1a-lindblad-no-recovery",
+                fig1a_sweep(default_gamma_grid(), 1.0, apply_recovery=False, max_workers=1),
+                "0c1e3e702db80071d4c432c630fcef6ce24b76abe8c1cb8127e97fd2ad0cacb0",
             ),
             (
                 "fig1b-mc",
