@@ -57,8 +57,9 @@ Both methods see the noise through one representation: a
 :class:`NoiseChannel` holds its monomial jump (as is a Pauli letter or
 raising/lowering on one site) as its nonzeros only, so L psi, L rho L^dag
 and the diagonal L^dag L are gathers and scatters and no d x d jump matrix
-is formed.  Each jump is checked against H's dimension, and the no-jump
-generator G = -iH - K/2 is formed, and rejected when non-finite, in one place.
+is formed.  H is checked Hermitian, each jump against H's dimension, and
+the no-jump generator G = -iH - K/2 is formed, and rejected when
+non-finite, in one place.
 
 A run draws every random number from one generator,
 ``default_rng(seed)``: first every trajectory's jump threshold in one call,
@@ -75,7 +76,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import check_density_matrix
+from .qcore import check_density_matrix, require_hermitian
 
 __all__ = [
     "NumericsError",
@@ -318,12 +319,14 @@ def _no_jump_generator(
     h: np.ndarray, noise: NoiseModel, error: type[NumericsError]
 ) -> np.ndarray:
     """G = -iH - K/2, with K = sum_k rate_k L_k^dag L_k, a diagonal, summed
-    in channel order; a jump whose dimension is not H's is rejected, and a
-    non-finite H, checked before any arithmetic, or G raises the engine's
-    ``error``."""
+    in channel order.  A non-finite H, checked before any arithmetic, or G
+    raises the engine's ``error``; a non-square or non-Hermitian H (Lindblad
+    forms rho G^dag as (G rho)^dag), or a jump whose dimension is not H's,
+    raises ValueError."""
     h = np.asarray(h, dtype=complex)
     if not np.isfinite(h).all():
         raise error("the Hamiltonian has non-finite entries")
+    require_hermitian(h, what="Hamiltonian")
     _check_jump_dims(h.shape, noise.channels)
     k = np.zeros(len(h), dtype=complex)
     for ch in noise.channels:
@@ -337,12 +340,12 @@ def _no_jump_generator(
     return g
 
 
-def _norm2_bound(a: np.ndarray) -> float:
-    """sqrt(||a||_1 ||a||_inf), an upper bound on the spectral norm that is
-    exact for a matrix with at most one nonzero per row and column; the
-    largest over a stack (..., m, m)."""
-    m = np.abs(a)
-    return float(np.sqrt(m.sum(axis=-2).max(axis=-1) * m.sum(axis=-1).max(axis=-1)).max())
+def _spectral_norm(a: np.ndarray) -> float:
+    """The largest spectral norm ||.||_2 over a stack (..., m, m), 0 for an
+    empty stack: |a| for 1 x 1 matrices, an SVD of each matrix otherwise."""
+    if a.shape[-1] == 1:
+        return float(np.abs(a).max(initial=0.0))
+    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1)), initial=0.0))
 
 
 def _component_labels(a: np.ndarray) -> np.ndarray:
@@ -402,10 +405,6 @@ class _Components:
         stacks = [(idx, a[idx[:, :, None], idx[:, None, :]]) for idx in index]
         return cls(np.diagonal(a).copy(), stacks)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.diag),) * 2
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The matrix times a vector or a d x k matrix x."""
         x2 = x.reshape(len(x), -1)
@@ -423,8 +422,8 @@ class _Components:
 
     def norm2(self) -> float:
         """The spectral norm: the largest of every block's and of |diag|."""
-        blocks = [np.linalg.norm(b, 2, axis=(1, 2)).max() for _, b in self.stacks]
-        return float(max([np.abs(self.diag).max(initial=0.0)] + blocks))
+        stacks = [self.diag[:, None, None]] + [b for _, b in self.stacks]
+        return max(_spectral_norm(b) for b in stacks)
 
 
 def _reachable_pairs(
@@ -698,8 +697,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a matrix, or of each matrix of a stack (..., m, m) such as
     the blocks of :class:`_Components`, by the same scaled Taylor series
     applied to a stack of identities by X -> a X, in substeps sized for the
-    stack's largest ||a||_2 as bounded by :func:`_norm2_bound` (no SVD)."""
-    bound = _norm2_bound(a)
+    stack's largest ||a||_2 (:func:`_spectral_norm`)."""
+    bound = _spectral_norm(a)
     n_sub = _n_substeps(1.0, bound)
     u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
     for _ in range(n_sub):
@@ -723,7 +722,8 @@ def integrate_lindblad(
     way the state is Hermitized ((rho + rho^dag)/2) on entry and after every
     (sub)step, and a trace drift beyond 1e-5 at a recorded point raises
     :class:`IntegrationError`.  A rho0 that is not a finite density matrix,
-    or a rho0 or jump whose dimension is not H's, raises ValueError.
+    a rho0 or jump whose dimension is not H's, or a non-Hermitian H raises
+    ValueError.
 
     Both methods evolve rho packed on ``support``, the entries it can
     reach (:class:`LindbladSupport`), built here from H, the jumps and rho0
@@ -813,7 +813,8 @@ def mc_trajectories(
     than 1e-12 (relative) between steps or across one power, or a
     renormalization off by more than 1e-10, in any column, raises
     :class:`TrajectoryError`.  A psi0, jump or observable whose dimension
-    is not H's, or a non-finite psi0 or observable, raises ValueError.
+    is not H's, a non-finite psi0 or observable, or a non-Hermitian H or
+    observable, raises ValueError.
     """
     _check_t_final(t_final)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -828,8 +829,7 @@ def mc_trajectories(
     for i, obs in enumerate(observables):
         if np.shape(obs) != g.shape:
             raise ValueError(f"dimension mismatch: observable {i} {np.shape(obs)}, H {g.shape}")
-        if not np.isfinite(obs).all():
-            raise ValueError(f"observable {i} has non-finite entries")
+        require_hermitian(np.asarray(obs), what=f"observable {i}")
     n_traj = config.n_traj
 
     def reduce_values(values: np.ndarray, jumpers: int = 0, jumps: int = 0) -> McResult:

@@ -7,15 +7,15 @@ commute.  The dagger ordering keeps the construction correct even for
 non-self-inverse conjugators; for Pauli errors it coincides with the plain
 sandwich E_i H0 E_i.
 
-Errors are never densified.  A Pauli error E is a signed permutation, row
-b of E v being coef[b] v[src[b]] with src an involution, so
-(E H0 E^dag)[b, c] = coef[b] conj(coef[c]) H0[src[b], src[c]]: H0's nonzero
-block, rows and columns R, moves to rows and columns src[R], scaled by the
-outer product of coef[src[R]] and its conjugate.  Every factor is +-1 or
-+-i, so the move is exact.  The support check V (V^dag H0 V) V^dag = H0, V
-the orthonormal code basis, forms only rank-k products; the other checks
-use the sector basis of :mod:`etlab.codes`, and a controlled ETH the joint
-basis V0 (x) I_2.
+Errors are never densified, not even in the CSS-7 report.  A Pauli error
+E is a signed permutation, row b of E v being coef[b] v[src[b]] with src
+an involution, so (E H0 E^dag)[b, c] = coef[b] conj(coef[c])
+H0[src[b], src[c]]: H0's nonzero block, rows and columns R, moves to rows
+and columns src[R], scaled by the outer product of coef[src[R]] and its
+conjugate.  Every factor is +-1 or +-i, so the move is exact.  The support
+check V (V^dag H0 V) V^dag = H0, V the orthonormal code basis, forms only
+rank-k products; the other checks use the sector basis of
+:mod:`etlab.codes`, and a controlled ETH the joint basis V0 (x) I_2.
 :func:`verify_et` checks transparency, H E psi = E H0 psi, on every state
 of the code space at once: the residual is linear in psi, so its worst case
 is a largest singular value.
@@ -36,12 +36,11 @@ import numpy as np
 
 from .codes import StabilizerCode, _code_basis, _orthonormal_sectors, _sectors
 from .qcore import (
-    SIGMA_PLUS,
     PauliString,
     _signed_permutation,
     anticommutes,
     pauli_decompose,
-    to_dense,
+    pauli_mul,
     weight,
 )
 
@@ -190,11 +189,13 @@ def swap_hamiltonian(code: StabilizerCode, omega: float) -> np.ndarray:
     """Coupling omega (L- sigma+ + L+ sigma-) on the code (x) target space.
 
     Exchanges the logical excitation with the target two-level system:
-    |1_L>|g> <-> |0_L>|e| at Rabi rate omega, completing a full swap at
-    t = pi / (2 omega).
+    |1_L>|g> <-> |0_L>|e> at Rabi rate omega, completing a full swap at
+    t = pi / (2 omega).  It is omega (|a><b| + |b><a|), a = |0_L>|e> and
+    b = |1_L>|g> (target last, |e> = |1>).
     """
-    l_minus = np.outer(code.codeword0, code.codeword1.conj())
-    term = np.kron(l_minus, SIGMA_PLUS)
+    a, b = np.zeros((2, 2 * code.dim), dtype=complex)
+    a[1::2], b[0::2] = code.codeword0, code.codeword1
+    term = np.outer(a, b.conj())
     return omega * (term + term.conj().T)
 
 
@@ -231,15 +232,14 @@ def css7_counterexample() -> Css7Report:
 
     Its weight-3 logical X on the last three qubits picks up a sign under
     conjugation by a Z error inside its support, so the conjugated term
-    cancels the bare term and the naive two-term sum collapses to zero.
+    cancels the bare term and the naive two-term sum collapses to zero.  The
+    sign is the clash count of :func:`conjugation_sign`; the vanishing sum
+    is the letter-table product Z X-bar Z^dag = -X-bar (:func:`pauli_mul`).
     """
     xbar = PauliString("IIIIXXX")
     zerr = PauliString("IIIIZII")
-    sign = conjugation_sign(zerr, xbar)
-    z = to_dense(zerr)
-    x = to_dense(xbar)
-    total = x + z @ x @ z.conj().T
+    conjugated = pauli_mul(pauli_mul(zerr, xbar), zerr)  # Z^dag = Z
     return Css7Report(
-        conjugated_sign=sign,
-        naive_sum_is_zero=bool(np.max(np.abs(total)) < 1e-12),
+        conjugated_sign=conjugation_sign(zerr, xbar),
+        naive_sum_is_zero=conjugated == PauliString(xbar.letters, -xbar.phase),
     )

@@ -16,9 +16,10 @@ Two experiment families reproduce the headline open-system comparisons:
   a bare single-qubit controller.  Success is the target excitation
   probability at the end of the swap.
 
-Sweeps fan grid points out over a process pool; per-job seeds are derived
-deterministically from (master seed, scenario index, grid index), so merged
-results do not depend on scheduling order.
+Sweeps run their grid points serially, or over a process pool when
+``max_workers`` > 1; per-job seeds are derived deterministically from
+(master seed, scenario index, grid index), so merged results do not depend
+on worker count or scheduling order.
 """
 
 from __future__ import annotations

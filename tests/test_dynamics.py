@@ -34,7 +34,7 @@ from etlab.dynamics import (
     _expm,
     _n_substeps,
     _no_jump_generator,
-    _norm2_bound,
+    _spectral_norm,
 )
 from etlab.qcore import SIGMA_MINUS, SIGMA_PLUS, basis_state, embed_single, normalize, pure_density
 
@@ -349,6 +349,16 @@ def test_nonfinite_hamiltonian_raises(method, bad):
     h = np.array([[bad, 0], [0, 1]], dtype=complex)
     with pytest.raises(NumericsError, match="non-finite"):
         _run(method, basis_state(1, 0), h, NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),)))
+
+
+@_METHODS
+def test_non_hermitian_hamiltonian_rejected(method):
+    # H = [[0, 1], [0, 0]] used to run without a word: both Lindblad methods
+    # returned rho0 and MC returned 1.0.  G rho + rho G^dag is the one
+    # product X + X^dag only for H = H^dag: rhs(|+><+|) was
+    # [[0, -0.5i], [0.5i, 0]], where lindblad_rhs gives [[-0.5i, 0], [0, 0.5i]]
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        _run(method, normalize(np.array([1.0, 1.0])), SIGMA_MINUS, NoiseModel())
 
 
 @_METHODS
@@ -717,7 +727,7 @@ class TestOneStepPropagator:
         rng = np.random.default_rng(41)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         a *= 20.0 / np.linalg.norm(a, 2)
-        assert _n_substeps(1.0, _norm2_bound(a)) >= 2
+        assert _n_substeps(1.0, _spectral_norm(a)) >= 2
         expected = expm(a)
         assert np.max(np.abs(_expm(a) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -1098,6 +1108,24 @@ class TestMcTrajectories:
         with pytest.raises(ValueError, match="observable 1 has non-finite entries"):
             mc_trajectories(
                 basis_state(1, 0), SZ, NoiseModel(), 1.0, [P0, np.full((2, 2), np.nan)],
+                TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
+            )
+
+    def test_non_hermitian_observable_rejected(self):
+        # an observable was scored as the real part of <psi|O|psi>, so a
+        # non-Hermitian one gave a number without a word
+        with pytest.raises(ValueError, match="observable 1 is not Hermitian"):
+            mc_trajectories(
+                normalize(np.array([1.0, 1.0])), SZ, NoiseModel(), 1.0, [P0, SIGMA_MINUS],
+                TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
+            )
+
+    def test_non_square_hamiltonian_named(self):
+        # a (2, 3) H used to be reported as an observable's dimension mismatch
+        msg = r"Hamiltonian must be a square matrix, got shape \(2, 3\)"
+        with pytest.raises(ValueError, match=msg):
+            mc_trajectories(
+                basis_state(1, 0), np.zeros((2, 3)), NoiseModel(), 1.0, [P0],
                 TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
             )
 

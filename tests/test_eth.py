@@ -25,6 +25,7 @@ from etlab.eth import (
     verify_et,
 )
 from etlab.qcore import (
+    SIGMA_PLUS,
     PauliString,
     basis_state,
     evolve_unitary,
@@ -89,6 +90,14 @@ def test_phased_errors_equal_dense_formula_bitwise(name):
     assert np.array_equal(make_eth(code, h0, es), dense_eth(h0, es))
     swap = swap_hamiltonian(code, 0.9)
     assert np.array_equal(controlled_eth(code, es, 0.9), dense_eth(swap, extend_to_target(es)))
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNED_KINDS))
+def test_swap_hamiltonian_equals_kron_formula_bitwise(name):
+    # omega (K + K^dag) with K = L- (x) sigma+, L- = |0_L><1_L|
+    code = build_code(name)
+    k = np.kron(np.outer(code.codeword0, code.codeword1.conj()), SIGMA_PLUS)
+    assert np.array_equal(swap_hamiltonian(code, 0.9), 0.9 * (k + k.conj().T))
 
 
 class TestEncodeLogical:

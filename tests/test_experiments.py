@@ -394,9 +394,11 @@ class TestSweeps:
     def test_cheapest_csv_contracts(self, tmp_path):
         # the CSV bytes of the default fig1a sweep, with and without recovery
         # (the latter scores the bare observable, not recover_adjoint's), of
-        # the reduced fig1b MC sweep (`etlab sweep fig1b --method mc
-        # --gamma-points 3 --traj 2000 --seed 7`) and of the default fig1b
-        # Lindblad sweep, pinned for numpy 2.4 with OpenBLAS 0.3.31 on x86-64
+        # the default fig1a MC sweep (every fig1a G is diagonal, so its
+        # one-step propagator is exp of 1 x 1 stacks), of the reduced fig1b
+        # MC sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj
+        # 2000 --seed 7`, block stacks) and of the default fig1b Lindblad
+        # sweep, pinned for numpy 2.4 with OpenBLAS 0.3.31 on x86-64
         contracts = [
             (
                 "fig1a-lindblad",
@@ -407,6 +409,11 @@ class TestSweeps:
                 "fig1a-lindblad-no-recovery",
                 fig1a_sweep(default_gamma_grid(), 1.0, apply_recovery=False, max_workers=1),
                 "0c1e3e702db80071d4c432c630fcef6ce24b76abe8c1cb8127e97fd2ad0cacb0",
+            ),
+            (
+                "fig1a-mc",
+                fig1a_sweep(default_gamma_grid(), 1.0, method="mc", max_workers=1),
+                "a523f69471bc6d0804eaabaa87e9100bb2ef8e2539020eb0db2d75bef25bb548",
             ),
             (
                 "fig1b-mc",
