@@ -26,6 +26,7 @@ from .dynamics import (
     site_channels,
 )
 from .qcore import (
+    PAULI_MATS,
     PauliString,
     anticommutes,
     basis_state,
@@ -265,29 +266,32 @@ def check_eth_hermiticity() -> str:
     return f"max |H - H^dag| = {worst:.1e}"
 
 
+def _chain(rho0, h, noise, dt: float, n_steps: int, stride: int, support=None) -> list:
+    """rho0 and the states after every ``stride`` RK4 steps of dt and after
+    all ``n_steps``: a chain of runs, each from the last one's final state."""
+    states = [rho0]
+    for done in range(0, n_steps, stride):
+        cfg = IntegrationConfig(dt=dt, t_final=min(stride, n_steps - done) * dt)
+        states.append(integrate_lindblad(states[-1], h, noise, cfg, support).final)
+    return states
+
+
 def check_analytic_xnoise() -> str:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    noise = NoiseModel((NoiseChannel.from_matrix(sx, 1.0, "X"),))
-    cfg = IntegrationConfig(dt=1e-3, t_final=1.0, record_stride=100)
-    res = integrate_lindblad(pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise, cfg)
-    after = int(np.count_nonzero(res.times > 0))
-    _require(after == 10, f"{after} recorded points after t=0, expected 10")
-    worst = max(
-        abs(res.states[i][0, 0].real - (1 + np.exp(-2 * res.times[i])) / 2)
-        for i in range(len(res.times))
-    )
+    noise = NoiseModel((NoiseChannel.from_matrix(PAULI_MATS["X"], 1.0, "X"),))
+    states = _chain(pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise, 1e-3, 1000, 100)
+    times = 0.1 * np.arange(len(states))
+    worst = max(abs(rho[0, 0].real - (1 + np.exp(-2 * t)) / 2) for rho, t in zip(states, times))
     _require(worst <= 1e-6, f"analytic mismatch {worst:.3e}")
-    return f"max |P0(t) - analytic| = {worst:.1e} at t=0 and {after} later points"
+    return f"max |P0(t) - analytic| = {worst:.1e} at t=0 and {len(states) - 1} later points"
 
 
 def check_rk4_order() -> str:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    noise = NoiseModel(tuple(site_channels(2, sx, 1.0, "X")))
+    noise = NoiseModel(tuple(site_channels(2, PAULI_MATS["X"], 1.0, "X")))
     rho0 = pure_density(basis_state(2, 0))
     exact = ((1 + np.exp(-2)) / 2) ** 2
 
     def run(dt):
-        cfg = IntegrationConfig(dt=dt, t_final=1.0, record_stride=10**9)
+        cfg = IntegrationConfig(dt=dt, t_final=1.0)
         return integrate_lindblad(rho0, np.zeros((4, 4)), noise, cfg).final[0, 0].real
 
     e1 = abs(run(0.05) - exact)
@@ -302,13 +306,13 @@ def check_exact_propagation() -> str:
     # each: per qubit z(t) = exp(-2 gamma t) cos(omega t), so
     # P00(t) = ((1 + z(t))/2)^2
     omega, gamma, t = 1.3, 0.4, 2.0
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sx = PAULI_MATS["X"]
     h = 0.5 * omega * (np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx))
     noise = NoiseModel(tuple(site_channels(2, sx, gamma, "X")))
     rho0 = pure_density(basis_state(2, 0))
 
     def run(dt):
-        cfg = IntegrationConfig(dt=dt, t_final=t, record_stride=10**9)
+        cfg = IntegrationConfig(dt=dt, t_final=t)
         return integrate_lindblad(rho0, h, noise, cfg).final
 
     exact = run(None)
@@ -326,13 +330,13 @@ def check_lindblad_positivity() -> str:
         experiments.fig1b_scenarios(0.05, 1.0)[2]  # eth-5
     ]
     for spec in cases:
-        realized = experiments._realize(spec)
-        dt = realized.duration / (256 if spec.family == "fig1b" else 1000)
-        cfg = IntegrationConfig(dt=dt, t_final=realized.duration, record_stride=50)
-        res = integrate_lindblad(
-            pure_density(realized.psi0), realized.hamiltonian, realized.noise, cfg
+        s = experiments._scenario(spec)
+        n_steps = 256 if spec.family == "fig1b" else 1000
+        states = _chain(
+            pure_density(s.psi0), s.hamiltonian, s.noise(spec.site_rate),
+            s.duration / n_steps, n_steps, 50, s.support,
         )
-        for rho in res.states:
+        for rho in states:
             wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
             worst = min(worst, wmin)
     _require(worst >= -1e-7, f"density matrix eigenvalue {worst:.3e} below -1e-7")
@@ -340,8 +344,7 @@ def check_lindblad_positivity() -> str:
 
 
 def check_trajectory_norms() -> str:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    noise = NoiseModel((NoiseChannel.from_matrix(sx, 0.5, "X"),))
+    noise = NoiseModel((NoiseChannel.from_matrix(PAULI_MATS["X"], 0.5, "X"),))
     h = np.diag([1.0, -1.0]).astype(complex)
     res = mc_trajectories(
         normalize(np.array([1.0, 1.0])),

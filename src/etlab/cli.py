@@ -35,7 +35,7 @@ from time import perf_counter
 import numpy as np
 
 from . import checks, codes, eth, experiments, output
-from .dynamics import NumericsError
+from .dynamics import NumericsError, StepCountError
 from .experiments import DEFAULT_SEED, ExperimentError
 
 __all__ = ["ConfigError", "main"]
@@ -51,7 +51,12 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad usage as a config error (exit code 1)."""
+    """argparse that reports bad usage as a config error (exit code 1) and
+    takes every flag by its full name only, so a renamed flag never answers
+    to a prefix of itself.  Subparsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # noqa: A003 - argparse API
         raise ConfigError(message)
@@ -202,7 +207,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"--out {args.out}: {exc}") from exc
     runner = experiments.fig1a_sweep if args.experiment == "fig1a" else experiments.fig1b_sweep
-    result = runner(grid * args.omega, **kwargs)
+    try:
+        result = runner(grid * args.omega, **kwargs)
+    except StepCountError as exc:
+        # raised before any job runs; by default only Monte Carlo has a step,
+        # set by the largest rate
+        flag = "--gamma-max" if args.dt is None else "--dt"
+        raise ConfigError(f"{flag}: {exc}") from exc
     csv_path = args.out / f"{args.experiment}-{method}.csv"
     plot_path = csv_path.with_suffix(".svg")
     try:

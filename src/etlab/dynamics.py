@@ -3,17 +3,19 @@
 Two methods cross-validate each other:
 
 * :func:`integrate_lindblad` -- deterministic evolution of the density
-  matrix.  The generator is time independent, so by default the state is
-  propagated exactly: a scaled Taylor series of exp(t L) applied to rho
-  (the action-of-the-exponential method of Al-Mohy & Higham, SIAM J. Sci.
-  Comput. 33, 488 (2011)).  Substeps are sized from a bound on the
-  generator's norm built on ||G||_2, and each series stops once a rigorous
-  bound on its whole remaining tail is below machine precision; the result
-  reports how many generator applications it took.  An explicit step
-  selects fixed-step RK4 instead, guarded against steps beyond its
-  stability region.  The generator is applied only to Hermitian states
-  (rho0, Hermitized on entry, each Taylor term and each RK4 stage), so
-  G rho + rho G^dag costs one application of G, X + X^dag with X = G rho.
+  matrix, returning rho(t_final) only; a time series is a chain of runs,
+  each from the last one's final state.  The generator is time
+  independent, so by default the state is propagated exactly: a scaled
+  Taylor series of exp(t L) applied to rho (the action-of-the-exponential
+  method of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+  Substeps are sized from a bound on the generator's norm built on
+  ||G||_2, and each series stops once a rigorous bound on its whole
+  remaining tail is below machine precision; the result reports how many
+  generator applications it took.  An explicit step selects fixed-step RK4
+  instead, guarded against steps beyond its stability region.  The
+  generator is applied only to Hermitian states (rho0, Hermitized on
+  entry, each Taylor term and each RK4 stage), so G rho + rho G^dag costs
+  one application of G, X + X^dag with X = G rho.
 * :func:`mc_trajectories` -- quantum-jump unravelling (Dalibard, Castin &
   Molmer, PRL 68, 580 (1992)).  Deterministic segments use the one-step
   propagator exp((-iH - K/2) dt), formed once per run by the same scaled
@@ -67,6 +69,9 @@ then round-major draws within bounded blocks, blocks in index order: each
 round of a block draws every live column's channel, then every live
 column's next threshold, both in index order.  Results are bitwise
 reproducible for a fixed seed; sweeps give each job its own seed.
+
+Both engines take :func:`step_count` fixed steps of a given dt, and reject
+a dt that needs more than :data:`MAX_STEPS` before allocating anything.
 """
 
 from __future__ import annotations
@@ -89,8 +94,11 @@ __all__ = [
     "LindbladResult",
     "LindbladSupport",
     "McResult",
+    "MAX_STEPS",
+    "StepCountError",
     "site_channels",
     "default_timestep",
+    "step_count",
     "lindblad_rhs",
     "integrate_lindblad",
     "mc_trajectories",
@@ -217,21 +225,41 @@ def _check_integers(config, *names: str) -> None:
             raise ValueError(f"{name} must be a finite integer, got {value!r}")
 
 
+# the most fixed steps one run may take: 25 times the most that any check,
+# test or default sweep takes (4000), and few enough that the Monte Carlo
+# backbone at the cap, d x MAX_STEPS complex numbers, is 410 MB at d = 256
+MAX_STEPS = 100_000
+
+
+class StepCountError(ValueError):
+    """A step dt that would take more than :data:`MAX_STEPS` steps."""
+
+
+def step_count(dt: float, t_final: float) -> int:
+    """max(1, round(t_final / dt)), the fixed steps of either engine; a count
+    above :data:`MAX_STEPS` raises :class:`StepCountError` naming dt."""
+    steps = t_final / dt
+    if steps > MAX_STEPS + 0.5:
+        raise StepCountError(
+            f"dt={dt:.6g} takes {steps:.3g} steps to t_final={t_final:.6g}, "
+            f"more than the cap of {MAX_STEPS}"
+        )
+    return max(1, round(steps))
+
+
 @dataclass(frozen=True, kw_only=True)
 class IntegrationConfig:
     """dt=None propagates exactly; a float dt selects RK4 with that step."""
 
     dt: float | None = None
     t_final: float
-    record_stride: int = 1
 
     def __post_init__(self):
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         _check_t_final(self.t_final)
-        _check_integers(self, "record_stride")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        if self.dt is not None:
+            step_count(self.dt, self.t_final)
 
 
 @dataclass(frozen=True)
@@ -252,18 +280,15 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True)
 class LindbladResult:
-    """The recorded states, ``applications``: how many times the generator
-    was applied (Taylor terms, or 4 per RK4 step), and ``support_size``: how
-    many entries of rho were evolved (:class:`LindbladSupport`)."""
+    """rho(t_final) as ``final``, ``applications``: how many times the
+    generator was applied (Taylor terms, or 4 per RK4 step), and
+    ``support_size``: how many entries of rho were evolved
+    (:class:`LindbladSupport`).  A time series is a chain of runs, each
+    starting from the last one's ``final``."""
 
-    times: np.ndarray
-    states: list[np.ndarray]
+    final: np.ndarray
     applications: int
     support_size: int
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 @dataclass(frozen=True)
@@ -273,7 +298,6 @@ class McResult:
 
     means: np.ndarray
     stderrs: np.ndarray
-    n_traj: int
     jumpers: int
     jumps: int
 
@@ -481,7 +505,7 @@ class LindbladSupport:
     so the reachable entries are a union of component-pair blocks Ca x Cb:
     the blocks closed from rho0's nonzeros under every channel's monomial
     jump (:func:`_reachable_pairs`, with every channel at unit rate; a rate
-    of 0 reaches a subset).  ``rho0=None`` reaches every entry.
+    of 0 reaches a subset).  A rho0 of all ones reaches every entry.
 
     ``labels`` and ``index`` are H's components (:func:`_component_labels`,
     :func:`_component_index`).  A state on the support is packed as the
@@ -496,7 +520,7 @@ class LindbladSupport:
     unit-rate weights, found in ``jumps`` by the channel's nonzeros.
     """
 
-    def __init__(self, h: np.ndarray, channels: Sequence[NoiseChannel], rho0=None):
+    def __init__(self, h: np.ndarray, channels: Sequence[NoiseChannel], rho0: np.ndarray):
         h = np.asarray(h)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"H must be a square matrix, got shape {h.shape}")
@@ -504,14 +528,11 @@ class LindbladSupport:
         self.dim = d = len(h)
         self.labels = labels = _component_labels(h)
         self.index = _component_index(labels)
-        if rho0 is None:
-            inside = np.ones((d, d), dtype=bool)
-        else:
-            rho0 = np.asarray(rho0)
-            if rho0.shape != h.shape:
-                raise ValueError(f"dimension mismatch: rho {rho0.shape}, H {h.shape}")
-            reached = _reachable_pairs(labels, channels, (rho0 != 0) | (rho0 != 0).T)
-            inside = reached[labels[:, None], labels]
+        rho0 = np.asarray(rho0)
+        if rho0.shape != h.shape:
+            raise ValueError(f"dimension mismatch: rho {rho0.shape}, H {h.shape}")
+        reached = _reachable_pairs(labels, channels, (rho0 != 0) | (rho0 != 0).T)
+        inside = reached[labels[:, None], labels]
         self.flat = np.flatnonzero(inside)
         self.size = self.flat.size
         pos = np.full(d * d, -1)
@@ -561,12 +582,11 @@ class LindbladSupport:
 
 
 class _Generator:
-    """Precomputed Lindblad generator on a :class:`LindbladSupport` (every
-    entry when none is given): rhs(v) = G rho + rho G^dag + jumps for a
-    Hermitian rho packed as v.  G is held by the support's components of H
-    (:class:`_Components`), a rate attaches to each channel's unit-rate
-    sandwich, and an H, jump or dimension that does not fit the support
-    raises ValueError.
+    """Precomputed Lindblad generator on a :class:`LindbladSupport`:
+    rhs(v) = G rho + rho G^dag + jumps for a Hermitian rho packed as v.  G is
+    held by the support's components of H (:class:`_Components`), a rate
+    attaches to each channel's unit-rate sandwich, and an H, jump or
+    dimension that does not fit the support raises ValueError.
 
     ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 bounds the generator's
     norm as a map on rho with the Frobenius norm.  ||G||_2 is the spectral
@@ -574,10 +594,8 @@ class _Generator:
     monomial L_k has ||L_k||_2 = max |vals|.
     """
 
-    def __init__(self, h: np.ndarray, noise: NoiseModel, support: LindbladSupport | None = None):
+    def __init__(self, h: np.ndarray, noise: NoiseModel, support: LindbladSupport):
         g = _no_jump_generator(h, noise, IntegrationError)
-        if support is None:
-            support = LindbladSupport(h, noise.channels)
         if g.shape != (support.dim,) * 2:
             raise ValueError(f"dimension mismatch: H {g.shape}, support of dimension {support.dim}")
         rows, cols = np.nonzero(g)
@@ -615,9 +633,9 @@ class _Generator:
 
 
 def _step_sizes(dt: float, t_final: float) -> list[float]:
-    """round(t_final/dt) steps of dt with the final step resized to land
+    """:func:`step_count` steps of dt with the final step resized to land
     exactly on t_final."""
-    n_steps = max(1, round(t_final / dt))
+    n_steps = step_count(dt, t_final)
     last = t_final - (n_steps - 1) * dt
     return [dt] * (n_steps - 1) + [last]
 
@@ -713,17 +731,17 @@ def integrate_lindblad(
     config: IntegrationConfig,
     support: LindbladSupport | None = None,
 ) -> LindbladResult:
-    """Evolve rho0 under the master equation up to ``config.t_final``.
+    """rho(t_final): rho0 evolved under the master equation up to
+    ``config.t_final``.
 
-    With ``config.dt=None`` the state is propagated exactly and the result
-    holds the states at 0 and t_final only.  With an explicit dt, classical
-    fixed-step RK4 records every ``record_stride``-th step; a step beyond
-    RK4's stability region for this generator is rejected up front.  Either
-    way the state is Hermitized ((rho + rho^dag)/2) on entry and after every
-    (sub)step, and a trace drift beyond 1e-5 at a recorded point raises
-    :class:`IntegrationError`.  A rho0 that is not a finite density matrix,
-    a rho0 or jump whose dimension is not H's, or a non-Hermitian H raises
-    ValueError.
+    With ``config.dt=None`` the state is propagated exactly.  With an
+    explicit dt, classical fixed-step RK4 takes :func:`step_count` steps; a
+    step beyond RK4's stability region for this generator is rejected up
+    front.  Either way the state is Hermitized ((rho + rho^dag)/2) on entry
+    and after every (sub)step, and a trace drift beyond 1e-5 at t_final
+    raises :class:`IntegrationError`.  A rho0 that is not a finite density
+    matrix, a rho0 or jump whose dimension is not H's, or a non-Hermitian H
+    raises ValueError.
 
     Both methods evolve rho packed on ``support``, the entries it can
     reach (:class:`LindbladSupport`), built here from H, the jumps and rho0
@@ -739,38 +757,27 @@ def integrate_lindblad(
     # the check allows a 1e-10 anti-Hermitian part; the generator's one
     # product needs an exactly Hermitian state
     v = support.hermitize(support.pack(rho))
-    rho = support.unpack(v)
     if config.t_final == 0:
-        return LindbladResult(np.array([0.0]), [rho], 0, support.size)
+        return LindbladResult(support.unpack(v), 0, support.size)
     if config.dt is None:
-        final, applications = _propagate_exact(gen, v, config.t_final)
-        final = support.unpack(final)
-        _check_trace(final, config.t_final, "")
-        return LindbladResult(
-            np.array([0.0, config.t_final]), [rho, final], applications, support.size
-        )
-    sizes = _step_sizes(config.dt, config.t_final)
-    if max(sizes) * gen.bound > _RK4_STABILITY:
-        raise IntegrationError(
-            f"RK4 step {max(sizes):.4g} exceeds the stability limit "
-            f"{_RK4_STABILITY / gen.bound:.4g} of this generator; use a smaller dt"
-        )
-    times = [0.0]
-    states = [rho]
-    t = 0.0
-    for i, s in enumerate(sizes):
-        k1 = gen.rhs(v)
-        k2 = gen.rhs(v + (0.5 * s) * k1)
-        k3 = gen.rhs(v + (0.5 * s) * k2)
-        k4 = gen.rhs(v + s * k3)
-        v = support.hermitize(v + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        t += s
-        last = i == len(sizes) - 1
-        if (i + 1) % config.record_stride == 0 or last:
-            states.append(support.unpack(v))
-            _check_trace(states[-1], t, "; use a smaller dt")
-            times.append(config.t_final if last else t)
-    return LindbladResult(np.array(times), states, 4 * len(sizes), support.size)
+        v, applications = _propagate_exact(gen, v, config.t_final)
+    else:
+        sizes = _step_sizes(config.dt, config.t_final)
+        if max(sizes) * gen.bound > _RK4_STABILITY:
+            raise IntegrationError(
+                f"RK4 step {max(sizes):.4g} exceeds the stability limit "
+                f"{_RK4_STABILITY / gen.bound:.4g} of this generator; use a smaller dt"
+            )
+        for s in sizes:
+            k1 = gen.rhs(v)
+            k2 = gen.rhs(v + (0.5 * s) * k1)
+            k3 = gen.rhs(v + (0.5 * s) * k2)
+            k4 = gen.rhs(v + s * k3)
+            v = support.hermitize(v + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        applications = 4 * len(sizes)
+    final = support.unpack(v)
+    _check_trace(final, config.t_final, "" if config.dt is None else "; use a smaller dt")
+    return LindbladResult(final, applications, support.size)
 
 
 # the jumpers of one run advance together as the columns of blocks of at
@@ -817,6 +824,7 @@ def mc_trajectories(
     observable, raises ValueError.
     """
     _check_t_final(t_final)
+    n_steps = step_count(config.dt, t_final)
     psi0 = np.asarray(psi0, dtype=complex)
     if not np.isfinite(psi0).all():
         raise ValueError("psi0 has non-finite entries")
@@ -838,10 +846,7 @@ def mc_trajectories(
         stderrs = np.zeros(len(values))
         spread = np.ptp(values, axis=1) > 0
         stderrs[spread] = values[spread].std(axis=1, ddof=1) / np.sqrt(n_traj)
-        return McResult(
-            means=values.mean(axis=1), stderrs=stderrs, n_traj=n_traj,
-            jumpers=jumpers, jumps=jumps,
-        )
+        return McResult(values.mean(axis=1), stderrs, jumpers, jumps)
 
     def values_of(psi: np.ndarray) -> np.ndarray:
         """<O> of each normalized column of psi, one row per observable."""
@@ -851,7 +856,6 @@ def mc_trajectories(
     if t_final == 0:
         return reduce_values(np.tile(values_of(psi0[:, None]), (1, n_traj)))
 
-    n_steps = max(1, round(t_final / config.dt))
     dt = t_final / n_steps
     u_step = _Components.of(g).map(lambda a: _expm(a * dt))
     del g

@@ -16,10 +16,13 @@ Two experiment families reproduce the headline open-system comparisons:
   a bare single-qubit controller.  Success is the target excitation
   probability at the end of the swap.
 
-Sweeps run their grid points serially, or over a process pool when
-``max_workers`` > 1; per-job seeds are derived deterministically from
-(master seed, scenario index, grid index), so merged results do not depend
-on worker count or scheduling order.
+A sweep job is a scenario, built once per process for its key, plus the
+rate that gamma sets on its noisy sites.  Sweeps run their grid points
+serially, or over a process pool when ``max_workers`` > 1; per-job seeds
+are derived deterministically from (master seed, scenario index, grid
+index), so merged results do not depend on worker count or scheduling
+order.  A sweep with fixed steps checks every job's step count
+(:func:`~etlab.dynamics.step_count`) before any job runs.
 """
 
 from __future__ import annotations
@@ -39,12 +42,14 @@ from .dynamics import (
     LindbladSupport,
     NoiseChannel,
     NoiseModel,
+    NumericsError,
     TrajectoryConfig,
     _check_integers,
     default_timestep,
     integrate_lindblad,
     mc_trajectories,
     site_channels,
+    step_count,
 )
 from .qcore import (
     PAULI_MATS,
@@ -112,6 +117,11 @@ class ScenarioSpec:
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"{self.label}: omega must be finite and > 0, got {self.omega!r}")
 
+    @property
+    def site_rate(self) -> float:
+        """The rate of each noisy site's channel: gamma * rate_factor."""
+        return self.gamma * self.rate_factor
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -165,24 +175,21 @@ def fig1b_scenarios(gamma: float, omega: float) -> list[ScenarioSpec]:
 
 
 @dataclass(frozen=True)
-class _Realized:
-    hamiltonian: np.ndarray
-    noise: NoiseModel
-    psi0: np.ndarray
-    duration: float
-    observable: np.ndarray  # success probability = Tr(rho_final @ observable)
-
-
-@dataclass(frozen=True)
 class _Scenario:
     """A job's inputs without gamma, which only sets the site rates."""
 
     hamiltonian: np.ndarray
     psi0: np.ndarray
     duration: float
-    observable: np.ndarray
+    observable: np.ndarray  # success probability = Tr(rho_final @ observable)
     sites: tuple[NoiseChannel, ...]  # each noisy site's jump, at unit rate
     fixed: tuple[NoiseChannel, ...] = ()  # channels whose rate is not gamma's
+
+    def noise(self, rate: float) -> NoiseModel:
+        """A job's channels: every site at ``rate``, none when it is 0, then
+        the fixed ones."""
+        sites = tuple(replace(ch, rate=rate) for ch in self.sites) if rate > 0 else ()
+        return NoiseModel(sites + self.fixed)
 
     @functools.cached_property
     def support(self) -> LindbladSupport:
@@ -256,11 +263,16 @@ def _scenario(spec: ScenarioSpec) -> _Scenario:
     return _build_scenario(*key)
 
 
-def _realize(spec: ScenarioSpec) -> _Realized:
+def _job_inputs(
+    spec: ScenarioSpec, method: str, dt: float | None
+) -> tuple[_Scenario, NoiseModel, float | None]:
+    """A job's scenario, noise and step: ``dt``, or :func:`default_timestep`
+    for Monte Carlo when dt is None (exact Lindblad propagation has none)."""
     s = _scenario(spec)
-    rate = spec.gamma * spec.rate_factor
-    sites = tuple(replace(ch, rate=rate) for ch in s.sites) if rate > 0 else ()
-    return _Realized(s.hamiltonian, NoiseModel(sites + s.fixed), s.psi0, s.duration, s.observable)
+    noise = s.noise(spec.site_rate)
+    if dt is None and method == "mc":
+        dt = default_timestep(spec.omega, noise.max_rate())
+    return s, noise, dt
 
 
 def _finalize_probability(p: float, context: str) -> float:
@@ -282,30 +294,20 @@ def run_scenario(
     Carlo jumps on :func:`default_timestep`; an explicit dt is the RK4 step
     or the jump-placement step.
     """
-    from .dynamics import NumericsError
-
-    realized = _realize(spec)
+    s, noise, dt = _job_inputs(spec, method, dt)
     context = f"{spec.family}/{spec.label} at gamma/omega={spec.gamma / spec.omega:.4g}"
     try:
         if method == "lindblad":
-            config = IntegrationConfig(dt=dt, t_final=realized.duration, record_stride=10**9)
+            config = IntegrationConfig(dt=dt, t_final=s.duration)
             result = integrate_lindblad(
-                pure_density(realized.psi0), realized.hamiltonian, realized.noise, config,
-                _scenario(spec).support,
+                pure_density(s.psi0), s.hamiltonian, noise, config, s.support
             )
-            prob = float(np.einsum("ij,ji->", result.final, realized.observable).real)
+            prob = float(np.einsum("ij,ji->", result.final, s.observable).real)
             return _finalize_probability(prob, context), 0.0
         if method == "mc":
-            if dt is None:
-                dt = default_timestep(spec.omega, realized.noise.max_rate())
             config = TrajectoryConfig(n_traj=n_traj, seed=seed, dt=dt)
             result = mc_trajectories(
-                realized.psi0,
-                realized.hamiltonian,
-                realized.noise,
-                realized.duration,
-                [realized.observable],
-                config,
+                s.psi0, s.hamiltonian, noise, s.duration, [s.observable], config
             )
             return _finalize_probability(float(result.means[0]), context), float(result.stderrs[0])
     except NumericsError as exc:
@@ -344,6 +346,12 @@ def _run_sweep(
     for pi, specs in enumerate(specs_per_point):
         for si, spec in enumerate(specs):
             jobs.append((spec, method, n_traj, _job_seed(seed, si, pi), dt))
+    if method == "mc" or dt is not None:
+        # every job's step count, so that none runs when one is over the cap;
+        # exact Lindblad propagation takes no steps
+        for spec, *_ in jobs:
+            s, _, step = _job_inputs(spec, method, dt)
+            step_count(step, s.duration)
     if max_workers is not None and max_workers > 1 and len(jobs) > 1:
         # a fork pool starts all its workers at the first submit, used or not
         with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
@@ -401,7 +409,7 @@ def suggested_mc_sample(spec: ScenarioSpec) -> int:
     s = _scenario(spec)
     # expected site jumps per trajectory; a damped site jumps only from its
     # excited level, occupied about half the time
-    lam = len(s.sites) * spec.gamma * spec.rate_factor * s.duration
+    lam = len(s.sites) * spec.site_rate * s.duration
     if spec.family == "fig1b":
         lam *= 0.5
     p_fixed = sum(ch.rate for ch in s.fixed) * s.duration

@@ -354,6 +354,53 @@ class TestConfigValidation:
         assert "--gamma-min" in err and "--gamma-max" in err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--dt", "1e-300"], "--dt"),
+            (["--method", "mc", "--dt", "1e-300"], "--dt"),
+            (["--method", "mc", "--gamma-min", "1e5", "--gamma-max", "1e6"], "--gamma-max"),
+        ],
+        ids=["rk4-dt", "mc-dt", "mc-default-step"],
+    )
+    def test_step_count_above_cap_exit_1_before_any_job(
+        self, tmp_path, capsys, monkeypatch, args, flag
+    ):
+        # these ended in tracebacks that named no flag: an OverflowError from
+        # the RK4 step list, numpy's "Maximum allowed dimension exceeded" from
+        # the Monte Carlo backbone, and an 18.7 GiB allocation for the
+        # default Monte Carlo step at gamma/omega = 1e6
+        def job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(experiments, "run_scenario", job)
+        assert run_cli(["sweep", "fig1a", *args, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: dt=") and "more than the cap" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sweep", "fig1a", "--work", "2"], "--work"),
+            (["sweep", "fig1a", "--no"], "--no"),
+            (["sweep", "fig1a", "--met", "mc", "--tr", "5"], "--met"),
+            (["eth", "inspect", "--co", "bitflip3"], "--code"),
+            ([a.replace("--delta", "--del") for a in perturbative_argv()], "--delta"),
+        ],
+        ids=["--work", "--no", "--met", "--co", "--del"],
+    )
+    def test_flag_prefix_exit_1(self, tmp_path, capsys, monkeypatch, argv, named):
+        # a unique prefix used to stand for its flag: `--work 2 --no` ran as
+        # `--workers 2 --no-recovery`, so a renamed flag kept answering to
+        # any prefix of its old name
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(experiments, "fig1a_sweep", never)
+        assert run_cli([*argv, "--out", str(tmp_path / "r")] if argv[0] == "sweep" else argv) == 1
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_workers_flag_exit_1(self, tmp_path, capsys, value):
         out = tmp_path / "r"

@@ -13,12 +13,14 @@ import pytest
 from scipy.linalg import expm
 
 from etlab.dynamics import (
+    MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
     LindbladSupport,
     NoiseChannel,
     NoiseModel,
     NumericsError,
+    StepCountError,
     TrajectoryConfig,
     TrajectoryError,
     default_timestep,
@@ -26,6 +28,7 @@ from etlab.dynamics import (
     lindblad_rhs,
     mc_trajectories,
     site_channels,
+    step_count,
 )
 from etlab.dynamics import (
     _TAYLOR_THETA,
@@ -74,7 +77,6 @@ class TestNoiseModel:
             # a bool is an int to Python: n_traj=True used to run one trajectory
             lambda: TrajectoryConfig(n_traj=True, seed=0, dt=0.1),
             lambda: TrajectoryConfig(n_traj=1, seed=False, dt=0.1),
-            lambda: IntegrationConfig(dt=0.1, t_final=1.0, record_stride=True),
         ],
     )
     def test_nonfinite_parameters_rejected(self, make):
@@ -100,10 +102,10 @@ class TestNoiseModel:
     def test_decay_operator_equals_dense_formula(self):
         # monomial jumps skip the dense product; the sum K must keep its bits.
         # With H = 0 the no-jump generator is exactly -K/2.
-        from etlab.experiments import _realize, fig1a_scenarios, fig1b_scenarios
+        from etlab.experiments import _scenario, fig1a_scenarios, fig1b_scenarios
 
         for spec in fig1a_scenarios(0.3, 1.0) + fig1b_scenarios(0.05, 1.0):
-            noise = _realize(spec).noise
+            noise = _scenario(spec).noise(spec.site_rate)
             dim = noise.channels[0].dim
             dense = np.zeros((dim, dim), dtype=complex)
             for ch in noise.channels:
@@ -149,6 +151,32 @@ class TestNoiseModel:
     def test_default_timestep(self):
         assert default_timestep(1.0, 0.0) == pytest.approx(np.pi / 2000)
         assert default_timestep(1.0, 10.0) == pytest.approx(0.1 / 2000)
+
+
+class TestStepCount:
+    """Both engines' fixed steps, capped before anything is allocated.  Every
+    count above the cap here is rejected before a step list or a backbone
+    exists."""
+
+    def test_rounds_to_at_least_one(self):
+        assert [step_count(dt, 1.0) for dt in (0.3, 0.01, 10.0)] == [3, 100, 1]
+        assert step_count(0.1, 0.0) == 1
+        assert step_count(1.0 / MAX_STEPS, 1.0) == MAX_STEPS
+
+    # 1e-300 used to end in OverflowError from the step list, or in numpy's
+    # "Maximum allowed dimension exceeded"; 5e-324 makes t_final / dt inf
+    @pytest.mark.parametrize("dt", [1.0 / (MAX_STEPS + 1), 1e-300, 5e-324])
+    def test_above_the_cap_rejected_naming_dt(self, dt):
+        msg = rf"dt={dt:.6g} takes .* steps to t_final=1, more than the cap of {MAX_STEPS}"
+        with pytest.raises(StepCountError, match=msg):
+            step_count(dt, 1.0)
+        with pytest.raises(StepCountError, match=msg):
+            IntegrationConfig(dt=dt, t_final=1.0)
+        with pytest.raises(StepCountError, match=msg):
+            mc_trajectories(
+                basis_state(1, 0), SZ, NoiseModel(), 1.0, [P0],
+                TrajectoryConfig(n_traj=2, seed=0, dt=dt),
+            )
 
 
 class TestLindbladRhs:
@@ -199,7 +227,7 @@ class TestLindbladRhs:
             + tuple(site_channels(3, SIGMA_MINUS, 0.2, "d"))
             + (NoiseChannel.from_matrix(_random_monomial(8, seed=7), 0.05, "random"),)
         )
-        gen = _Generator(h, noise)
+        gen = _full_generator(h, noise)
         assert np.max(np.abs(gen.rhs(rho) - lindblad_rhs(rho, h, noise))) < 1e-12
 
     @pytest.mark.parametrize("case", ["monomial-d8", "fig1b-eth-7"])
@@ -219,13 +247,13 @@ class TestLindbladRhs:
                 + tuple(site_channels(3, SIGMA_PLUS, 0.013, "u"))
             )
         else:
-            realized = _realized("fig1b", "eth-7", gamma=0.05)
-            h, noise = realized.hamiltonian, realized.noise
+            s, noise = _job("fig1b", "eth-7", gamma=0.05)
+            h = s.hamiltonian
         d = h.shape[0]
         rng = np.random.default_rng(31)
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = a + a.conj().T
-        out = _Generator(h, noise).rhs(rho)
+        out = _full_generator(h, noise).rhs(rho)
         assert np.array_equal(out, out.conj().T)
         assert np.max(np.abs(out - lindblad_rhs(rho, h, noise))) < 1e-12 * np.max(np.abs(out))
 
@@ -242,27 +270,44 @@ class TestIntegrateLindblad:
         rho = pure_density(basis_state(1, 1))
         cfg = IntegrationConfig(dt=0.1, t_final=0.0)
         res = integrate_lindblad(rho, SZ, NoiseModel(), cfg)
-        assert len(res.states) == 1
         assert np.array_equal(res.final, rho)
+        assert res.applications == 0
 
     def test_trace_stays_put(self):
+        # ten runs of 20 steps, each from the last one's final state
         noise = NoiseModel(tuple(site_channels(2, SIGMA_MINUS, 0.5, "d")))
-        cfg = IntegrationConfig(dt=0.01, t_final=2.0, record_stride=20)
-        res = integrate_lindblad(pure_density(basis_state(2, 3)), np.zeros((4, 4)), noise, cfg)
-        for rho in res.states:
+        cfg = IntegrationConfig(dt=0.01, t_final=0.2)
+        rho = pure_density(basis_state(2, 3))
+        for _ in range(10):
+            rho = integrate_lindblad(rho, np.zeros((4, 4)), noise, cfg).final
             assert abs(np.trace(rho).real - 1) < 1e-7
 
     def test_positivity(self):
+        # fifteen runs of 100 steps, each from the last one's final state
         noise = NoiseModel(
             (
                 NoiseChannel.from_matrix(SX, 1.0, "X"),
                 NoiseChannel.from_matrix(SIGMA_MINUS, 0.3, "d"),
             )
         )
-        cfg = IntegrationConfig(dt=1e-3, t_final=1.5, record_stride=100)
-        res = integrate_lindblad(pure_density(normalize(np.array([1, 1j]))), SZ, noise, cfg)
-        for rho in res.states:
+        cfg = IntegrationConfig(dt=1e-3, t_final=0.1)
+        rho = pure_density(normalize(np.array([1, 1j])))
+        for _ in range(15):
+            rho = integrate_lindblad(rho, SZ, noise, cfg).final
             assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -1e-7
+
+    def test_chained_rk4_equals_one_run(self):
+        # ten stretches of t/10 take the same 100 steps of 0.01 as one run of
+        # t, up to the rounding of each stretch's resized last step
+        h, noise, rho0 = _random_monomial_case()
+        one = integrate_lindblad(rho0, h, noise, IntegrationConfig(dt=0.01, t_final=1.0))
+        rho = rho0
+        for _ in range(10):
+            res = integrate_lindblad(rho, h, noise, IntegrationConfig(dt=0.01, t_final=0.1))
+            assert res.applications == 4 * 10
+            rho = res.final
+        assert one.applications == 4 * 100
+        assert np.max(np.abs(rho - one.final)) <= 1e-14
 
     def test_trace_drift_signals_failure(self):
         # absurdly large dt blows up the integration
@@ -295,7 +340,7 @@ class TestIntegrateLindblad:
     @pytest.mark.parametrize("dt, steps", [(0.01, 100), (0.3, 3)])
     def test_rk4_reports_four_applications_per_step(self, dt, steps):
         noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
-        cfg = IntegrationConfig(dt=dt, t_final=1.0, record_stride=7)
+        cfg = IntegrationConfig(dt=dt, t_final=1.0)
         res = integrate_lindblad(pure_density(basis_state(1, 0)), SZ, noise, cfg)
         assert res.applications == 4 * steps
 
@@ -404,11 +449,18 @@ def _random_monomial_case():
     return h, noise, rho0
 
 
-def _realized(family, label, gamma):
-    from etlab.experiments import _realize, fig1a_scenarios, fig1b_scenarios
+def _job(family, label, gamma):
+    """A sweep job's cached scenario and its noise at gamma (omega = 1)."""
+    from etlab.experiments import _scenario, fig1a_scenarios, fig1b_scenarios
 
     scenarios = fig1a_scenarios if family == "fig1a" else fig1b_scenarios
-    return _realize(next(s for s in scenarios(gamma, 1.0) if s.label == label))
+    spec = next(s for s in scenarios(gamma, 1.0) if s.label == label)
+    return _scenario(spec), _scenario(spec).noise(spec.site_rate)
+
+
+def _full_generator(h, noise):
+    """The generator on every entry of rho."""
+    return _Generator(h, noise, LindbladSupport(h, noise.channels, np.ones(h.shape)))
 
 
 def _liouvillian_propagator(h, noise, t):
@@ -431,36 +483,29 @@ class TestExactPropagation:
                 pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise,
                 IntegrationConfig(t_final=t),
             )
-            assert np.array_equal(res.times, [0.0, t])
             assert abs(res.final[0, 0].real - (1 + np.exp(-2 * t)) / 2) <= 1e-12
 
     def test_noiseless_fig1a_matches_unitary(self):
-        from etlab.experiments import _realize, fig1a_scenarios
         from etlab.qcore import evolve_unitary
 
-        for spec in fig1a_scenarios(0.0, 1.0):
-            realized = _realize(spec)
-            t = 0.37 * realized.duration
+        for label in ("single", "single-reduced", "logical-plain", "logical-eth"):
+            s, noise = _job("fig1a", label, gamma=0.0)
+            t = 0.37 * s.duration
             res = integrate_lindblad(
-                pure_density(realized.psi0), realized.hamiltonian, realized.noise,
-                IntegrationConfig(t_final=t),
+                pure_density(s.psi0), s.hamiltonian, noise, IntegrationConfig(t_final=t)
             )
-            expected = pure_density(evolve_unitary(realized.hamiltonian, t, realized.psi0))
+            expected = pure_density(evolve_unitary(s.hamiltonian, t, s.psi0))
             assert np.max(np.abs(res.final - expected)) <= 1e-12
 
     def test_fig1b_eth5_matches_fine_rk4(self):
-        from etlab.experiments import _realize, fig1b_scenarios
-
-        spec = next(s for s in fig1b_scenarios(0.05, 1.0) if s.label == "eth-5")
-        realized = _realize(spec)
-        assert realized.hamiltonian.shape == (64, 64)
+        s, noise = _job("fig1b", "eth-5", gamma=0.05)
+        assert s.hamiltonian.shape == (64, 64)
 
         def final(dt):
-            cfg = IntegrationConfig(dt=dt, t_final=realized.duration, record_stride=10**9)
-            rho0 = pure_density(realized.psi0)
-            return integrate_lindblad(rho0, realized.hamiltonian, realized.noise, cfg).final
+            cfg = IntegrationConfig(dt=dt, t_final=s.duration)
+            return integrate_lindblad(pure_density(s.psi0), s.hamiltonian, noise, cfg).final
 
-        assert np.max(np.abs(final(None) - final(realized.duration / 1024))) <= 1e-9
+        assert np.max(np.abs(final(None) - final(s.duration / 1024))) <= 1e-9
 
     def test_random_monomial_jump_matches_liouvillian_exponential(self):
         h, noise, rho0 = _random_monomial_case()
@@ -481,26 +526,26 @@ class TestExactPropagation:
             h = np.zeros((2, 2))
             noise = NoiseModel((NoiseChannel.from_matrix([[0, 4.0], [0.5, 0]], 1.0, "strong"),))
         else:
-            realized = _realized(*case.split("-", 1), gamma=0.05)
-            h, noise = realized.hamiltonian, realized.noise
-        assert _Generator(h, noise).bound >= np.linalg.norm(_liouvillian(h, noise), 2)
+            s, noise = _job(*case.split("-", 1), gamma=0.05)
+            h = s.hamiltonian
+        assert _full_generator(h, noise).bound >= np.linalg.norm(_liouvillian(h, noise), 2)
 
     def test_several_substeps_match_liouvillian_exponential(self):
         # strong noise: bound * t_final spans many theta-sized substeps
-        realized = _realized("fig1a", "logical-eth", gamma=3.0)
-        h, noise, t = realized.hamiltonian, realized.noise, realized.duration
-        assert np.ceil(t * _Generator(h, noise).bound / _TAYLOR_THETA) >= 2
-        rho0 = pure_density(realized.psi0)
+        s, noise = _job("fig1a", "logical-eth", gamma=3.0)
+        h, t = s.hamiltonian, s.duration
+        assert np.ceil(t * _full_generator(h, noise).bound / _TAYLOR_THETA) >= 2
+        rho0 = pure_density(s.psi0)
         res = integrate_lindblad(rho0, h, noise, IntegrationConfig(t_final=t))
         expected = (_liouvillian_propagator(h, noise, t) @ rho0.reshape(-1)).reshape(h.shape)
         assert np.max(np.abs(res.final - expected)) <= 1e-12
 
     def test_fig1b_eth7_applications(self):
         # one theta-sized substep of 27 terms
-        realized = _realized("fig1b", "eth-7", gamma=0.05)
-        rho0 = pure_density(realized.psi0)
-        cfg = IntegrationConfig(t_final=realized.duration)
-        runs = [integrate_lindblad(rho0, realized.hamiltonian, realized.noise, cfg) for _ in "ab"]
+        s, noise = _job("fig1b", "eth-7", gamma=0.05)
+        rho0 = pure_density(s.psi0)
+        cfg = IntegrationConfig(t_final=s.duration)
+        runs = [integrate_lindblad(rho0, s.hamiltonian, noise, cfg) for _ in "ab"]
         assert runs[0].applications == 27
         assert runs[0].applications == runs[1].applications
         assert np.array_equal(runs[0].final, runs[1].final)
@@ -510,21 +555,20 @@ class TestExactPropagation:
         # the density-matrix check allows an anti-Hermitian part, which the
         # one-product generator would not see; rho0 is Hermitized on entry,
         # so it propagates exactly as its Hermitian part does
-        realized = _realized("fig1a", "logical-eth", gamma=0.3)
-        rho0 = pure_density(realized.psi0)
+        s, noise = _job("fig1a", "logical-eth", gamma=0.3)
+        rho0 = pure_density(s.psi0)
         b = np.random.default_rng(37).standard_normal(rho0.shape)
         rho0 = rho0 + 1e-12j * (b + b.T)
         assert not np.array_equal(rho0, rho0.conj().T)
         hermitized = 0.5 * (rho0 + rho0.conj().T)
-        cfg = IntegrationConfig(dt=dt, t_final=realized.duration)
-        final = integrate_lindblad(rho0, realized.hamiltonian, realized.noise, cfg).final
-        expected = integrate_lindblad(hermitized, realized.hamiltonian, realized.noise, cfg).final
+        cfg = IntegrationConfig(dt=dt, t_final=s.duration)
+        final = integrate_lindblad(rho0, s.hamiltonian, noise, cfg).final
+        expected = integrate_lindblad(hermitized, s.hamiltonian, noise, cfg).final
         assert np.array_equal(final, expected)
 
     def test_zero_duration(self):
         rho = pure_density(basis_state(1, 1))
         res = integrate_lindblad(rho, SZ, NoiseModel(), IntegrationConfig(t_final=0.0))
-        assert np.array_equal(res.times, [0.0])
         assert np.array_equal(res.final, rho)
         assert res.applications == 0
 
@@ -600,12 +644,12 @@ class TestComponents:
         + [("fig1b", lab) for lab in ("single", "plain-5", "eth-5", "plain-7", "eth-7")],
     )
     def test_bound_equals_dense_svd_formula(self, family, label):
-        realized = _realized(family, label, gamma=0.05)
-        h, noise = realized.hamiltonian, realized.noise
+        s, noise = _job(family, label, gamma=0.05)
+        h = s.hamiltonian
         g = _no_jump_generator(h, noise, IntegrationError)
         jumps = sum(ch.rate * np.max(np.abs(ch.vals)) ** 2 for ch in noise.channels)
         expected = 2.0 * np.linalg.norm(g, 2) + jumps
-        assert _Generator(h, noise).bound == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _full_generator(h, noise).bound == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 _ALL_SCENARIOS = pytest.mark.parametrize(
@@ -631,13 +675,13 @@ class TestLindbladSupport:
         # the reference generator maps any Hermitian rho on the support to a
         # matrix with no weight off it: products with the zeros off the
         # support are exact zeros
-        realized = _realized(family, label, gamma=0.05)
+        s, noise = _job(family, label, gamma=0.05)
         support = _sweep_support(family, label)
         rng = np.random.default_rng(43)
         v = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
         rho = support.unpack(v)
         rho = rho + rho.conj().T
-        out = lindblad_rhs(rho, realized.hamiltonian, realized.noise).reshape(-1)
+        out = lindblad_rhs(rho, s.hamiltonian, noise).reshape(-1)
         off = np.ones(out.size, dtype=bool)
         off[support.flat] = False
         assert np.any(out[support.flat]) and not np.any(out[off])
@@ -651,20 +695,21 @@ class TestLindbladSupport:
     def test_support_sizes(self, family, label, size):
         # pinned at gamma = 0.05, as built by a job and as shared by a sweep:
         # a closure that grows back towards d^2 shows here
-        realized = _realized(family, label, gamma=0.05)
-        rho0, cfg = pure_density(realized.psi0), IntegrationConfig(t_final=0.0)
-        res = integrate_lindblad(rho0, realized.hamiltonian, realized.noise, cfg)
+        s, noise = _job(family, label, gamma=0.05)
+        rho0, cfg = pure_density(s.psi0), IntegrationConfig(t_final=0.0)
+        res = integrate_lindblad(rho0, s.hamiltonian, noise, cfg)
         assert res.support_size == _sweep_support(family, label).size == size
 
     @pytest.mark.parametrize("label", ["plain-5", "eth-7"])
     def test_packed_equals_full_support(self, label):
         # every entry as the support: the dense computation
-        realized = _realized("fig1b", label, gamma=0.05)
-        h, noise = realized.hamiltonian, realized.noise
-        rho0 = pure_density(realized.psi0)
-        cfg = IntegrationConfig(t_final=realized.duration)
+        s, noise = _job("fig1b", label, gamma=0.05)
+        h = s.hamiltonian
+        rho0 = pure_density(s.psi0)
+        cfg = IntegrationConfig(t_final=s.duration)
         packed = integrate_lindblad(rho0, h, noise, cfg)
-        full = integrate_lindblad(rho0, h, noise, cfg, LindbladSupport(h, noise.channels))
+        every = LindbladSupport(h, noise.channels, np.ones(h.shape))
+        full = integrate_lindblad(rho0, h, noise, cfg, every)
         assert full.support_size == h.size > packed.support_size
         assert packed.applications == full.applications
         assert np.max(np.abs(packed.final - full.final)) <= 1e-15
@@ -673,10 +718,10 @@ class TestLindbladSupport:
     def test_sweep_support_serves_zero_rate(self, label):
         # at gamma = 0 the site channels are absent and rho reaches a subset
         # of the shared support: 384 entries of it
-        realized = _realized("fig1b", label, gamma=0.0)
-        h, noise = realized.hamiltonian, realized.noise
-        rho0 = pure_density(realized.psi0)
-        cfg = IntegrationConfig(t_final=realized.duration)
+        s, noise = _job("fig1b", label, gamma=0.0)
+        h = s.hamiltonian
+        rho0 = pure_density(s.psi0)
+        cfg = IntegrationConfig(t_final=s.duration)
         own = integrate_lindblad(rho0, h, noise, cfg)
         shared = integrate_lindblad(rho0, h, noise, cfg, _sweep_support("fig1b", label))
         assert own.support_size == 384 < shared.support_size
@@ -716,10 +761,10 @@ class TestOneStepPropagator:
         "family, label", [("fig1a", "logical-eth"), ("fig1b", "eth-5"), ("fig1b", "eth-7")]
     )
     def test_matches_scipy_on_scenarios(self, family, label):
-        realized = _realized(family, label, gamma=0.05)
-        g = _no_jump_generator(realized.hamiltonian, realized.noise, TrajectoryError)
-        t = realized.duration
-        for dt in (default_timestep(1.0, realized.noise.max_rate()), t / 128):
+        s, noise = _job(family, label, gamma=0.05)
+        g = _no_jump_generator(s.hamiltonian, noise, TrajectoryError)
+        t = s.duration
+        for dt in (default_timestep(1.0, noise.max_rate()), t / 128):
             a = g * (t / max(1, round(t / dt)))
             assert np.max(np.abs(_expm(a) - expm(a))) <= 1e-14
 
@@ -956,12 +1001,11 @@ class TestMcTrajectories:
     def test_fig1b_eth7_matches_reference_stepper(self):
         # d = 256 with one 16-state and fourteen 8-state components, on the
         # fig1b Monte Carlo step of tau/128
-        realized = _realized("fig1b", "eth-7", gamma=0.1)
-        h, noise, t = realized.hamiltonian, realized.noise, realized.duration
-        obs = realized.observable
+        s, noise = _job("fig1b", "eth-7", gamma=0.1)
+        h, t, obs = s.hamiltonian, s.duration, s.observable
         cfg = TrajectoryConfig(n_traj=100, seed=71, dt=t / 128)
-        a = mc_trajectories(realized.psi0, h, noise, t, [obs], cfg)
-        values, n_jumps = _reference_values(realized.psi0, h, noise, t, obs, cfg)
+        a = mc_trajectories(s.psi0, h, noise, t, [obs], cfg)
+        values, n_jumps = _reference_values(s.psi0, h, noise, t, obs, cfg)
         assert a.jumpers == np.count_nonzero(n_jumps) > 0
         assert a.jumps == n_jumps.sum()
         assert a.means[0] == pytest.approx(np.mean(values), abs=1e-9)
@@ -1177,7 +1221,7 @@ class TestMcTrajectories:
         h = np.kron(SZ, np.eye(2)).astype(complex)
         psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 0))
         obs = pure_density(psi0)
-        cfg_l = IntegrationConfig(dt=1e-3, t_final=1.0, record_stride=10**9)
+        cfg_l = IntegrationConfig(dt=1e-3, t_final=1.0)
         lres = integrate_lindblad(pure_density(psi0), h, noise, cfg_l)
         p_l = np.trace(lres.final @ obs).real
         mres = mc_trajectories(
@@ -1203,7 +1247,3 @@ class TestMcTrajectories:
         TrajectoryConfig(n_traj=np.int64(10), seed=np.uint64(2**63), dt=0.1)  # numpy ints pass
         with pytest.raises(ValueError):
             IntegrationConfig(dt=-0.1, t_final=1.0)
-        # a fractional stride used to pass and then record every 5th step
-        with pytest.raises(ValueError, match="record_stride must be a finite integer, got 2.5"):
-            IntegrationConfig(dt=0.1, t_final=1.0, record_stride=2.5)
-        IntegrationConfig(dt=0.1, t_final=1.0, record_stride=np.int64(2))  # numpy ints pass

@@ -13,7 +13,7 @@ from etlab.experiments import (
     PerturbativeParams,
     ScenarioSpec,
     _finalize_probability,
-    _realize,
+    _scenario,
     breakeven,
     default_gamma_grid,
     effective_error_prob,
@@ -26,6 +26,7 @@ from etlab.experiments import (
     run_scenario,
     suggested_mc_sample,
 )
+from etlab.dynamics import StepCountError
 from etlab.output import emit_csv
 
 
@@ -136,6 +137,11 @@ class TestGrid:
         assert grid[-1] == pytest.approx(1e-1)
 
 
+def _noise(spec):
+    """The noise of the sweep job ``spec``: its scenario's channels at its rate."""
+    return _scenario(spec).noise(spec.site_rate)
+
+
 class TestScenarios:
     def test_fig1a_labels_unique(self):
         specs = fig1a_scenarios(0.01, 1.0)
@@ -150,20 +156,18 @@ class TestScenarios:
 
     def test_reduced_rate_scenario(self):
         spec = next(s for s in fig1a_scenarios(0.5, 1.0) if s.label == "single-reduced")
-        realized = _realize(spec)
-        assert realized.noise.channels[0].rate == pytest.approx(0.03 * 0.5)
+        assert spec.site_rate == pytest.approx(0.03 * 0.5)
+        assert _noise(spec).channels[0].rate == spec.site_rate
 
     def test_fig1b_target_noise_always_present(self):
         spec = next(s for s in fig1b_scenarios(0.0, 1.0) if s.label == "eth-5")
-        realized = _realize(spec)
-        labels = [c.label for c in realized.noise.channels]
-        assert labels == ["target-up", "target-down"]
-        assert [c.rate for c in realized.noise.channels] == [1e-4, 2e-4]
+        noise = _noise(spec)
+        assert [c.label for c in noise.channels] == ["target-up", "target-down"]
+        assert [c.rate for c in noise.channels] == [1e-4, 2e-4]
 
     def test_fig1b_controller_damping_per_qubit(self):
         spec = next(s for s in fig1b_scenarios(0.07, 1.0) if s.label == "plain-5")
-        realized = _realize(spec)
-        damp = [c for c in realized.noise.channels if c.label.startswith("damp")]
+        damp = [c for c in _noise(spec).channels if c.label.startswith("damp")]
         assert len(damp) == 5
         assert all(c.rate == pytest.approx(0.07) for c in damp)
 
@@ -173,25 +177,30 @@ class TestScenarios:
         # observable and set of jump arrays, and gamma only sets the site
         # rates; an ETH scenario shares all but H with its plain twin; a jump
         # holds its nonzeros only, at most d of each of rows, cols and vals
-        def arrays(r):
-            jumps = [x for c in r.noise.channels for x in (c.rows, c.cols, c.vals)]
-            assert all(x.size <= len(r.psi0) for x in jumps)
-            return [r.hamiltonian, r.psi0, r.observable] + jumps
+        def job(spec):
+            return _scenario(spec), _noise(spec)
+
+        def arrays(job):
+            s, noise = job
+            jumps = [x for c in noise.channels for x in (c.rows, c.cols, c.vals)]
+            assert all(x.size <= len(s.psi0) for x in jumps)
+            return [s.hamiltonian, s.psi0, s.observable] + jumps
 
         make = fig1a_scenarios if family == "fig1a" else fig1b_scenarios
         fixed = {"fig1a": 0, "fig1b": 2}[family]
         for spec in make(0.01, 1.0):
-            a, b, zero = (_realize(replace(spec, gamma=g)) for g in (0.01, 0.05, 0.0))
+            a, b, zero = (job(replace(spec, gamma=g)) for g in (0.01, 0.05, 0.0))
+            assert a[0] is b[0] is zero[0]  # one scenario for every gamma
             pairs = zip(arrays(a), arrays(b), strict=True)
             assert all(x is y and not x.flags.writeable for x, y in pairs)
-            twin = _realize(replace(spec, gamma=0.01, use_eth=False))
+            twin = job(replace(spec, gamma=0.01, use_eth=False))
             assert all(x is y for x, y in zip(arrays(a)[1:], arrays(twin)[1:], strict=True))
-            sites = len(a.noise.channels) - fixed
-            for r, g in ((a, 0.01), (b, 0.05)):
-                assert [c.rate for c in r.noise.channels[:sites]] == [g * spec.rate_factor] * sites
-            assert zero.noise.channels == a.noise.channels[sites:]  # the fixed ones
-            doubled = _realize(replace(spec, omega=2.0))
-            assert np.array_equal(doubled.hamiltonian, 2.0 * a.hamiltonian)
+            sites = len(a[1].channels) - fixed
+            for (_, noise), g in ((a, 0.01), (b, 0.05)):
+                assert [c.rate for c in noise.channels[:sites]] == [g * spec.rate_factor] * sites
+            assert zero[1].channels == a[1].channels[sites:]  # the fixed ones
+            doubled = _scenario(replace(spec, omega=2.0))
+            assert np.array_equal(doubled.hamiltonian, 2.0 * a[0].hamiltonian)
 
     def test_sweep_builds_each_scenario_once(self, monkeypatch):
         # a serial sweep builds each scenario key once, however many grid
@@ -240,7 +249,7 @@ class TestScenarios:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
-            _realize(ScenarioSpec(label="x", family="fig9", gamma=0.1, omega=1.0))
+            _scenario(ScenarioSpec(label="x", family="fig9", gamma=0.1, omega=1.0))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -337,7 +346,7 @@ class TestRunScenario:
         monkeypatch.setattr(experiments, "integrate_lindblad", recording)
         for spec in fig1a_scenarios(0.05, 1.0) + fig1b_scenarios(0.05, 1.0):
             p, _ = run_scenario(spec)
-            trace = np.trace(finals[-1] @ _realize(spec).observable).real
+            trace = np.trace(finals[-1] @ _scenario(spec).observable).real
             assert abs(p - _finalize_probability(trace, spec.label)) <= 1e-14, spec.label
         assert len(finals) == 9
 
@@ -369,6 +378,24 @@ class TestSweeps:
         with pytest.raises(ValueError, match=f"max_workers must be at least 1, got {workers}"):
             sweep([0.0, 0.01], 1.0, method="lindblad", max_workers=workers)
 
+    @pytest.mark.parametrize(
+        "sweep, grid, kwargs",
+        [
+            (fig1a_sweep, [0.0, 0.05], dict(method="lindblad", dt=1e-300)),
+            (fig1a_sweep, [0.0, 0.05], dict(method="mc", dt=1e-300)),
+            # the default Monte Carlo step at gamma/omega = 1e6 is 5e-10
+            (fig1b_sweep, [0.0, 1e6], dict(method="mc")),
+        ],
+        ids=["rk4-dt", "mc-dt", "mc-default-step"],
+    )
+    def test_step_cap_checked_before_any_job_runs(self, monkeypatch, sweep, grid, kwargs):
+        def job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(experiments, "run_scenario", job)
+        with pytest.raises(StepCountError, match="more than the cap"):
+            sweep(grid, 1.0, max_workers=1, **kwargs)
+
     def test_pool_no_larger_than_job_count(self, monkeypatch):
         # a fork pool starts every worker it is allowed at the first submit
         sizes = []
@@ -397,8 +424,10 @@ class TestSweeps:
         # the default fig1a MC sweep (every fig1a G is diagonal, so its
         # one-step propagator is exp of 1 x 1 stacks), of the reduced fig1b
         # MC sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj
-        # 2000 --seed 7`, block stacks) and of the default fig1b Lindblad
-        # sweep, pinned for numpy 2.4 with OpenBLAS 0.3.31 on x86-64
+        # 2000 --seed 7`, block stacks), of the default fig1b Lindblad
+        # sweep and of a reduced fig1a RK4 sweep (`etlab sweep fig1a
+        # --gamma-points 3 --dt 0.01`), pinned for numpy 2.4 with OpenBLAS
+        # 0.3.31 on x86-64
         contracts = [
             (
                 "fig1a-lindblad",
@@ -424,6 +453,11 @@ class TestSweeps:
                 "fig1b-lindblad",
                 fig1b_sweep(default_gamma_grid(), 1.0, method="lindblad", max_workers=1),
                 "e865a04b6845de72f21da386510daf46845fa0ea202c7c764ee2c0544b5d6890",
+            ),
+            (
+                "fig1a-rk4-reduced",
+                fig1a_sweep(default_gamma_grid(3), 1.0, dt=0.01, max_workers=1),
+                "274a7374da2eb824acce57e6e30b5de7c99d909000e5f406712d95b27c3d5073",
             ),
         ]
         for name, result, digest in contracts:
