@@ -21,6 +21,7 @@ from .dynamics import (
     NoiseModel,
     TrajectoryConfig,
     integrate_lindblad,
+    integrate_lindblad_stack,
     lindblad_rhs,
     mc_trajectories,
 )

@@ -186,34 +186,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--gamma-max must be at least --gamma-min")
     if args.gamma_points > 1 and args.gamma_max == args.gamma_min:
         raise ConfigError("--gamma-points above 1 needs --gamma-max above --gamma-min")
-    kwargs = dict(
-        omega=args.omega,
-        method=method,
-        n_traj=args.traj,
-        seed=args.seed,
-        dt=args.dt,
-        max_workers=args.workers,
-    )
-    if args.experiment == "fig1a":
-        kwargs["apply_recovery"] = not args.no_recovery
-    elif args.no_recovery:
+    if args.experiment == "fig1b" and args.no_recovery:
         raise ConfigError("--no-recovery applies to fig1a only; fig1b has no recovery step")
     grid = experiments.default_gamma_grid(args.gamma_points, args.gamma_min, args.gamma_max)
     # as Python floats, an overflow gives inf without numpy's warning
     if not (np.isfinite(float(grid.max()) * args.omega) and np.isfinite(np.pi / args.omega)):
         raise ConfigError(f"--omega {args.omega!r} overflows gamma * omega or pi / omega")
+    specs = experiments.sweep_specs(
+        args.experiment, grid * args.omega, args.omega, apply_recovery=not args.no_recovery
+    )
+    try:
+        experiments.check_step_counts(specs, method, args.dt)
+    except StepCountError as exc:
+        # by default only Monte Carlo has a step, set by the largest rate
+        flag = "--gamma-max" if args.dt is None else "--dt"
+        raise ConfigError(f"{flag}: {exc}") from exc
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {args.out}: {exc}") from exc
-    runner = experiments.fig1a_sweep if args.experiment == "fig1a" else experiments.fig1b_sweep
-    try:
-        result = runner(grid * args.omega, **kwargs)
-    except StepCountError as exc:
-        # raised before any job runs; by default only Monte Carlo has a step,
-        # set by the largest rate
-        flag = "--gamma-max" if args.dt is None else "--dt"
-        raise ConfigError(f"{flag}: {exc}") from exc
+    result = experiments.run_sweep(specs, method, args.traj, args.seed, args.dt, args.workers)
     csv_path = args.out / f"{args.experiment}-{method}.csv"
     plot_path = csv_path.with_suffix(".svg")
     try:

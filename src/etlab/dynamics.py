@@ -53,7 +53,17 @@ vector's 2-norm is ||rho||_F and the Taylor bound, substeps and tail test
 are unchanged; a rho0 with every entry reachable is packed as rho.ravel()
 and evolved by exactly the dense computation.  The support depends on H,
 the jumps' nonzeros and rho0 only, not on the rates, so a sweep builds it
-once per scenario and each job attaches its rates.
+once per scenario.
+
+Only the rates change between the jobs of a scenario, so
+:func:`integrate_lindblad_stack` propagates many rates as one stack of
+packed states, a row per rate, held flat (row b's entry i at b s + i) so
+that each gather and scatter is one 1-D index over the whole stack; a
+single run is a stack of one row.  What does not depend on the rates is
+checked and built once per stack.  Each row keeps its own generator, bound,
+substeps, Taylor stop and application count, so it is bitwise the run of
+its rate alone; rows drop out of the stack as their series stop, and a
+failure names its row.
 
 Both methods see the noise through one representation: a
 :class:`NoiseChannel` holds its monomial jump (as is a Pauli letter or
@@ -77,7 +87,7 @@ a dt that needs more than :data:`MAX_STEPS` before allocating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -101,12 +111,19 @@ __all__ = [
     "step_count",
     "lindblad_rhs",
     "integrate_lindblad",
+    "integrate_lindblad_stack",
     "mc_trajectories",
 ]
 
 
 class NumericsError(RuntimeError):
-    """A simulation produced numerically inconsistent results."""
+    """A simulation produced numerically inconsistent results.  ``row`` is
+    the row of a stacked Lindblad run (:func:`integrate_lindblad_stack`)
+    that failed, None when the failure is not one row's."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class IntegrationError(NumericsError):
@@ -339,28 +356,42 @@ def _check_jump_dims(shape: tuple[int, ...], channels: Sequence[NoiseChannel]) -
             raise ValueError(f"dimension mismatch: H {shape}, jump {ch.label!r} {(ch.dim,) * 2}")
 
 
-def _no_jump_generator(
-    h: np.ndarray, noise: NoiseModel, error: type[NumericsError]
-) -> np.ndarray:
-    """G = -iH - K/2, with K = sum_k rate_k L_k^dag L_k, a diagonal, summed
-    in channel order.  A non-finite H, checked before any arithmetic, or G
-    raises the engine's ``error``; a non-square or non-Hermitian H (Lindblad
-    forms rho G^dag as (G rho)^dag), or a jump whose dimension is not H's,
-    raises ValueError."""
+def _no_jump_diagonals(
+    h: np.ndarray,
+    channels: Sequence[NoiseChannel],
+    rates: np.ndarray,
+    error: type[NumericsError],
+) -> tuple[np.ndarray, np.ndarray]:
+    """-iH, and for each row of ``rates`` (rows, channels) the diagonal of
+    G = -iH - K/2, with K = sum_k rate_k L_k^dag L_k, a diagonal, summed in
+    channel order.  A non-finite H, checked before any arithmetic, or a
+    non-finite diagonal raises the engine's ``error``, naming the row; a
+    non-square or non-Hermitian H (Lindblad forms rho G^dag as
+    (G rho)^dag), or a jump whose dimension is not H's, raises ValueError."""
     h = np.asarray(h, dtype=complex)
     if not np.isfinite(h).all():
         raise error("the Hamiltonian has non-finite entries")
     require_hermitian(h, what="Hamiltonian")
-    _check_jump_dims(h.shape, noise.channels)
-    k = np.zeros(len(h), dtype=complex)
-    for ch in noise.channels:
-        k[ch.cols] += ch.rate * (ch.vals.conj() * ch.vals)
+    _check_jump_dims(h.shape, channels)
+    k = np.zeros((len(rates), len(h)), dtype=complex)
+    for c, ch in enumerate(channels):
+        k[:, ch.cols] += rates[:, c : c + 1] * (ch.vals.conj() * ch.vals)
     # -iH is finite with H, so only the diagonal can overflow
     g = -1j * h
-    diag = np.arange(len(k)), np.arange(len(k))
-    g[diag] -= 0.5 * k
-    if not np.isfinite(g[diag]).all():
-        raise error("the generator has non-finite entries")
+    diag = np.diagonal(g) - 0.5 * k
+    bad = np.flatnonzero(~np.isfinite(diag).all(axis=1))
+    if bad.size:
+        raise error("the generator has non-finite entries", int(bad[0]))
+    return g, diag
+
+
+def _no_jump_generator(
+    h: np.ndarray, noise: NoiseModel, error: type[NumericsError]
+) -> np.ndarray:
+    """G = -iH - K/2 as a d x d matrix, checked as :func:`_no_jump_diagonals`."""
+    rates = np.array([[ch.rate for ch in noise.channels]], dtype=float)
+    g, diag = _no_jump_diagonals(h, noise.channels, rates, error)
+    g[np.diag_indices(len(g))] = diag[0]
     return g
 
 
@@ -443,11 +474,6 @@ class _Components:
         diagonal as a stack of 1 x 1 matrices and then each stack of blocks."""
         diag = f(self.diag[:, None, None])[:, 0, 0]
         return _Components(diag, [(idx, f(blocks)) for idx, blocks in self.stacks])
-
-    def norm2(self) -> float:
-        """The spectral norm: the largest of every block's and of |diag|."""
-        stacks = [self.diag[:, None, None]] + [b for _, b in self.stacks]
-        return max(_spectral_norm(b) for b in stacks)
 
 
 def _reachable_pairs(
@@ -581,55 +607,134 @@ class LindbladSupport:
         return 0.5 * (v + v[self.transpose].conj())
 
 
-class _Generator:
-    """Precomputed Lindblad generator on a :class:`LindbladSupport`:
-    rhs(v) = G rho + rho G^dag + jumps for a Hermitian rho packed as v.  G is
-    held by the support's components of H (:class:`_Components`), a rate
-    attaches to each channel's unit-rate sandwich, and an H, jump or
-    dimension that does not fit the support raises ValueError.
+def _shared_channels(noises: Sequence[NoiseModel]) -> tuple[NoiseChannel, ...]:
+    """The channels of the first noise model, which every other one must have
+    too, jump by jump and in the same order, at rates of its own; a model
+    that does not raises ValueError naming the channel."""
+    if not noises:
+        raise ValueError("a stacked run needs at least one noise model")
+    first = noises[0].channels
+    keys = [_jump_key(ch) for ch in first]
+    for b, noise in enumerate(noises[1:], 1):
+        for i, ch in enumerate(noise.channels):
+            if i >= len(keys) or _jump_key(ch) != keys[i]:
+                raise ValueError(
+                    f"noise model {b}: jump {ch.label!r} is not channel {i} of noise model 0"
+                )
+        if len(noise.channels) < len(first):
+            missing = first[len(noise.channels)].label
+            raise ValueError(f"noise model {b} lacks jump {missing!r} of noise model 0")
+    return first
 
-    ``bound`` = 2 ||G||_2 + sum_k rate_k ||L_k||_2^2 bounds the generator's
-    norm as a map on rho with the Frobenius norm.  ||G||_2 is the spectral
-    norm itself, the largest over G's components (an SVD of each block); a
-    monomial L_k has ||L_k||_2 = max |vals|.
+
+class _Generator:
+    """Precomputed Lindblad generators on a :class:`LindbladSupport`, one per
+    row of a stack: row b is H with the support's jumps at the rates of
+    noise model b (:func:`_shared_channels`).  rhs(x) = G rho + rho G^dag +
+    jumps for each row's Hermitian rho, packed on the support.
+
+    What does not depend on the rates is checked and built once: H finite,
+    Hermitian and within the support's components, -iH's component blocks
+    and each channel's unit-rate sandwich; an H, jump or dimension that
+    does not fit the support raises ValueError.  Per row are the diagonal
+    of G = -iH - K/2, G's component blocks (K sits on their diagonal), the
+    jump weights and ``bound``.
+
+    The states of a stack of rows are held flat, row by row, so that every
+    gather and scatter is one index into a 1-D array: with s = support.size,
+    entry i of the stack's b-th row sits at b s + i.  The offsets, and the
+    per-row parts, are built for a given array of rows and kept until the
+    rows change (:meth:`_parts`).
+
+    ``bound[b]`` = 2 ||G_b||_2 + sum_k rate_bk ||L_k||_2^2 bounds row b's
+    generator norm as a map on rho with the Frobenius norm.  ||G_b||_2 is
+    the spectral norm itself, the largest over G_b's components (an SVD of
+    each block); a monomial L_k has ||L_k||_2 = max |vals|.
     """
 
-    def __init__(self, h: np.ndarray, noise: NoiseModel, support: LindbladSupport):
-        g = _no_jump_generator(h, noise, IntegrationError)
+    def __init__(self, h: np.ndarray, noises: Sequence[NoiseModel], support: LindbladSupport):
+        channels = _shared_channels(noises)
+        self.rates = np.array([[ch.rate for ch in n.channels] for n in noises], dtype=float)
+        g, self.diag = _no_jump_diagonals(h, channels, self.rates, IntegrationError)
         if g.shape != (support.dim,) * 2:
             raise ValueError(f"dimension mismatch: H {g.shape}, support of dimension {support.dim}")
         rows, cols = np.nonzero(g)
         if np.any(support.labels[rows] != support.labels[cols]):
             raise ValueError("H couples states that lie in different components of the support")
-        comps = _Components.of(g, support.index)
         self.support = support
-        jump_bound = sum(c.rate * np.max(np.abs(c.vals), initial=0.0) ** 2 for c in noise.channels)
-        self.bound = 2.0 * comps.norm2() + jump_bound
-        self.diag = comps.diag[support.rows]
-        self.strips = [(comps.stacks[k][1][sel], pos) for k, sel, pos in support.strips]
-        self.jumps = []
-        for ch in noise.channels:
+        self.blocks = [g[idx[:, :, None], idx[:, None, :]] for idx in support.index]
+        self.sandwiches = []
+        for ch in channels:
             found = support.jumps.get(_jump_key(ch))
             if found is None:
                 raise ValueError(f"jump {ch.label!r} is not one of the support's channels")
-            to, frm, weights = found
-            self.jumps.append((to, frm, ch.rate * weights))
+            self.sandwiches.append(found)
+        self.all_rows = np.arange(len(noises))
+        self.bound = np.empty(len(noises))
+        for b in self.all_rows:
+            norm = _spectral_norm(self.diag[b, :, None, None])
+            for k in range(len(self.blocks)):
+                norm = max(norm, _spectral_norm(self._g_blocks(k, self.all_rows[b : b + 1])))
+            self.bound[b] = 2.0 * norm
+        for c, ch in enumerate(channels):
+            self.bound += self.rates[:, c] * np.max(np.abs(ch.vals), initial=0.0) ** 2
+        self._key = None
 
-    def rhs(self, v: np.ndarray) -> np.ndarray:
-        """The generator applied to a Hermitian rho packed as v, of any shape,
-        with one application of G: with X = G rho, rho G^dag = X^dag, the
-        transpose of X's conjugate on packed positions.  An exactly
+    def _g_blocks(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """G's blocks of component size stack k for each of ``rows``:
+        (len(rows), nb, m, m), -iH's blocks with G's diagonal on theirs."""
+        idx = self.support.index[k]
+        blocks = np.repeat(self.blocks[k][None], len(rows), axis=0)
+        i = np.arange(idx.shape[1])
+        blocks[:, :, i, i] = self.diag[rows][:, idx]
+        return blocks
+
+    def _parts(self, rows: np.ndarray):
+        """For a stack of ``rows``: its flat diagonal, transpose offsets,
+        strips (blocks, offsets) and jumps (to, from, weights), rebuilt
+        only when the rows differ from the last call's."""
+        key = rows.tobytes()
+        if key != self._key:
+            base = np.arange(len(rows)) * self.support.size
+
+            def at(idx: np.ndarray) -> np.ndarray:
+                flat = base.reshape((-1,) + (1,) * idx.ndim) + idx
+                return flat.reshape((-1,) + idx.shape[1:])
+
+            diag = self.diag[rows][:, self.support.rows].reshape(-1)
+            strips = []
+            for k, sel, pos in self.support.strips:
+                blocks = self._g_blocks(k, rows)[:, sel]
+                strips.append((blocks.reshape((-1,) + blocks.shape[2:]), at(pos)))
+            jumps = [
+                (at(to), at(frm), (self.rates[rows, c : c + 1] * weights).reshape(-1))
+                for c, (to, frm, weights) in enumerate(self.sandwiches)
+            ]
+            self._key, self._cache = key, (diag, at(self.support.transpose), strips, jumps)
+        return self._cache
+
+    def rhs(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """The generators of ``rows`` (every row by default) applied to their
+        Hermitian states, packed in x, of any shape holding them row after
+        row, with one application of G: with X = G rho, rho G^dag = X^dag,
+        the transpose of X's conjugate on packed positions.  An exactly
         Hermitian rho gives an exactly Hermitian result, so the Taylor terms
         and RK4 stages built from rho0 stay Hermitian; :func:`lindblad_rhs`
         is the reference."""
-        flat = v.reshape(-1)
-        x = self.diag * flat
-        for blocks, pos in self.strips:
-            x[pos] = blocks @ flat[pos]
-        out = x + x[self.support.transpose].conj()
-        for to, frm, weights in self.jumps:
+        diag, transpose, strips, jumps = self._parts(self.all_rows if rows is None else rows)
+        flat = x.reshape(-1)
+        y = diag * flat
+        for blocks, pos in strips:
+            y[pos] = blocks @ flat[pos]
+        out = y + y[transpose].conj()
+        for to, frm, weights in jumps:
             out[to] += weights * flat[frm]
-        return out.reshape(v.shape)
+        return out.reshape(x.shape)
+
+    def hermitize(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(rho + rho^dag)/2 of each state of ``rows``, packed in x."""
+        flat = x.reshape(-1)
+        return (0.5 * (flat + flat[self._parts(rows)[1]].conj())).reshape(x.shape)
 
 
 def _step_sizes(dt: float, t_final: float) -> list[float]:
@@ -658,70 +763,129 @@ _TAYLOR_TOL = 1e-15
 # tail bound is met by term 32 at the latest; needing this many terms means
 # the bound does not hold
 _TAYLOR_MAX_TERMS = 60
+# the Lindblad rows of one stacked run, and the Monte Carlo jumpers of one
+# run, advance together in blocks of at most this many bytes of state (8
+# rows of fig1b eth-7, 64 columns at d = 256): the memory held stays
+# bounded whatever the number of rates or trajectories, and the rows or
+# columns of a block share each numpy call
+_BLOCK_BYTES = 2**18
 
 
-def _check_trace(rho: np.ndarray, t: float, advice: str) -> None:
+def _check_trace(rho: np.ndarray, t: float, advice: str, row: int) -> None:
     drift = abs(np.trace(rho).real - 1.0)
     if drift > 1e-5:
-        raise IntegrationError(f"trace drifted by {drift:.3e} at t={t:.6g}{advice}")
+        raise IntegrationError(f"trace drifted by {drift:.3e} at t={t:.6g}{advice}", row)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row a[b] of a stack, as np.linalg.norm(a[b])
+    computes it, to the last bit: the real and imaginary dot products."""
+    r = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
 
 
 def _taylor_substep(
-    apply, x0: np.ndarray, step: float, bound: float, error: type[NumericsError]
-) -> tuple[np.ndarray, int]:
-    """sum_k (step A)^k x0 / k! for the linear map A = ``apply`` whose norm is
-    at most ``bound``, stopped on the tail bound; returns the sum and the
-    number of applications.  Needing more than _TAYLOR_MAX_TERMS terms raises
-    ``error``."""
+    apply,
+    x0: np.ndarray,
+    rows: np.ndarray,
+    step: np.ndarray,
+    bound: np.ndarray,
+    error: type[NumericsError],
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k (step_b A_b)^k x0[b] / k! for each row x0[b] of a stack, with
+    the linear maps A_b of ``rows`` (one per row of x0), whose norms are at
+    most ``bound``: ``apply(x, rows)`` applies the maps of ``rows`` to the
+    rows of x.  Each row stops on its own tail bound, and the others go on
+    without it, so a row's sum does not depend on the rest of the stack.
+    Returns the sums and each row's number of applications.  A row that
+    needs more than _TAYLOR_MAX_TERMS terms raises ``error`` naming it."""
     x = step * bound
-    acc = x0.copy()
-    term = x0
+    out, terms = np.empty_like(x0), np.zeros(len(x0), dtype=int)
+    ks = np.arange(1, _TAYLOR_MAX_TERMS + 1)[:, None]
+
+    def live(at):
+        """The maps of the rows ``at`` of x0, their scales step/k for every
+        k (complex, so the product casts nothing) and their x as floats."""
+        scale = (step[at] / ks).astype(complex)
+        xs = x[at].tolist()
+        return rows[at], scale.reshape(scale.shape + (1,) * (x0.ndim - 1)), xs, min(xs)
+
+    at = np.arange(len(x0))  # the rows of x0 still summing
+    ra, scale, xs, xmin = live(at)
+    acc, term = x0.copy(), x0
     for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = apply(term) * (step / k)
+        term = apply(term, ra) * scale[k - 1]
         acc += term
-        if k + 1 > x and (
-            np.linalg.norm(term) * x / (k + 1 - x) <= _TAYLOR_TOL * np.linalg.norm(acc)
-        ):
-            return acc, k
+        if k + 1 > xmin:
+            tails = zip(_row_norms(term).tolist(), _row_norms(acc).tolist(), xs)
+            stop = [k + 1 > xb and t * xb / (k + 1 - xb) <= _TAYLOR_TOL * a for t, a, xb in tails]
+            if any(stop):
+                stop = np.array(stop)
+                out[at[stop]], terms[at[stop]] = acc[stop], k
+                if stop.all():
+                    return out, terms
+                at, acc, term = at[~stop], acc[~stop], term[~stop]
+                ra, scale, xs, xmin = live(at)
+    first = at[0]
     raise error(
         f"Taylor series did not converge in {_TAYLOR_MAX_TERMS} terms "
-        f"(substep {step:.4g}, generator bound {bound:.4g})"
+        f"(substep {step[first]:.4g}, generator bound {bound[first]:.4g})",
+        int(rows[first]),
     )
 
 
-def _n_substeps(t: float, bound: float) -> int:
-    """ceil(t * bound / theta), at least one."""
-    return max(1, int(np.ceil(t * bound / _TAYLOR_THETA)))
+def _n_substeps(t: float, bound):
+    """ceil(t * bound / theta), at least one, for a bound or an array of them."""
+    return np.maximum(1, np.ceil(t * np.asarray(bound) / _TAYLOR_THETA).astype(int))
 
 
 def _propagate_exact(
-    gen: _Generator, v: np.ndarray, t_final: float
-) -> tuple[np.ndarray, int]:
-    """exp(t_final L) rho, for rho packed as v, as ceil(t_final * bound /
-    theta) Taylor substeps; returns the packed state and the number of
-    generator applications.  Off the support rho is 0, so v's 2-norm is
+    gen: _Generator, v: np.ndarray, rows: np.ndarray, t_final: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(t_final L_b) rho_b for the states of ``rows``, packed as the rows
+    of v, each in ceil(t_final * bound_b / theta) Taylor substeps of its own;
+    returns the packed states and each row's number of generator
+    applications.  Off the support rho is 0, so a row's 2-norm is
     ||rho||_F, as the tail bound needs."""
-    n_sub = _n_substeps(t_final, gen.bound)
+    bound = gen.bound[rows]
+    n_sub = _n_substeps(t_final, bound)
     step = t_final / n_sub
-    applications = 0
-    for _ in range(n_sub):
-        acc, k = _taylor_substep(gen.rhs, v, step, gen.bound, IntegrationError)
-        applications += k
-        v = gen.support.hermitize(acc)
+    applications = np.zeros(len(rows), dtype=int)
+    for j in range(n_sub.max()):
+        at = np.flatnonzero(n_sub > j)
+        acc, k = _taylor_substep(gen.rhs, v[at], rows[at], step[at], bound[at], IntegrationError)
+        applications[at] += k
+        v[at] = gen.hermitize(acc, rows[at])
     return v, applications
+
+
+def _propagate_rk4(
+    gen: _Generator, v: np.ndarray, rows: np.ndarray, sizes: list[float]
+) -> np.ndarray:
+    """Classical RK4 steps of the given sizes for the states of ``rows``,
+    packed as the rows of v, Hermitized after every step."""
+    for s in sizes:
+        k1 = gen.rhs(v, rows)
+        k2 = gen.rhs(v + (0.5 * s) * k1, rows)
+        k3 = gen.rhs(v + (0.5 * s) * k2, rows)
+        k4 = gen.rhs(v + s * k3, rows)
+        v = gen.hermitize(v + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), rows)
+    return v
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a matrix, or of each matrix of a stack (..., m, m) such as
     the blocks of :class:`_Components`, by the same scaled Taylor series
     applied to a stack of identities by X -> a X, in substeps sized for the
-    stack's largest ||a||_2 (:func:`_spectral_norm`)."""
-    bound = _spectral_norm(a)
-    n_sub = _n_substeps(1.0, bound)
-    u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+    stack's largest ||a||_2 (:func:`_spectral_norm`), with one tail test
+    over the whole stack: it is one row."""
+    bound = np.array([_spectral_norm(a)])
+    n_sub = int(_n_substeps(1.0, bound[0]))
+    step, row = np.array([1.0 / n_sub]), np.zeros(1, dtype=int)
+    u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), (1,) + a.shape).copy()
     for _ in range(n_sub):
-        u, _ = _taylor_substep(a.__matmul__, u, 1.0 / n_sub, bound, TrajectoryError)
-    return u
+        u, _ = _taylor_substep(lambda x, _rows: a @ x, u, row, step, bound, TrajectoryError)
+    return u[0]
 
 
 def integrate_lindblad(
@@ -732,7 +896,7 @@ def integrate_lindblad(
     support: LindbladSupport | None = None,
 ) -> LindbladResult:
     """rho(t_final): rho0 evolved under the master equation up to
-    ``config.t_final``.
+    ``config.t_final``; a stack of one row (:func:`integrate_lindblad_stack`).
 
     With ``config.dt=None`` the state is propagated exactly.  With an
     explicit dt, classical fixed-step RK4 takes :func:`step_count` steps; a
@@ -749,42 +913,68 @@ def integrate_lindblad(
     for H, for these jumps or more and for rho0's nonzeros or more serves
     every job of a sweep; one that does not fit them raises ValueError.
     """
+    return next(integrate_lindblad_stack(rho0, h, [noise], config, support))
+
+
+def integrate_lindblad_stack(
+    rho0: np.ndarray,
+    h: np.ndarray,
+    noises: Sequence[NoiseModel],
+    config: IntegrationConfig,
+    support: LindbladSupport | None = None,
+) -> Iterator[LindbladResult]:
+    """rho(t_final) under each noise model, one :class:`LindbladResult` per
+    model in order, from one stacked run: the models must hold the same
+    jumps in the same order (only their rates differ; a model that does not
+    raises ValueError naming the channel), and share rho0, H, ``config`` and
+    the support, built from the first model's jumps when not given.  Each
+    row is what :func:`integrate_lindblad` gives for its model alone, to the
+    last bit and in as many generator applications: a row keeps its own
+    generator bound, substeps and Taylor stop.
+
+    rho0, H and the fit of the support are checked once for the stack.  The
+    RK4 stability limit is checked for every row before any propagation,
+    and rows are propagated in blocks of at most _BLOCK_BYTES of packed
+    state, each block's results yielded before the next block starts, so
+    memory does not grow with the number of rows.  A numerical failure of
+    one row raises :class:`IntegrationError` with that row's index as its
+    ``row``.
+    """
     rho = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho)
+    noises = list(noises)
     if support is None:
-        support = LindbladSupport(h, noise.channels, rho)
-    gen = _Generator(h, noise, support)
+        support = LindbladSupport(h, _shared_channels(noises), rho)
+    gen = _Generator(h, noises, support)
     # the check allows a 1e-10 anti-Hermitian part; the generator's one
     # product needs an exactly Hermitian state
-    v = support.hermitize(support.pack(rho))
-    if config.t_final == 0:
-        return LindbladResult(support.unpack(v), 0, support.size)
-    if config.dt is None:
-        v, applications = _propagate_exact(gen, v, config.t_final)
-    else:
+    v0 = support.hermitize(support.pack(rho))
+    advice = ""
+    if config.dt is not None:
         sizes = _step_sizes(config.dt, config.t_final)
-        if max(sizes) * gen.bound > _RK4_STABILITY:
+        advice = "; use a smaller dt"
+        over = np.flatnonzero(max(sizes) * gen.bound > _RK4_STABILITY)
+        if over.size:
+            b = int(over[0])
             raise IntegrationError(
                 f"RK4 step {max(sizes):.4g} exceeds the stability limit "
-                f"{_RK4_STABILITY / gen.bound:.4g} of this generator; use a smaller dt"
+                f"{_RK4_STABILITY / gen.bound[b]:.4g} of this generator{advice}",
+                b,
             )
-        for s in sizes:
-            k1 = gen.rhs(v)
-            k2 = gen.rhs(v + (0.5 * s) * k1)
-            k3 = gen.rhs(v + (0.5 * s) * k2)
-            k4 = gen.rhs(v + s * k3)
-            v = support.hermitize(v + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        applications = 4 * len(sizes)
-    final = support.unpack(v)
-    _check_trace(final, config.t_final, "" if config.dt is None else "; use a smaller dt")
-    return LindbladResult(final, applications, support.size)
-
-
-# the jumpers of one run advance together as the columns of blocks of at
-# most this many bytes of state (64 columns at d = 256, 4096 at d = 4): the
-# memory held per run stays bounded whatever n_traj is, and the columns
-# share each matmul
-_BLOCK_BYTES = 2**18
+    width = max(1, _BLOCK_BYTES // v0.nbytes)
+    for start in range(0, len(noises), width):
+        rows = gen.all_rows[start : start + width]
+        v = np.tile(v0, (len(rows), 1))
+        applications = np.zeros(len(rows), dtype=int)
+        if config.t_final > 0 and config.dt is None:
+            v, applications = _propagate_exact(gen, v, rows, config.t_final)
+        elif config.t_final > 0:
+            v = _propagate_rk4(gen, v, rows, sizes)
+            applications += 4 * len(sizes)
+        for row, packed, count in zip(rows, v, applications):
+            final = support.unpack(packed)
+            _check_trace(final, config.t_final, advice, int(row))
+            yield LindbladResult(final, int(count), support.size)
 
 
 def mc_trajectories(

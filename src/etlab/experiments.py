@@ -17,12 +17,16 @@ Two experiment families reproduce the headline open-system comparisons:
   probability at the end of the swap.
 
 A sweep job is a scenario, built once per process for its key, plus the
-rate that gamma sets on its noisy sites.  Sweeps run their grid points
-serially, or over a process pool when ``max_workers`` > 1; per-job seeds
-are derived deterministically from (master seed, scenario index, grid
-index), so merged results do not depend on worker count or scheduling
-order.  A sweep with fixed steps checks every job's step count
-(:func:`~etlab.dynamics.step_count`) before any job runs.
+rate that gamma sets on its noisy sites.  A sweep runs in tasks: the
+Lindblad jobs of one scenario key are one task, one stacked run with a
+row per job's rate (:func:`~etlab.dynamics.integrate_lindblad_stack`),
+each row equal to the job run alone; a Monte Carlo job is a task of its
+own.  Tasks run in grid order, serially, or over a process pool of at
+most one worker per task when ``max_workers`` > 1; per-job seeds are
+derived deterministically from (master seed, scenario index, grid index),
+so merged results do not depend on worker count or scheduling order.  A
+sweep with fixed steps checks every job's step count
+(:func:`check_step_counts`) before any job runs.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .dynamics import (
     TrajectoryConfig,
     _check_integers,
     default_timestep,
-    integrate_lindblad,
+    integrate_lindblad_stack,
     mc_trajectories,
     site_channels,
     step_count,
@@ -74,6 +78,9 @@ __all__ = [
     "fig1a_scenarios",
     "fig1b_scenarios",
     "run_scenario",
+    "sweep_specs",
+    "check_step_counts",
+    "run_sweep",
     "fig1a_sweep",
     "fig1b_sweep",
     "suggested_mc_sample",
@@ -185,10 +192,12 @@ class _Scenario:
     sites: tuple[NoiseChannel, ...]  # each noisy site's jump, at unit rate
     fixed: tuple[NoiseChannel, ...] = ()  # channels whose rate is not gamma's
 
-    def noise(self, rate: float) -> NoiseModel:
-        """A job's channels: every site at ``rate``, none when it is 0, then
-        the fixed ones."""
-        sites = tuple(replace(ch, rate=rate) for ch in self.sites) if rate > 0 else ()
+    def noise(self, rate: float, idle_sites: bool = False) -> NoiseModel:
+        """A job's channels: every site at ``rate``, then the fixed ones.  At
+        rate 0 the sites are left out, unless ``idle_sites``: every row of a
+        stacked Lindblad run holds its key's channels."""
+        keep = rate > 0 or idle_sites
+        sites = tuple(replace(ch, rate=rate) for ch in self.sites) if keep else ()
         return NoiseModel(sites + self.fixed)
 
     @functools.cached_property
@@ -258,27 +267,51 @@ def _build_scenario(family, code_name, use_eth, omega, apply_recovery) -> _Scena
     return scenario
 
 
+def _key(spec: ScenarioSpec) -> tuple:
+    return spec.family, spec.code_name, spec.use_eth, spec.omega, spec.apply_recovery
+
+
 def _scenario(spec: ScenarioSpec) -> _Scenario:
-    key = (spec.family, spec.code_name, spec.use_eth, spec.omega, spec.apply_recovery)
-    return _build_scenario(*key)
+    return _build_scenario(*_key(spec))
 
 
-def _job_inputs(
-    spec: ScenarioSpec, method: str, dt: float | None
-) -> tuple[_Scenario, NoiseModel, float | None]:
-    """A job's scenario, noise and step: ``dt``, or :func:`default_timestep`
-    for Monte Carlo when dt is None (exact Lindblad propagation has none)."""
-    s = _scenario(spec)
-    noise = s.noise(spec.site_rate)
+def _job_step(spec: ScenarioSpec, method: str, dt: float | None) -> float | None:
+    """A job's step: ``dt``, or for Monte Carlo when dt is None the
+    :func:`default_timestep` of its largest rate (exact Lindblad propagation
+    has none)."""
     if dt is None and method == "mc":
-        dt = default_timestep(spec.omega, noise.max_rate())
-    return s, noise, dt
+        rates = [spec.site_rate] + [ch.rate for ch in _scenario(spec).fixed]
+        dt = default_timestep(spec.omega, max(rates))
+    return dt
 
 
 def _finalize_probability(p: float, context: str) -> float:
     if not (-1e-6 <= p <= 1 + 1e-6):
         raise ExperimentError(f"{context}: probability {p!r} is outside [0,1] beyond tolerance")
     return float(min(max(p, 0.0), 1.0))
+
+
+def _context(spec: ScenarioSpec) -> str:
+    return f"{spec.family}/{spec.label} at gamma/omega={spec.gamma / spec.omega:.4g}"
+
+
+def _lindblad_probabilities(specs: tuple[ScenarioSpec, ...], dt: float | None) -> list[float]:
+    """The success probabilities of Lindblad jobs that share one scenario
+    key, in order, from one stacked run with a row per job's rate; a
+    numerical failure names its own job's scenario and grid point."""
+    s = _scenario(specs[0])
+    config = IntegrationConfig(dt=dt, t_final=s.duration)
+    noises = [s.noise(spec.site_rate, idle_sites=True) for spec in specs]
+    rows = integrate_lindblad_stack(pure_density(s.psi0), s.hamiltonian, noises, config, s.support)
+    probabilities = []
+    try:
+        for spec, result in zip(specs, rows):
+            prob = float(np.einsum("ij,ji->", result.final, s.observable).real)
+            probabilities.append(_finalize_probability(prob, _context(spec)))
+    except NumericsError as exc:
+        spec = specs[exc.row or 0]
+        raise type(exc)(f"{_context(spec)}: {exc}", exc.row) from exc
+    return probabilities
 
 
 def run_scenario(
@@ -292,27 +325,20 @@ def run_scenario(
 
     ``dt=None`` propagates the Lindblad equation exactly and places Monte
     Carlo jumps on :func:`default_timestep`; an explicit dt is the RK4 step
-    or the jump-placement step.
+    or the jump-placement step.  A Lindblad job is a stack of one row.
     """
-    s, noise, dt = _job_inputs(spec, method, dt)
-    context = f"{spec.family}/{spec.label} at gamma/omega={spec.gamma / spec.omega:.4g}"
+    if method == "lindblad":
+        return _lindblad_probabilities((spec,), dt)[0], 0.0
+    if method != "mc":
+        raise ValueError(f"unknown method {method!r}; use 'lindblad' or 'mc'")
+    s = _scenario(spec)
+    config = TrajectoryConfig(n_traj=n_traj, seed=seed, dt=_job_step(spec, method, dt))
+    noise = s.noise(spec.site_rate)
     try:
-        if method == "lindblad":
-            config = IntegrationConfig(dt=dt, t_final=s.duration)
-            result = integrate_lindblad(
-                pure_density(s.psi0), s.hamiltonian, noise, config, s.support
-            )
-            prob = float(np.einsum("ij,ji->", result.final, s.observable).real)
-            return _finalize_probability(prob, context), 0.0
-        if method == "mc":
-            config = TrajectoryConfig(n_traj=n_traj, seed=seed, dt=dt)
-            result = mc_trajectories(
-                s.psi0, s.hamiltonian, noise, s.duration, [s.observable], config
-            )
-            return _finalize_probability(float(result.means[0]), context), float(result.stderrs[0])
+        result = mc_trajectories(s.psi0, s.hamiltonian, noise, s.duration, [s.observable], config)
     except NumericsError as exc:
-        raise type(exc)(f"{context}: {exc}") from exc
-    raise ValueError(f"unknown method {method!r}; use 'lindblad' or 'mc'")
+        raise type(exc)(f"{_context(spec)}: {exc}") from exc
+    return _finalize_probability(float(result.means[0]), _context(spec)), float(result.stderrs[0])
 
 
 def _job_seed(master: int, scenario_index: int, point_index: int) -> int:
@@ -320,19 +346,46 @@ def _job_seed(master: int, scenario_index: int, point_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_job(args) -> SweepRow:
-    spec, method, n_traj, seed, dt = args
-    prob, stderr = run_scenario(spec, method=method, n_traj=n_traj, seed=seed, dt=dt)
-    return SweepRow(
-        gamma_over_omega=spec.gamma / spec.omega,
-        scenario=spec.label,
-        probability=prob,
-        stderr=stderr,
-        method=method,
-    )
+def _run_task(task) -> list[SweepRow]:
+    """The rows of one sweep task: the Lindblad jobs of one scenario key as
+    one stacked run, or one Monte Carlo job."""
+    specs, method, n_traj, seeds, dt = task
+    if method == "lindblad":
+        results = [(p, 0.0) for p in _lindblad_probabilities(specs, dt)]
+    else:
+        results = [run_scenario(sp, method, n_traj, sd, dt) for sp, sd in zip(specs, seeds)]
+    return [
+        SweepRow(spec.gamma / spec.omega, spec.label, prob, stderr, method)
+        for spec, (prob, stderr) in zip(specs, results)
+    ]
 
 
-def _run_sweep(
+def sweep_specs(
+    experiment: str, gammas: Iterable[float], omega: float = 1.0, apply_recovery: bool = True
+) -> list[list[ScenarioSpec]]:
+    """Each grid point's scenarios of ``experiment``, "fig1a" or "fig1b";
+    ``apply_recovery`` is fig1a's only (fig1b has no recovery step)."""
+    if experiment == "fig1a":
+        return [fig1a_scenarios(g, omega, apply_recovery=apply_recovery) for g in gammas]
+    if experiment == "fig1b":
+        return [fig1b_scenarios(g, omega) for g in gammas]
+    raise ValueError(f"unknown experiment {experiment!r}; use 'fig1a' or 'fig1b'")
+
+
+def check_step_counts(
+    specs_per_point: list[list[ScenarioSpec]], method: str, dt: float | None
+) -> None:
+    """Every job's step count (:func:`~etlab.dynamics.step_count`), so that
+    none runs when one is over the cap: a Monte Carlo job, or an RK4 one
+    with an explicit dt, whose step needs more than MAX_STEPS raises
+    StepCountError.  Exact Lindblad propagation takes no steps."""
+    if method == "mc" or dt is not None:
+        for specs in specs_per_point:
+            for spec in specs:
+                step_count(_job_step(spec, method, dt), _scenario(spec).duration)
+
+
+def run_sweep(
     specs_per_point: list[list[ScenarioSpec]],
     method: str,
     n_traj: int,
@@ -340,24 +393,26 @@ def _run_sweep(
     dt: float | None,
     max_workers: int | None,
 ) -> SweepResult:
+    """The rows of every job over the grid, sorted by (scenario, gamma/omega),
+    run as tasks in grid order: one per Lindblad scenario key, one per
+    Monte Carlo job."""
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    jobs = []
+    check_step_counts(specs_per_point, method, dt)
+    groups = {}
     for pi, specs in enumerate(specs_per_point):
         for si, spec in enumerate(specs):
-            jobs.append((spec, method, n_traj, _job_seed(seed, si, pi), dt))
-    if method == "mc" or dt is not None:
-        # every job's step count, so that none runs when one is over the cap;
-        # exact Lindblad propagation takes no steps
-        for spec, *_ in jobs:
-            s, _, step = _job_inputs(spec, method, dt)
-            step_count(step, s.duration)
-    if max_workers is not None and max_workers > 1 and len(jobs) > 1:
+            key = _key(spec) if method == "lindblad" else (pi, si)
+            group = groups.setdefault(key, ([], []))
+            group[0].append(spec)
+            group[1].append(_job_seed(seed, si, pi))
+    tasks = [(tuple(sp), method, n_traj, tuple(sd), dt) for sp, sd in groups.values()]
+    if max_workers is not None and max_workers > 1 and len(tasks) > 1:
         # a fork pool starts all its workers at the first submit, used or not
-        with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
-            rows = list(pool.map(_run_job, jobs))
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:
+            rows = [row for task_rows in pool.map(_run_task, tasks) for row in task_rows]
     else:
-        rows = [_run_job(j) for j in jobs]
+        rows = [row for task in tasks for row in _run_task(task)]
     rows.sort(key=lambda r: (r.scenario, r.gamma_over_omega))
     return SweepResult(rows=tuple(rows))
 
@@ -373,10 +428,8 @@ def fig1a_sweep(
     max_workers: int | None = None,
 ) -> SweepResult:
     """Four-scenario precession comparison over a gamma grid."""
-    specs = [
-        fig1a_scenarios(g, omega, apply_recovery=apply_recovery) for g in gammas
-    ]
-    return _run_sweep(specs, method, n_traj, seed, dt, max_workers)
+    specs = sweep_specs("fig1a", gammas, omega, apply_recovery)
+    return run_sweep(specs, method, n_traj, seed, dt, max_workers)
 
 
 def fig1b_sweep(
@@ -389,8 +442,7 @@ def fig1b_sweep(
     max_workers: int | None = None,
 ) -> SweepResult:
     """Five-scenario controller comparison over a gamma grid."""
-    specs = [fig1b_scenarios(g, omega) for g in gammas]
-    return _run_sweep(specs, method, n_traj, seed, dt, max_workers)
+    return run_sweep(sweep_specs("fig1b", gammas, omega), method, n_traj, seed, dt, max_workers)
 
 
 def suggested_mc_sample(spec: ScenarioSpec) -> int:

@@ -370,14 +370,16 @@ class TestConfigValidation:
         # the RK4 step list, numpy's "Maximum allowed dimension exceeded" from
         # the Monte Carlo backbone, and an 18.7 GiB allocation for the
         # default Monte Carlo step at gamma/omega = 1e6
-        def job(*args, **kwargs):
-            raise AssertionError("a job ran")
+        def task(*args, **kwargs):
+            raise AssertionError("a task ran")
 
-        monkeypatch.setattr(experiments, "run_scenario", job)
+        monkeypatch.setattr(experiments, "_run_task", task)
         assert run_cli(["sweep", "fig1a", *args, "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: dt=") and "more than the cap" in err
         assert not list(tmp_path.rglob("*.csv"))
+        # checked before --out is created: a rejected sweep leaves no directory
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "argv, named",

@@ -7,6 +7,7 @@ P0(t) = (1 + exp(-2 gamma t))/2, and independent qubits multiply.
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from etlab.dynamics import (
     TrajectoryError,
     default_timestep,
     integrate_lindblad,
+    integrate_lindblad_stack,
     lindblad_rhs,
     mc_trajectories,
     site_channels,
@@ -459,8 +461,8 @@ def _job(family, label, gamma):
 
 
 def _full_generator(h, noise):
-    """The generator on every entry of rho."""
-    return _Generator(h, noise, LindbladSupport(h, noise.channels, np.ones(h.shape)))
+    """The generator on every entry of rho, a stack of one row."""
+    return _Generator(h, [noise], LindbladSupport(h, noise.channels, np.ones(h.shape)))
 
 
 def _liouvillian_propagator(h, noise, t):
@@ -752,6 +754,91 @@ class TestLindbladSupport:
         v = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
         rho = support.unpack(v)
         assert np.array_equal(support.unpack(support.hermitize(v)), 0.5 * (rho + rho.conj().T))
+
+
+def _stacks(family, grid=None):
+    """Each scenario key of a sweep over ``grid`` (the default grid): its
+    scenario, its jobs' specs in grid order and their stacked rows' noise,
+    every site channel present, at rate 0 where gamma is 0."""
+    from etlab import experiments as ex
+
+    groups = {}
+    grid = ex.default_gamma_grid() if grid is None else grid
+    for specs in ex.sweep_specs(family, grid):
+        for spec in specs:
+            groups.setdefault(ex._key(spec), []).append(spec)
+    stacks = []
+    for specs in groups.values():
+        s = ex._scenario(specs[0])
+        stacks.append((s, specs, [s.noise(sp.site_rate, idle_sites=True) for sp in specs]))
+    return stacks
+
+
+class TestLindbladStack:
+    """Every rate of a scenario key as one stacked run, row by row."""
+
+    @pytest.mark.parametrize("dt", [None, 0.1], ids=["exact", "rk4"])
+    @pytest.mark.parametrize("family", ["fig1a", "fig1b"])
+    def test_rows_equal_one_rate_runs(self, family, dt):
+        # each row keeps its own bound, substeps and Taylor stop, so it is
+        # its job run alone, to the last bit and in as many applications; a
+        # gamma = 0 row holds the site channels at rate 0 and equals the run
+        # without them
+        for s, specs, noises in _stacks(family):
+            rho0, cfg = pure_density(s.psi0), IntegrationConfig(dt=dt, t_final=s.duration)
+            rows = integrate_lindblad_stack(rho0, s.hamiltonian, noises, cfg, s.support)
+            for spec, row in zip(specs, rows, strict=True):
+                alone = integrate_lindblad(
+                    rho0, s.hamiltonian, s.noise(spec.site_rate), cfg, s.support
+                )
+                assert np.array_equal(row.final, alone.final), (spec.label, spec.gamma)
+                assert row.applications == alone.applications, (spec.label, spec.gamma)
+
+    @pytest.mark.parametrize("family, label", [("fig1a", "logical-eth"), ("fig1b", "eth-5")])
+    def test_rows_beyond_one_block(self, monkeypatch, family, label):
+        # rows are propagated in blocks of at most _BLOCK_BYTES of state: two
+        # rows a block here, each row still its job run alone
+        import etlab.dynamics as dyn
+
+        grid = [0.0, 1e-3, 0.01, 0.05, 0.1]
+        [(s, specs, noises)] = [x for x in _stacks(family, grid) if x[1][0].label == label]
+        rho0, cfg = pure_density(s.psi0), IntegrationConfig(t_final=s.duration)
+        blocks = []
+        propagate = dyn._propagate_exact
+
+        def recording(gen, v, rows, t_final):
+            blocks.append(rows.tolist())
+            return propagate(gen, v, rows, t_final)
+
+        monkeypatch.setattr(dyn, "_propagate_exact", recording)
+        monkeypatch.setattr(dyn, "_BLOCK_BYTES", 2 * 16 * s.support.size)
+        rows = list(integrate_lindblad_stack(rho0, s.hamiltonian, noises, cfg, s.support))
+        assert blocks == [[0, 1], [2, 3], [4]]
+        for spec, row in zip(specs, rows, strict=True):
+            alone = integrate_lindblad(rho0, s.hamiltonian, s.noise(spec.site_rate), cfg, s.support)
+            assert np.array_equal(row.final, alone.final), spec.gamma
+            assert row.applications == alone.applications, spec.gamma
+
+    def test_noise_models_of_other_channels_rejected(self):
+        [(s, specs, noises)] = [x for x in _stacks("fig1b", [0.05]) if x[1][0].label == "eth-5"]
+        first = noises[0]
+        damp0 = first.channels[0]
+        other_jump = replace(damp0, vals=-damp0.vals)
+        extra = NoiseChannel.on_site(6, 0, SX, 0.1, "extra")
+        cases = [
+            (NoiseModel(first.channels[:-1]), "noise model 1 lacks jump 'target-down' of"),
+            (NoiseModel(first.channels[::-1]), "model 1: jump 'target-down' is not channel 0"),
+            (NoiseModel(first.channels + (extra,)), "noise model 1: jump 'extra' is not channel 7"),
+            (NoiseModel((other_jump,) + first.channels[1:]), "jump 'damp0' is not channel 0"),
+            # a gamma = 0 job's own noise, whose sites are left out
+            (s.noise(0.0), "noise model 1: jump 'target-up' is not channel 0"),
+        ]
+        rho0, cfg = pure_density(s.psi0), IntegrationConfig(t_final=s.duration)
+        for other, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                list(integrate_lindblad_stack(rho0, s.hamiltonian, [first, other], cfg, s.support))
+        with pytest.raises(ValueError, match="at least one noise model"):
+            list(integrate_lindblad_stack(rho0, s.hamiltonian, [], cfg, s.support))
 
 
 class TestOneStepPropagator:

@@ -26,7 +26,7 @@ from etlab.experiments import (
     run_scenario,
     suggested_mc_sample,
 )
-from etlab.dynamics import StepCountError
+from etlab.dynamics import IntegrationError, StepCountError
 from etlab.output import emit_csv
 
 
@@ -336,14 +336,14 @@ class TestRunScenario:
     def test_lindblad_score_is_trace_of_final_times_observable(self, monkeypatch):
         # the score sums the d^2 products of Tr(rho O) without forming rho O
         finals = []
-        integrate = experiments.integrate_lindblad
+        integrate = experiments.integrate_lindblad_stack
 
         def recording(*args, **kwargs):
-            result = integrate(*args, **kwargs)
-            finals.append(result.final)
-            return result
+            for result in integrate(*args, **kwargs):
+                finals.append(result.final)
+                yield result
 
-        monkeypatch.setattr(experiments, "integrate_lindblad", recording)
+        monkeypatch.setattr(experiments, "integrate_lindblad_stack", recording)
         for spec in fig1a_scenarios(0.05, 1.0) + fig1b_scenarios(0.05, 1.0):
             p, _ = run_scenario(spec)
             trace = np.trace(finals[-1] @ _scenario(spec).observable).real
@@ -362,6 +362,7 @@ class TestSweeps:
         # each job's seed comes from its grid position and each MC job draws
         # from one generator, so the worker count cannot move a result
         cases = [
+            (fig1a_sweep, default_gamma_grid(), dict(method="lindblad")),
             (fig1a_sweep, [0.0, 0.05], dict(method="mc", n_traj=60, seed=5)),
             (fig1b_sweep, default_gamma_grid(points=3), dict(method="mc", n_traj=200, seed=7)),
             (fig1b_sweep, [0.05], dict(method="lindblad")),
@@ -389,15 +390,47 @@ class TestSweeps:
         ids=["rk4-dt", "mc-dt", "mc-default-step"],
     )
     def test_step_cap_checked_before_any_job_runs(self, monkeypatch, sweep, grid, kwargs):
-        def job(*args, **kwargs):
-            raise AssertionError("a job ran")
+        # every task, a Lindblad key's stacked run or a Monte Carlo job, is
+        # a call of _run_task
+        def task(*args, **kwargs):
+            raise AssertionError("a task ran")
 
-        monkeypatch.setattr(experiments, "run_scenario", job)
+        monkeypatch.setattr(experiments, "_run_task", task)
         with pytest.raises(StepCountError, match="more than the cap"):
             sweep(grid, 1.0, max_workers=1, **kwargs)
 
+    def test_stacked_rk4_failure_names_its_row(self):
+        # the bare qubit's key runs its six rows (single and single-reduced
+        # at three gammas) as one stack; only single at gamma/omega = 30 has
+        # a step past RK4's stability limit
+        with pytest.raises(IntegrationError) as info:
+            fig1a_sweep([0.0, 0.01, 30.0], 1.0, dt=0.05, max_workers=1)
+        assert str(info.value).startswith("fig1a/single at gamma/omega=30: RK4 step 0.05 exceeds")
+        assert info.value.row == 4
+
+    def test_stacked_trace_drift_names_its_row(self, monkeypatch):
+        # a drift in the fourth row of the bare qubit's key, the second row
+        # of its second block of two, is single-reduced at gamma/omega = 0.01
+        import etlab.dynamics as dyn
+
+        check = dyn._check_trace
+
+        def drifting(rho, t, advice, row):
+            check(rho * (1.5 if row == 3 else 1.0), t, advice, row)
+
+        row_bytes = 16 * _scenario(fig1a_scenarios(0.0, 1.0)[0]).support.size
+        monkeypatch.setattr(dyn, "_check_trace", drifting)
+        monkeypatch.setattr(dyn, "_BLOCK_BYTES", 2 * row_bytes)
+        with pytest.raises(IntegrationError) as info:
+            fig1a_sweep([0.0, 0.01, 0.05], 1.0, max_workers=1)
+        message = "fig1a/single-reduced at gamma/omega=0.01: trace drifted by 5.000e-01"
+        assert str(info.value).startswith(message)
+        assert info.value.row == 3
+
     def test_pool_no_larger_than_job_count(self, monkeypatch):
-        # a fork pool starts every worker it is allowed at the first submit
+        # a fork pool starts every worker it is allowed at the first submit;
+        # a Lindblad sweep runs one task per scenario key, 3 for fig1a (the
+        # reduced-rate qubit shares the bare one's key), whatever the grid
         sizes = []
 
         class Recorder:
@@ -416,7 +449,7 @@ class TestSweeps:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
         fig1a_sweep([0.0], 1.0, method="lindblad", max_workers=64)
         fig1a_sweep([0.0, 0.01, 0.05], 1.0, method="lindblad", max_workers=2)
-        assert sizes == [4, 2]
+        assert sizes == [3, 2]
 
     def test_cheapest_csv_contracts(self, tmp_path):
         # the CSV bytes of the default fig1a sweep, with and without recovery
@@ -425,9 +458,10 @@ class TestSweeps:
         # one-step propagator is exp of 1 x 1 stacks), of the reduced fig1b
         # MC sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj
         # 2000 --seed 7`, block stacks), of the default fig1b Lindblad
-        # sweep and of a reduced fig1a RK4 sweep (`etlab sweep fig1a
-        # --gamma-points 3 --dt 0.01`), pinned for numpy 2.4 with OpenBLAS
-        # 0.3.31 on x86-64
+        # sweep and of reduced RK4 sweeps of fig1a (`etlab sweep fig1a
+        # --gamma-points 3 --dt 0.01`) and of fig1b (`etlab sweep fig1b
+        # --method lindblad --gamma-points 3 --dt 0.05`, block strips at
+        # d = 64 and 256), pinned for numpy 2.4 with OpenBLAS 0.3.31 on x86-64
         contracts = [
             (
                 "fig1a-lindblad",
@@ -458,6 +492,11 @@ class TestSweeps:
                 "fig1a-rk4-reduced",
                 fig1a_sweep(default_gamma_grid(3), 1.0, dt=0.01, max_workers=1),
                 "274a7374da2eb824acce57e6e30b5de7c99d909000e5f406712d95b27c3d5073",
+            ),
+            (
+                "fig1b-rk4-reduced",
+                fig1b_sweep(default_gamma_grid(3), 1.0, method="lindblad", dt=0.05, max_workers=1),
+                "f223415f9790e11b6d9c2f753adc42a7e12f6a18b7feb0a1454a338084edbbf6",
             ),
         ]
         for name, result, digest in contracts:
