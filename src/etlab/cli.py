@@ -131,7 +131,9 @@ def _build_parser() -> tuple[_Parser, _Parser]:
     sweep.add_argument(
         "--traj", type=_COUNT, default=2000, help="trajectories per grid point (mc; %(default)s)"
     )
-    sweep.add_argument("--seed", type=_SEED, default=DEFAULT_SEED, help="master seed (%(default)s)")
+    sweep.add_argument(
+        "--seed", type=_SEED, default=DEFAULT_SEED, help="master seed of mc jobs only (%(default)s)"
+    )
     sweep.add_argument("--out", type=Path, default="out", help="output directory (./%(default)s)")
     sweep.add_argument("--plot", action="store_true", help="also emit an SVG plot")
     sweep.add_argument(

@@ -56,14 +56,14 @@ the jumps' nonzeros and rho0 only, not on the rates, so a sweep builds it
 once per scenario.
 
 Only the rates change between the jobs of a scenario, so
-:func:`integrate_lindblad_stack` propagates many rates as one stack of
-packed states, a row per rate, held flat (row b's entry i at b s + i) so
-that each gather and scatter is one 1-D index over the whole stack; a
-single run is a stack of one row.  What does not depend on the rates is
-checked and built once per stack.  Each row keeps its own generator, bound,
-substeps, Taylor stop and application count, so it is bitwise the run of
-its rate alone; rows drop out of the stack as their series stop, and a
-failure names its row.
+:func:`integrate_lindblad_stack` takes the channels once and a checked
+(rows x channels) array of rates, and propagates the rows as one stack of
+packed states, held flat (row b's entry i at b s + i) so that each gather
+and scatter is one 1-D index over the whole stack; a single run is a
+stack of one row.  What does not depend on the rates is built once per
+stack.  Each row keeps its own generator, bound, substeps, Taylor stop and
+application count, so it is bitwise the run of its rates alone; rows drop
+out of the stack as their series stop, and a failure names its row.
 
 Both methods see the noise through one representation: a
 :class:`NoiseChannel` holds its monomial jump (as is a Pauli letter or
@@ -78,7 +78,7 @@ A run draws every random number from one generator,
 then round-major draws within bounded blocks, blocks in index order: each
 round of a block draws every live column's channel, then every live
 column's next threshold, both in index order.  Results are bitwise
-reproducible for a fixed seed; sweeps give each job its own seed.
+reproducible for a fixed seed; a sweep gives each MC job its own seed.
 
 Both engines take :func:`step_count` fixed steps of a given dt, and reject
 a dt that needs more than :data:`MAX_STEPS` before allocating anything.
@@ -607,30 +607,10 @@ class LindbladSupport:
         return 0.5 * (v + v[self.transpose].conj())
 
 
-def _shared_channels(noises: Sequence[NoiseModel]) -> tuple[NoiseChannel, ...]:
-    """The channels of the first noise model, which every other one must have
-    too, jump by jump and in the same order, at rates of its own; a model
-    that does not raises ValueError naming the channel."""
-    if not noises:
-        raise ValueError("a stacked run needs at least one noise model")
-    first = noises[0].channels
-    keys = [_jump_key(ch) for ch in first]
-    for b, noise in enumerate(noises[1:], 1):
-        for i, ch in enumerate(noise.channels):
-            if i >= len(keys) or _jump_key(ch) != keys[i]:
-                raise ValueError(
-                    f"noise model {b}: jump {ch.label!r} is not channel {i} of noise model 0"
-                )
-        if len(noise.channels) < len(first):
-            missing = first[len(noise.channels)].label
-            raise ValueError(f"noise model {b} lacks jump {missing!r} of noise model 0")
-    return first
-
-
 class _Generator:
     """Precomputed Lindblad generators on a :class:`LindbladSupport`, one per
-    row of a stack: row b is H with the support's jumps at the rates of
-    noise model b (:func:`_shared_channels`).  rhs(x) = G rho + rho G^dag +
+    row of a stack: row b is H with the support's jumps at the checked
+    rates ``rates[b]`` (rows, channels).  rhs(x) = G rho + rho G^dag +
     jumps for each row's Hermitian rho, packed on the support.
 
     What does not depend on the rates is checked and built once: H finite,
@@ -652,10 +632,15 @@ class _Generator:
     each block); a monomial L_k has ||L_k||_2 = max |vals|.
     """
 
-    def __init__(self, h: np.ndarray, noises: Sequence[NoiseModel], support: LindbladSupport):
-        channels = _shared_channels(noises)
-        self.rates = np.array([[ch.rate for ch in n.channels] for n in noises], dtype=float)
-        g, self.diag = _no_jump_diagonals(h, channels, self.rates, IntegrationError)
+    def __init__(
+        self,
+        h: np.ndarray,
+        channels: Sequence[NoiseChannel],
+        rates: np.ndarray,
+        support: LindbladSupport,
+    ):
+        self.rates = rates
+        g, self.diag = _no_jump_diagonals(h, channels, rates, IntegrationError)
         if g.shape != (support.dim,) * 2:
             raise ValueError(f"dimension mismatch: H {g.shape}, support of dimension {support.dim}")
         rows, cols = np.nonzero(g)
@@ -669,8 +654,8 @@ class _Generator:
             if found is None:
                 raise ValueError(f"jump {ch.label!r} is not one of the support's channels")
             self.sandwiches.append(found)
-        self.all_rows = np.arange(len(noises))
-        self.bound = np.empty(len(noises))
+        self.all_rows = np.arange(len(rates))
+        self.bound = np.empty(len(rates))
         for b in self.all_rows:
             norm = _spectral_norm(self.diag[b, :, None, None])
             for k in range(len(self.blocks)):
@@ -913,39 +898,49 @@ def integrate_lindblad(
     for H, for these jumps or more and for rho0's nonzeros or more serves
     every job of a sweep; one that does not fit them raises ValueError.
     """
-    return next(integrate_lindblad_stack(rho0, h, [noise], config, support))
+    rates = [[ch.rate for ch in noise.channels]]
+    return next(integrate_lindblad_stack(rho0, h, noise.channels, rates, config, support))
 
 
 def integrate_lindblad_stack(
     rho0: np.ndarray,
     h: np.ndarray,
-    noises: Sequence[NoiseModel],
+    channels: Sequence[NoiseChannel],
+    rates: Sequence[Sequence[float]] | np.ndarray,
     config: IntegrationConfig,
     support: LindbladSupport | None = None,
 ) -> Iterator[LindbladResult]:
-    """rho(t_final) under each noise model, one :class:`LindbladResult` per
-    model in order, from one stacked run: the models must hold the same
-    jumps in the same order (only their rates differ; a model that does not
-    raises ValueError naming the channel), and share rho0, H, ``config`` and
-    the support, built from the first model's jumps when not given.  Each
-    row is what :func:`integrate_lindblad` gives for its model alone, to the
-    last bit and in as many generator applications: a row keeps its own
-    generator bound, substeps and Taylor stop.
+    """rho(t_final) for each row of ``rates``, (rows, channels), one
+    :class:`LindbladResult` per row in order, from one stacked run: row b
+    holds the jumps at the rates ``rates[b]``, and every row shares rho0,
+    H, ``config`` and the support, built from the jumps when not given.
+    Each row is what :func:`integrate_lindblad` gives for its rates alone,
+    to the last bit and in as many generator applications: a row keeps its
+    own generator bound, substeps and Taylor stop.
 
-    rho0, H and the fit of the support are checked once for the stack.  The
-    RK4 stability limit is checked for every row before any propagation,
-    and rows are propagated in blocks of at most _BLOCK_BYTES of packed
-    state, each block's results yielded before the next block starts, so
-    memory does not grow with the number of rows.  A numerical failure of
-    one row raises :class:`IntegrationError` with that row's index as its
-    ``row``.
+    Before any propagation, a ``rates`` that is not (rows >= 1, channels),
+    or a rate that is not finite and >= 0, raises ValueError naming the row
+    and the channel; rho0, H and the fit of the support are checked once
+    for the stack, and the RK4 stability limit for every row.  Rows are
+    propagated in blocks of at most _BLOCK_BYTES of packed state, each
+    block's results yielded before the next block starts, so memory does
+    not grow with the number of rows.  A numerical failure of one row
+    raises :class:`IntegrationError` with that row's index as its ``row``.
     """
     rho = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho)
-    noises = list(noises)
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 2 or rates.shape[0] < 1 or rates.shape[1] != len(channels):
+        raise ValueError(f"rates must be (rows >= 1, {len(channels)} channels), got {rates.shape}")
+    bad = np.argwhere(~(np.isfinite(rates) & (rates >= 0)))
+    if bad.size:
+        b, c = bad[0]
+        raise ValueError(
+            f"row {b}: jump {channels[c].label!r} has rate {rates[b, c]}; need finite and >= 0"
+        )
     if support is None:
-        support = LindbladSupport(h, _shared_channels(noises), rho)
-    gen = _Generator(h, noises, support)
+        support = LindbladSupport(h, channels, rho)
+    gen = _Generator(h, channels, rates, support)
     # the check allows a 1e-10 anti-Hermitian part; the generator's one
     # product needs an exactly Hermitian state
     v0 = support.hermitize(support.pack(rho))
@@ -962,7 +957,7 @@ def integrate_lindblad_stack(
                 b,
             )
     width = max(1, _BLOCK_BYTES // v0.nbytes)
-    for start in range(0, len(noises), width):
+    for start in range(0, len(rates), width):
         rows = gen.all_rows[start : start + width]
         v = np.tile(v0, (len(rows), 1))
         applications = np.zeros(len(rows), dtype=int)

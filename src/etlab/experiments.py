@@ -18,15 +18,15 @@ Two experiment families reproduce the headline open-system comparisons:
 
 A sweep job is a scenario, built once per process for its key, plus the
 rate that gamma sets on its noisy sites.  A sweep runs in tasks: the
-Lindblad jobs of one scenario key are one task, one stacked run with a
-row per job's rate (:func:`~etlab.dynamics.integrate_lindblad_stack`),
-each row equal to the job run alone; a Monte Carlo job is a task of its
-own.  Tasks run in grid order, serially, or over a process pool of at
-most one worker per task when ``max_workers`` > 1; per-job seeds are
-derived deterministically from (master seed, scenario index, grid index),
-so merged results do not depend on worker count or scheduling order.  A
-sweep with fixed steps checks every job's step count
-(:func:`check_step_counts`) before any job runs.
+Lindblad jobs of one scenario key are one task, one stacked run with a row
+of rates per job (:func:`~etlab.dynamics.integrate_lindblad_stack`), each
+row equal to the job run alone; a Monte Carlo job is a task of its own.
+Tasks run in grid order, serially, or over a process pool of at most one
+worker per task when ``max_workers`` > 1.  The master seed is Monte
+Carlo's only: each MC job's seed is derived from (master seed, scenario
+index, grid index), so merged results do not depend on worker count or
+scheduling order; a Lindblad sweep draws no random numbers.  A sweep with
+fixed steps checks every step count (:func:`check_step_counts`) first.
 """
 
 from __future__ import annotations
@@ -192,12 +192,10 @@ class _Scenario:
     sites: tuple[NoiseChannel, ...]  # each noisy site's jump, at unit rate
     fixed: tuple[NoiseChannel, ...] = ()  # channels whose rate is not gamma's
 
-    def noise(self, rate: float, idle_sites: bool = False) -> NoiseModel:
-        """A job's channels: every site at ``rate``, then the fixed ones.  At
-        rate 0 the sites are left out, unless ``idle_sites``: every row of a
-        stacked Lindblad run holds its key's channels."""
-        keep = rate > 0 or idle_sites
-        sites = tuple(replace(ch, rate=rate) for ch in self.sites) if keep else ()
+    def noise(self, rate: float) -> NoiseModel:
+        """A single job's channels: every site at ``rate``, then the fixed
+        ones; at rate 0 the sites are left out."""
+        sites = tuple(replace(ch, rate=rate) for ch in self.sites) if rate > 0 else ()
         return NoiseModel(sites + self.fixed)
 
     @functools.cached_property
@@ -297,12 +295,14 @@ def _context(spec: ScenarioSpec) -> str:
 
 def _lindblad_probabilities(specs: tuple[ScenarioSpec, ...], dt: float | None) -> list[float]:
     """The success probabilities of Lindblad jobs that share one scenario
-    key, in order, from one stacked run with a row per job's rate; a
-    numerical failure names its own job's scenario and grid point."""
+    key, in order, from one stacked run with a row of rates per job (every
+    site at the job's rate, 0 included); a numerical failure names its own
+    job's scenario and grid point."""
     s = _scenario(specs[0])
     config = IntegrationConfig(dt=dt, t_final=s.duration)
-    noises = [s.noise(spec.site_rate, idle_sites=True) for spec in specs]
-    rows = integrate_lindblad_stack(pure_density(s.psi0), s.hamiltonian, noises, config, s.support)
+    rho0, channels = pure_density(s.psi0), s.sites + s.fixed
+    rates = [[sp.site_rate] * len(s.sites) + [ch.rate for ch in s.fixed] for sp in specs]
+    rows = integrate_lindblad_stack(rho0, s.hamiltonian, channels, rates, config, s.support)
     probabilities = []
     try:
         for spec, result in zip(specs, rows):
@@ -348,12 +348,12 @@ def _job_seed(master: int, scenario_index: int, point_index: int) -> int:
 
 def _run_task(task) -> list[SweepRow]:
     """The rows of one sweep task: the Lindblad jobs of one scenario key as
-    one stacked run, or one Monte Carlo job."""
-    specs, method, n_traj, seeds, dt = task
+    one stacked run (no seed), or one Monte Carlo job with its seed."""
+    specs, method, n_traj, seed, dt = task
     if method == "lindblad":
         results = [(p, 0.0) for p in _lindblad_probabilities(specs, dt)]
     else:
-        results = [run_scenario(sp, method, n_traj, sd, dt) for sp, sd in zip(specs, seeds)]
+        results = [run_scenario(specs[0], method, n_traj, seed, dt)]
     return [
         SweepRow(spec.gamma / spec.omega, spec.label, prob, stderr, method)
         for spec, (prob, stderr) in zip(specs, results)
@@ -395,18 +395,19 @@ def run_sweep(
 ) -> SweepResult:
     """The rows of every job over the grid, sorted by (scenario, gamma/omega),
     run as tasks in grid order: one per Lindblad scenario key, one per
-    Monte Carlo job."""
+    Monte Carlo job.  Only an MC job takes a seed, :func:`_job_seed` of
+    ``seed`` and its grid position; a Lindblad sweep derives none."""
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     check_step_counts(specs_per_point, method, dt)
-    groups = {}
+    keys, tasks = {}, []
     for pi, specs in enumerate(specs_per_point):
         for si, spec in enumerate(specs):
-            key = _key(spec) if method == "lindblad" else (pi, si)
-            group = groups.setdefault(key, ([], []))
-            group[0].append(spec)
-            group[1].append(_job_seed(seed, si, pi))
-    tasks = [(tuple(sp), method, n_traj, tuple(sd), dt) for sp, sd in groups.values()]
+            if method == "lindblad":
+                keys.setdefault(_key(spec), []).append(spec)
+            else:
+                tasks.append(((spec,), method, n_traj, _job_seed(seed, si, pi), dt))
+    tasks += [(tuple(specs), method, n_traj, None, dt) for specs in keys.values()]
     if max_workers is not None and max_workers > 1 and len(tasks) > 1:
         # a fork pool starts all its workers at the first submit, used or not
         with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:

@@ -460,9 +460,18 @@ def _job(family, label, gamma):
     return _scenario(spec), _scenario(spec).noise(spec.site_rate)
 
 
+def _stack_input(*noises):
+    """The stacked-run input of noise models that hold the same jumps in the
+    same order: the channels, once, and a row of their rates per model."""
+    channels = noises[0].channels
+    for noise in noises:
+        assert [ch.label for ch in noise.channels] == [ch.label for ch in channels]
+    return channels, np.array([[ch.rate for ch in noise.channels] for noise in noises])
+
+
 def _full_generator(h, noise):
     """The generator on every entry of rho, a stack of one row."""
-    return _Generator(h, [noise], LindbladSupport(h, noise.channels, np.ones(h.shape)))
+    return _Generator(h, *_stack_input(noise), LindbladSupport(h, noise.channels, np.ones(h.shape)))
 
 
 def _liouvillian_propagator(h, noise, t):
@@ -770,7 +779,11 @@ def _stacks(family, grid=None):
     stacks = []
     for specs in groups.values():
         s = ex._scenario(specs[0])
-        stacks.append((s, specs, [s.noise(sp.site_rate, idle_sites=True) for sp in specs]))
+        noises = [
+            NoiseModel(tuple(replace(ch, rate=sp.site_rate) for ch in s.sites) + s.fixed)
+            for sp in specs
+        ]
+        stacks.append((s, specs, noises))
     return stacks
 
 
@@ -786,7 +799,9 @@ class TestLindbladStack:
         # without them
         for s, specs, noises in _stacks(family):
             rho0, cfg = pure_density(s.psi0), IntegrationConfig(dt=dt, t_final=s.duration)
-            rows = integrate_lindblad_stack(rho0, s.hamiltonian, noises, cfg, s.support)
+            rows = integrate_lindblad_stack(
+                rho0, s.hamiltonian, *_stack_input(*noises), cfg, s.support
+            )
             for spec, row in zip(specs, rows, strict=True):
                 alone = integrate_lindblad(
                     rho0, s.hamiltonian, s.noise(spec.site_rate), cfg, s.support
@@ -812,33 +827,59 @@ class TestLindbladStack:
 
         monkeypatch.setattr(dyn, "_propagate_exact", recording)
         monkeypatch.setattr(dyn, "_BLOCK_BYTES", 2 * 16 * s.support.size)
-        rows = list(integrate_lindblad_stack(rho0, s.hamiltonian, noises, cfg, s.support))
+        channels, rates = _stack_input(*noises)
+        rows = list(integrate_lindblad_stack(rho0, s.hamiltonian, channels, rates, cfg, s.support))
         assert blocks == [[0, 1], [2, 3], [4]]
         for spec, row in zip(specs, rows, strict=True):
             alone = integrate_lindblad(rho0, s.hamiltonian, s.noise(spec.site_rate), cfg, s.support)
             assert np.array_equal(row.final, alone.final), spec.gamma
             assert row.applications == alone.applications, spec.gamma
 
-    def test_noise_models_of_other_channels_rejected(self):
-        [(s, specs, noises)] = [x for x in _stacks("fig1b", [0.05]) if x[1][0].label == "eth-5"]
-        first = noises[0]
-        damp0 = first.channels[0]
-        other_jump = replace(damp0, vals=-damp0.vals)
-        extra = NoiseChannel.on_site(6, 0, SX, 0.1, "extra")
-        cases = [
-            (NoiseModel(first.channels[:-1]), "noise model 1 lacks jump 'target-down' of"),
-            (NoiseModel(first.channels[::-1]), "model 1: jump 'target-down' is not channel 0"),
-            (NoiseModel(first.channels + (extra,)), "noise model 1: jump 'extra' is not channel 7"),
-            (NoiseModel((other_jump,) + first.channels[1:]), "jump 'damp0' is not channel 0"),
-            # a gamma = 0 job's own noise, whose sites are left out
-            (s.noise(0.0), "noise model 1: jump 'target-up' is not channel 0"),
-        ]
-        rho0, cfg = pure_density(s.psi0), IntegrationConfig(t_final=s.duration)
-        for other, message in cases:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                list(integrate_lindblad_stack(rho0, s.hamiltonian, [first, other], cfg, s.support))
-        with pytest.raises(ValueError, match="at least one noise model"):
-            list(integrate_lindblad_stack(rho0, s.hamiltonian, [], cfg, s.support))
+    @staticmethod
+    def _unpropagated(monkeypatch):
+        """fig1b eth-5's stack input at gamma = 0.05, with both propagators
+        replaced by ones that fail: a rejected rate array must stop the run
+        before any propagation."""
+        import etlab.dynamics as dyn
+
+        def propagate(*args):
+            raise AssertionError("a row was propagated")
+
+        monkeypatch.setattr(dyn, "_propagate_exact", propagate)
+        monkeypatch.setattr(dyn, "_propagate_rk4", propagate)
+        [(s, _, noises)] = [x for x in _stacks("fig1b", [0.05]) if x[1][0].label == "eth-5"]
+        return s, *_stack_input(*noises)
+
+    @pytest.mark.parametrize("dt", [None, 0.01], ids=["exact", "rk4"])
+    def test_rate_array_of_other_shape_rejected(self, monkeypatch, dt):
+        # a row per job and a column per channel: eth-5 has 7 channels
+        s, channels, rates = self._unpropagated(monkeypatch)
+        assert rates.shape == (1, 7)
+        rho0, cfg = pure_density(s.psi0), IntegrationConfig(dt=dt, t_final=s.duration)
+        cases = [np.zeros((0, 7)), rates[0], rates[:, :-1], np.hstack([rates, rates]), rates[None]]
+        for bad in cases:
+            message = f"rates must be (rows >= 1, 7 channels), got {bad.shape}"
+            for support in (s.support, None):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    list(integrate_lindblad_stack(rho0, s.hamiltonian, channels, bad, cfg, support))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-300, -1.0])
+    def test_non_finite_or_negative_rate_rejected(self, monkeypatch, value):
+        # the check NoiseChannel makes of one rate, made of every rate in
+        # the array, naming the first bad one's row and channel
+        s, channels, rates = self._unpropagated(monkeypatch)
+        rates = np.tile(rates, (3, 1))
+        rates[2, 5] = value
+        rates[2, 6] = np.nan  # later in the row, so not the one named
+        rho0 = pure_density(s.psi0)
+        message = f"row 2: jump 'target-up' has rate {value}; need finite and >= 0"
+        assert channels[5].label == "target-up"
+        for dt in (None, 0.01):
+            cfg = IntegrationConfig(dt=dt, t_final=s.duration)
+            for support in (s.support, None):
+                stack = integrate_lindblad_stack(rho0, s.hamiltonian, channels, rates, cfg, support)
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    next(stack)
 
 
 class TestOneStepPropagator:

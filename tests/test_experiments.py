@@ -458,10 +458,12 @@ class TestSweeps:
         # one-step propagator is exp of 1 x 1 stacks), of the reduced fig1b
         # MC sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj
         # 2000 --seed 7`, block stacks), of the default fig1b Lindblad
-        # sweep and of reduced RK4 sweeps of fig1a (`etlab sweep fig1a
-        # --gamma-points 3 --dt 0.01`) and of fig1b (`etlab sweep fig1b
-        # --method lindblad --gamma-points 3 --dt 0.05`, block strips at
-        # d = 64 and 256), pinned for numpy 2.4 with OpenBLAS 0.3.31 on x86-64
+        # sweep and of RK4 sweeps of fig1a (`etlab sweep fig1a --dt 0.01`
+        # and `--gamma-points 3 --dt 0.01`) and of fig1b (`etlab sweep fig1b
+        # --method lindblad --dt 0.05` and `--gamma-points 3 --dt 0.05`,
+        # block strips at d = 64 and 256), pinned for numpy 2.4 with
+        # OpenBLAS 0.3.31 on x86-64; every RK4 row takes its rates from the
+        # stack's rate array
         contracts = [
             (
                 "fig1a-lindblad",
@@ -489,9 +491,19 @@ class TestSweeps:
                 "e865a04b6845de72f21da386510daf46845fa0ea202c7c764ee2c0544b5d6890",
             ),
             (
+                "fig1a-rk4",
+                fig1a_sweep(default_gamma_grid(), 1.0, dt=0.01, max_workers=1),
+                "dbb4a7e67f66f3b6498e98a1f8b842de1a58a71691f7a0caa12e75be3735bd44",
+            ),
+            (
                 "fig1a-rk4-reduced",
                 fig1a_sweep(default_gamma_grid(3), 1.0, dt=0.01, max_workers=1),
                 "274a7374da2eb824acce57e6e30b5de7c99d909000e5f406712d95b27c3d5073",
+            ),
+            (
+                "fig1b-rk4",
+                fig1b_sweep(default_gamma_grid(), 1.0, method="lindblad", dt=0.05, max_workers=1),
+                "272ec3106d1b6d9b890d73d91f0ff11328b89d7439d1d2c64d158970205e3df1",
             ),
             (
                 "fig1b-rk4-reduced",

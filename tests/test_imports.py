@@ -65,3 +65,24 @@ def test_library_imports_no_network_modules():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert json.loads(out) == []
+
+
+def test_lindblad_sweeps_import_no_numpy_random(tmp_path):
+    # numpy 2 loads numpy.random (with secrets and hmac) on first use, 10-16
+    # ms; a Lindblad sweep derives no seed and draws no random number, so it
+    # never pays that, while a Monte Carlo sweep must load it to run at all
+    code = (
+        "import json, sys; import etlab, etlab.cli; "
+        "from etlab import cli, experiments; "
+        f"assert cli.main(['sweep', 'fig1a', '--out', {str(tmp_path)!r}]) == 0; "
+        "experiments.fig1b_sweep([0.05], method='lindblad'); "
+        "loaded = ['numpy.random' in sys.modules]; "
+        "experiments.fig1a_sweep([0.05], method='mc', n_traj=20); "
+        "loaded.append('numpy.random' in sys.modules); "
+        "print(json.dumps(loaded))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == [False, True]
+    assert (tmp_path / "fig1a-lindblad.csv").is_file()
