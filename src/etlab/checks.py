@@ -13,6 +13,8 @@ invariant call its check.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import codes, eth, experiments, output
@@ -22,6 +24,7 @@ from .dynamics import (
     NoiseModel,
     TrajectoryConfig,
     integrate_lindblad,
+    integrate_lindblad_stack,
     mc_trajectories,
     site_channels,
 )
@@ -331,10 +334,11 @@ def check_lindblad_positivity() -> str:
     ]
     for spec in cases:
         s = experiments._scenario(spec)
+        rates = s.rates(spec.site_rate)
+        noise = NoiseModel(tuple(replace(ch, rate=r) for ch, r in zip(s.sites + s.fixed, rates)))
         n_steps = 256 if spec.family == "fig1b" else 1000
         states = _chain(
-            pure_density(s.psi0), s.hamiltonian, s.noise(spec.site_rate),
-            s.duration / n_steps, n_steps, 50, s.support,
+            pure_density(s.psi0), s.hamiltonian, noise, s.duration / n_steps, n_steps, 50, s.support
         )
         for rho in states:
             wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
@@ -432,6 +436,55 @@ def check_method_agreement() -> str:
     grid = [0.0, 1e-3, 0.01, 0.05, 0.1]
     worst = max(_mc_pull(experiments.fig1b_scenarios(g, 1.0)[2], seed=271) for g in grid)  # eth-5
     return f"lindblad vs mc within {worst:.2f} stderr on shared grid"
+
+
+def _relabeled(code: codes.StabilizerCode, perm: np.ndarray) -> codes.StabilizerCode:
+    """``code`` with qubit q renamed perm[q]: generators, logicals and
+    codewords move with it."""
+    inv = np.argsort(perm)
+
+    def pauli(p: PauliString) -> PauliString:
+        return PauliString("".join(p.letters[q] for q in inv), p.phase)
+
+    def state(psi: np.ndarray) -> np.ndarray:
+        return np.moveaxis(psi.reshape((2,) * code.n), range(code.n), perm).reshape(-1)
+
+    return codes.StabilizerCode(
+        code.n, tuple(map(pauli, code.generators)), pauli(code.logical_x),
+        pauli(code.logical_z), state(code.codeword0), state(code.codeword1), code.name,
+    )
+
+
+def check_relabeling_invariance() -> str:
+    # a random permutation of each code's qubits, and non-uniform site rates
+    # that move with the sites: every exact success probability must stay,
+    # with no pinned value to compare against.  Every site enters p alike at
+    # first order in the rates, so a mixed-up pair of sites shows only at
+    # second order: with rates up to 0.5, one swap of two sites in the code
+    # or in the noise alone moves every fig1b p by 6.9e-8 or more (bitflip3 is
+    # symmetric in its qubits, so its cases cannot show a swap)
+    rng = np.random.default_rng(2012)
+    build = {"fig1a": experiments._fig1a_scenario, "fig1b": experiments._fig1b_scenario}
+    worst, cases = 0.0, 0
+    for family, name in (("fig1a", "bitflip3"), ("fig1b", "perfect5"), ("fig1b", "steane7")):
+        code = codes.build_code(name)
+        perm, site_rates = rng.permutation(code.n), rng.uniform(0.0, 0.5, code.n)
+        moved = np.empty_like(site_rates)
+        moved[perm] = site_rates
+        probabilities = []
+        for c, rates in ((code, site_rates), (_relabeled(code, perm), moved)):
+            errorset = codes.error_set(c, codes.DESIGNED_KINDS[name])
+            plain = build[family](c, errorset, 1.0, True, None)
+            for s in (plain, build[family](c, errorset, 1.0, True, plain)):
+                row = [list(rates) + [ch.rate for ch in s.fixed]]
+                cfg = IntegrationConfig(t_final=s.duration)
+                rho0, channels = pure_density(s.psi0), s.sites + s.fixed
+                [res] = integrate_lindblad_stack(rho0, s.hamiltonian, channels, row, cfg)
+                probabilities.append(np.einsum("ij,ji->", res.final, s.observable).real)
+        for label, p, q in zip(("plain", "eth"), probabilities[:2], probabilities[2:]):
+            _require(abs(p - q) <= 1e-13, f"{family}/{name} {label}: |dp| = {abs(p - q):.3e}")
+            worst, cases = max(worst, abs(p - q)), cases + 1
+    return f"|dp| <= {worst:.1e} under a qubit relabeling over {cases} cases"
 
 
 def check_perturbative_formulas() -> str:
@@ -537,6 +590,7 @@ CHECKS = [
     ("experiments.two-error-cancellation", check_two_error_cancellation),
     ("experiments.method-agreement", check_method_agreement),
     ("experiments.perturbative-formulas", check_perturbative_formulas),
+    ("experiments.relabeling-invariance", check_relabeling_invariance),
     ("cli.csv-roundtrip", check_csv_roundtrip),
     ("cli.sweep-determinism", check_sweep_determinism),
 ]

@@ -198,11 +198,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.experiment, grid * args.omega, args.omega, apply_recovery=not args.no_recovery
     )
     try:
-        experiments.check_step_counts(specs, method, args.dt)
+        experiments.check_budget(specs, method, args.traj, args.dt)
     except StepCountError as exc:
         # by default only Monte Carlo has a step, set by the largest rate
         flag = "--gamma-max" if args.dt is None else "--dt"
         raise ConfigError(f"{flag}: {exc}") from exc
+    except ValueError as exc:
+        # the check's only other ValueError is TrajectoryConfig's, of --traj
+        raise ConfigError(f"--traj: {exc}") from exc
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

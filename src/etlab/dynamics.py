@@ -18,24 +18,23 @@ Two methods cross-validate each other:
   one application of G, X + X^dag with X = G rho.
 * :func:`mc_trajectories` -- quantum-jump unravelling (Dalibard, Castin &
   Molmer, PRL 68, 580 (1992)).  Deterministic segments use the one-step
-  propagator exp((-iH - K/2) dt), formed once per run by the same scaled
-  Taylor series on each of G's components, and jumps fire when the
-  decaying norm crosses a per-trajectory uniform threshold (no sub-step
-  interpolation).  Every trajectory follows the same deterministic flow
+  propagator exp(G dt), formed by the same scaled Taylor series, and jumps
+  fire when the decaying norm crosses a per-trajectory uniform threshold
+  (no sub-step interpolation).  Every trajectory follows the same flow
   between jumps, so the no-jump backbone is computed once, by doubling
-  with the powers u^(2^b), and after a jump each no-jump stretch takes
-  O(log n_steps) products by binary lifting over the same powers, shared
-  by the jumpers of a block as the columns of one matrix; the engine
-  checks its own norms, column by column, as it goes.
+  with the powers u^(2^b) (by repeated squaring), and after a jump each
+  no-jump stretch takes O(log n_steps) products by binary lifting over the
+  same powers, shared by the jumpers of a block as the columns of one
+  matrix; the engine checks its own norms, column by column, as it goes.
 
-Both engines hold the no-jump generator G = -iH - K/2 by the connected
-components of its nonzero pattern (:class:`_Components`): K is diagonal,
-and an ETH acts inside each error sector, so G splits into small blocks
-(fig1b eth-7 at d = 256: one 16-state component, fourteen 8-state ones
-and 128 single states; every fig1a G is diagonal).  Applying G, or a
-function of it such as exp(G dt) and its powers, is one row scaling by
-the diagonal plus one stacked block product per component size; a dense H
-is one d-state component.
+Both engines hold the no-jump generator G = -iH - K/2 in one object, by
+the connected components of its nonzero pattern (:class:`_Components`): K
+is diagonal, and an ETH acts inside each error sector, so G splits into
+small blocks (fig1b eth-7 at d = 256: one 16-state component, fourteen
+8-state ones and 128 single states; every fig1a G is diagonal; a dense H
+is one component).  It holds a row per row of rates, -iH's blocks with
+that row's diagonal on them, and applying a row's G, or exp(G dt) and its
+powers, is one row scaling plus one stacked block product per size.
 
 The master equation never leaves a union of component-pair blocks
 Ca x Cb of rho: G mixes rows, and columns, only within a component, and a
@@ -55,33 +54,35 @@ and evolved by exactly the dense computation.  The support depends on H,
 the jumps' nonzeros and rho0 only, not on the rates, so a sweep builds it
 once per scenario.
 
-Only the rates change between the jobs of a scenario, so
-:func:`integrate_lindblad_stack` takes the channels once and a checked
-(rows x channels) array of rates, and propagates the rows as one stack of
-packed states, held flat (row b's entry i at b s + i) so that each gather
-and scatter is one 1-D index over the whole stack; a single run is a
-stack of one row.  What does not depend on the rates is built once per
-stack.  Each row keeps its own generator, bound, substeps, Taylor stop and
-application count, so it is bitwise the run of its rates alone; rows drop
-out of the stack as their series stop, and a failure names its row.
+Only the rates change between the jobs of a scenario, so both engines
+take the channels once and a (rows x channels) array of rates, checked at
+that boundary by one helper; a single run is a stack of one row.  What
+does not depend on the rates is checked and built once per stack, and each
+row keeps its own bound, substeps and Taylor stop, so it is bitwise the
+run of its rates alone; a failure names its row.
+:func:`integrate_lindblad_stack` propagates the rows as one stack of packed
+states, held flat, and rows drop out as their series stop.
+:func:`mc_trajectories_stack` forms every row's exp(G dt), each at its own
+step, as one stacked series per component size, then runs each row's
+trajectories alone.
 
 Both methods see the noise through one representation: a
 :class:`NoiseChannel` holds its monomial jump (as is a Pauli letter or
 raising/lowering on one site) as its nonzeros only, so L psi, L rho L^dag
 and the diagonal L^dag L are gathers and scatters and no d x d jump matrix
 is formed.  H is checked Hermitian, each jump against H's dimension, and
-the no-jump generator G = -iH - K/2 is formed, and rejected when
-non-finite, in one place.
+the no-jump generator is formed, and rejected when non-finite, in one place.
 
-A run draws every random number from one generator,
+A Monte Carlo run draws every random number from one generator,
 ``default_rng(seed)``: first every trajectory's jump threshold in one call,
 then round-major draws within bounded blocks, blocks in index order: each
 round of a block draws every live column's channel, then every live
 column's next threshold, both in index order.  Results are bitwise
-reproducible for a fixed seed; a sweep gives each MC job its own seed.
+reproducible for a fixed seed; a run with no positive rate draws nothing.
 
 Both engines take :func:`step_count` fixed steps of a given dt, and reject
-a dt that needs more than :data:`MAX_STEPS` before allocating anything.
+a dt that needs more than :data:`MAX_STEPS` before allocating anything; a
+Monte Carlo run takes at most :data:`MAX_TRAJECTORIES` trajectories.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ __all__ = [
     "LindbladSupport",
     "McResult",
     "MAX_STEPS",
+    "MAX_TRAJECTORIES",
     "StepCountError",
     "site_channels",
     "default_timestep",
@@ -113,6 +115,7 @@ __all__ = [
     "integrate_lindblad",
     "integrate_lindblad_stack",
     "mc_trajectories",
+    "mc_trajectories_stack",
 ]
 
 
@@ -246,6 +249,10 @@ def _check_integers(config, *names: str) -> None:
 # test or default sweep takes (4000), and few enough that the Monte Carlo
 # backbone at the cap, d x MAX_STEPS complex numbers, is 410 MB at d = 256
 MAX_STEPS = 100_000
+# the most trajectories one Monte Carlo run may take: 6.7 times the most any
+# check takes (150,000); thresholds, crossing steps and values take about 40
+# bytes a trajectory with one observable, 40 MB at the cap (traced peak)
+MAX_TRAJECTORIES = 1_000_000
 
 
 class StepCountError(ValueError):
@@ -287,8 +294,8 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         _check_integers(self, "n_traj", "seed")
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be at least 1")
+        if not 1 <= self.n_traj <= MAX_TRAJECTORIES:
+            raise ValueError(f"n_traj must be in [1, {MAX_TRAJECTORIES}], got {self.n_traj}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -385,22 +392,27 @@ def _no_jump_diagonals(
     return g, diag
 
 
-def _no_jump_generator(
-    h: np.ndarray, noise: NoiseModel, error: type[NumericsError]
-) -> np.ndarray:
-    """G = -iH - K/2 as a d x d matrix, checked as :func:`_no_jump_diagonals`."""
-    rates = np.array([[ch.rate for ch in noise.channels]], dtype=float)
-    g, diag = _no_jump_diagonals(h, noise.channels, rates, error)
-    g[np.diag_indices(len(g))] = diag[0]
-    return g
+def _check_rates(rates, channels: Sequence[NoiseChannel]) -> np.ndarray:
+    """``rates`` as a float array (rows >= 1, channels) of finite rates >= 0,
+    one row per run of a stack, or ValueError naming the first bad one."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 2 or rates.shape[0] < 1 or rates.shape[1] != len(channels):
+        raise ValueError(f"rates must be (rows >= 1, {len(channels)} channels), got {rates.shape}")
+    bad = np.argwhere(~(np.isfinite(rates) & (rates >= 0)))
+    if bad.size:
+        b, c = bad[0]
+        raise ValueError(
+            f"row {b}: jump {channels[c].label!r} has rate {rates[b, c]}; need finite and >= 0"
+        )
+    return rates
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    """The largest spectral norm ||.||_2 over a stack (..., m, m), 0 for an
-    empty stack: |a| for 1 x 1 matrices, an SVD of each matrix otherwise."""
-    if a.shape[-1] == 1:
-        return float(np.abs(a).max(initial=0.0))
-    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1)), initial=0.0))
+def _spectral_norm(a: np.ndarray) -> np.ndarray:
+    """The largest spectral norm ||.||_2 over each row a[b] of a stack
+    (rows, ..., m, m), 0 for a row of no matrix: |a| for 1 x 1 matrices, an
+    SVD of each matrix otherwise."""
+    norms = np.abs(a) if a.shape[-1] == 1 else np.linalg.norm(a, 2, axis=(-2, -1))
+    return norms.reshape(len(a), -1).max(axis=1, initial=0.0)
 
 
 def _component_labels(a: np.ndarray) -> np.ndarray:
@@ -440,39 +452,53 @@ def _component_index(labels: np.ndarray) -> list[np.ndarray]:
 
 
 class _Components:
-    """A square matrix held by the connected components of its nonzero
-    pattern: its diagonal, and for each component size m >= 2 the indices
-    ``idx`` (nb, m) of its nb components of that size, each ascending, and
-    their blocks (nb, m, m), a[idx[c, i], idx[c, j]].  Applying it is one
-    row scaling by the diagonal, whose rows in a component are then
-    overwritten by the blocks' products; a dense matrix is one component."""
+    """Square matrices a_b of one off-diagonal pattern, a row b each, held by
+    the connected components of that pattern: ``diag`` (rows, d), and for
+    each component size m >= 2 the indices ``idx`` (nb, m) of its nb
+    components of that size, each ascending, with every row's blocks (rows,
+    nb, m, m), a_b[idx[c, i], idx[c, j]].  Applying a row is one row scaling
+    by its diagonal, whose rows in a component are then overwritten by its
+    blocks' products; a dense matrix is one component."""
 
     def __init__(self, diag: np.ndarray, stacks: list[tuple[np.ndarray, np.ndarray]]):
         self.diag = diag
         self.stacks = stacks
 
     @classmethod
-    def of(cls, a: np.ndarray, index: list[np.ndarray] | None = None) -> _Components:
-        """``a`` by its components, or by the :func:`_component_index` ``index``
-        of a matrix with the same off-diagonal pattern, which is not checked."""
-        if index is None:
-            index = _component_index(_component_labels(a))
-        stacks = [(idx, a[idx[:, :, None], idx[:, None, :]]) for idx in index]
-        return cls(np.diagonal(a).copy(), stacks)
+    def of(cls, a: np.ndarray, diag: np.ndarray, index: list[np.ndarray]) -> _Components:
+        """``a`` with each row of ``diag`` (rows, d) on its diagonal, by the
+        :func:`_component_index` ``index`` of a's pattern, not checked."""
+        stacks = []
+        for idx in index:
+            blocks = np.repeat(a[idx[:, :, None], idx[:, None, :]][None], len(diag), axis=0)
+            i = np.arange(idx.shape[1])
+            blocks[:, :, i, i] = diag[:, idx]
+            stacks.append((idx, blocks))
+        return cls(diag, stacks)
+
+    def row(self, b: int) -> _Components:
+        """The stack of row b alone."""
+        return _Components(self.diag[b : b + 1], [(idx, a[b : b + 1]) for idx, a in self.stacks])
+
+    def norm(self) -> np.ndarray:
+        """||a_b||_2 of each row: the largest over its components."""
+        parts = [self.diag[:, :, None, None]] + [blocks for _, blocks in self.stacks]
+        return np.max([_spectral_norm(a) for a in parts], axis=0)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The matrix times a vector or a d x k matrix x."""
+        """The matrix of a one-row stack times a vector or a d x k matrix x."""
         x2 = x.reshape(len(x), -1)
-        out = self.diag[:, None] * x2
+        out = self.diag[0][:, None] * x2
         for idx, blocks in self.stacks:
-            out[idx] = blocks @ x2[idx]
+            out[idx] = blocks[0] @ x2[idx]
         return out.reshape(x.shape)
 
     def map(self, f) -> _Components:
-        """The matrix f(a) for an f that acts on each component alone and
-        keeps the pattern, as are exp(a dt) and a @ a: f is given the
-        diagonal as a stack of 1 x 1 matrices and then each stack of blocks."""
-        diag = f(self.diag[:, None, None])[:, 0, 0]
+        """f(a_b) of each row, for an f that acts on each component alone and
+        keeps the pattern, as are exp(a_b dt_b) and a_b @ a_b: f is given the
+        diagonals as a stack (rows, d, 1, 1) of 1 x 1 matrices and then each
+        stack of blocks (rows, nb, m, m)."""
+        diag = f(self.diag[:, :, None, None]).reshape(self.diag.shape)
         return _Components(diag, [(idx, f(blocks)) for idx, blocks in self.stacks])
 
 
@@ -611,25 +637,18 @@ class _Generator:
     """Precomputed Lindblad generators on a :class:`LindbladSupport`, one per
     row of a stack: row b is H with the support's jumps at the checked
     rates ``rates[b]`` (rows, channels).  rhs(x) = G rho + rho G^dag +
-    jumps for each row's Hermitian rho, packed on the support.
-
-    What does not depend on the rates is checked and built once: H finite,
-    Hermitian and within the support's components, -iH's component blocks
-    and each channel's unit-rate sandwich; an H, jump or dimension that
-    does not fit the support raises ValueError.  Per row are the diagonal
-    of G = -iH - K/2, G's component blocks (K sits on their diagonal), the
-    jump weights and ``bound``.
-
-    The states of a stack of rows are held flat, row by row, so that every
-    gather and scatter is one index into a 1-D array: with s = support.size,
-    entry i of the stack's b-th row sits at b s + i.  The offsets, and the
-    per-row parts, are built for a given array of rows and kept until the
-    rows change (:meth:`_parts`).
+    jumps for each row's Hermitian rho, packed on the support.  H is checked
+    once, finite, Hermitian and within the support's components, and so is
+    each channel's unit-rate sandwich (ValueError if they do not fit); per
+    row are G_b = -iH - K_b/2 (``g``, on the support's components), the jump
+    weights and ``bound``.  A stack's states are held flat, entry i of its
+    b-th row at b s + i (s = support.size), so that every gather and scatter
+    is one 1-D index; the offsets and per-row parts are kept until the rows
+    change (:meth:`_parts`).
 
     ``bound[b]`` = 2 ||G_b||_2 + sum_k rate_bk ||L_k||_2^2 bounds row b's
-    generator norm as a map on rho with the Frobenius norm.  ||G_b||_2 is
-    the spectral norm itself, the largest over G_b's components (an SVD of
-    each block); a monomial L_k has ||L_k||_2 = max |vals|.
+    generator norm as a map on rho with the Frobenius norm; a monomial L_k
+    has ||L_k||_2 = max |vals|.
     """
 
     def __init__(
@@ -640,14 +659,14 @@ class _Generator:
         support: LindbladSupport,
     ):
         self.rates = rates
-        g, self.diag = _no_jump_diagonals(h, channels, rates, IntegrationError)
+        g, diag = _no_jump_diagonals(h, channels, rates, IntegrationError)
         if g.shape != (support.dim,) * 2:
             raise ValueError(f"dimension mismatch: H {g.shape}, support of dimension {support.dim}")
         rows, cols = np.nonzero(g)
         if np.any(support.labels[rows] != support.labels[cols]):
             raise ValueError("H couples states that lie in different components of the support")
         self.support = support
-        self.blocks = [g[idx[:, :, None], idx[:, None, :]] for idx in support.index]
+        self.g = _Components.of(g, diag, support.index)
         self.sandwiches = []
         for ch in channels:
             found = support.jumps.get(_jump_key(ch))
@@ -655,24 +674,10 @@ class _Generator:
                 raise ValueError(f"jump {ch.label!r} is not one of the support's channels")
             self.sandwiches.append(found)
         self.all_rows = np.arange(len(rates))
-        self.bound = np.empty(len(rates))
-        for b in self.all_rows:
-            norm = _spectral_norm(self.diag[b, :, None, None])
-            for k in range(len(self.blocks)):
-                norm = max(norm, _spectral_norm(self._g_blocks(k, self.all_rows[b : b + 1])))
-            self.bound[b] = 2.0 * norm
+        self.bound = 2.0 * self.g.norm()
         for c, ch in enumerate(channels):
             self.bound += self.rates[:, c] * np.max(np.abs(ch.vals), initial=0.0) ** 2
         self._key = None
-
-    def _g_blocks(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """G's blocks of component size stack k for each of ``rows``:
-        (len(rows), nb, m, m), -iH's blocks with G's diagonal on theirs."""
-        idx = self.support.index[k]
-        blocks = np.repeat(self.blocks[k][None], len(rows), axis=0)
-        i = np.arange(idx.shape[1])
-        blocks[:, :, i, i] = self.diag[rows][:, idx]
-        return blocks
 
     def _parts(self, rows: np.ndarray):
         """For a stack of ``rows``: its flat diagonal, transpose offsets,
@@ -686,10 +691,10 @@ class _Generator:
                 flat = base.reshape((-1,) + (1,) * idx.ndim) + idx
                 return flat.reshape((-1,) + idx.shape[1:])
 
-            diag = self.diag[rows][:, self.support.rows].reshape(-1)
+            diag = self.g.diag[rows][:, self.support.rows].reshape(-1)
             strips = []
             for k, sel, pos in self.support.strips:
-                blocks = self._g_blocks(k, rows)[:, sel]
+                blocks = self.g.stacks[k][1][rows][:, sel]
                 strips.append((blocks.reshape((-1,) + blocks.shape[2:]), at(pos)))
             jumps = [
                 (at(to), at(frm), (self.rates[rows, c : c + 1] * weights).reshape(-1))
@@ -749,10 +754,10 @@ _TAYLOR_TOL = 1e-15
 # the bound does not hold
 _TAYLOR_MAX_TERMS = 60
 # the Lindblad rows of one stacked run, and the Monte Carlo jumpers of one
-# run, advance together in blocks of at most this many bytes of state (8
-# rows of fig1b eth-7, 64 columns at d = 256): the memory held stays
-# bounded whatever the number of rates or trajectories, and the rows or
-# columns of a block share each numpy call
+# row of a stack, advance together in blocks of at most this many bytes of
+# state (8 rows of fig1b eth-7, 64 columns at d = 256): the memory held
+# stays bounded whatever the number of rates or trajectories, and the rows
+# or columns of a block share each numpy call
 _BLOCK_BYTES = 2**18
 
 
@@ -825,23 +830,21 @@ def _n_substeps(t: float, bound):
 
 
 def _propagate_exact(
-    gen: _Generator, v: np.ndarray, rows: np.ndarray, t_final: float
+    apply, x: np.ndarray, rows: np.ndarray, t: float, bound: np.ndarray, error, finish=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """exp(t_final L_b) rho_b for the states of ``rows``, packed as the rows
-    of v, each in ceil(t_final * bound_b / theta) Taylor substeps of its own;
-    returns the packed states and each row's number of generator
-    applications.  Off the support rho is 0, so a row's 2-norm is
-    ||rho||_F, as the tail bound needs."""
-    bound = gen.bound[rows]
-    n_sub = _n_substeps(t_final, bound)
-    step = t_final / n_sub
-    applications = np.zeros(len(rows), dtype=int)
+    """exp(t A_b) x[b] for each row of a stack, with the maps A_b of ``rows``
+    (:func:`_taylor_substep`), each row in ceil(t * bound_b / theta) Taylor
+    substeps of its own, passed through ``finish(x, rows)`` after each when
+    given; returns x and each row's number of applications."""
+    n_sub = _n_substeps(t, bound)
+    step = t / n_sub
+    applications = np.zeros(len(x), dtype=int)
     for j in range(n_sub.max()):
         at = np.flatnonzero(n_sub > j)
-        acc, k = _taylor_substep(gen.rhs, v[at], rows[at], step[at], bound[at], IntegrationError)
+        acc, k = _taylor_substep(apply, x[at], rows[at], step[at], bound[at], error)
         applications[at] += k
-        v[at] = gen.hermitize(acc, rows[at])
-    return v, applications
+        x[at] = acc if finish is None else finish(acc, rows[at])
+    return x, applications
 
 
 def _propagate_rk4(
@@ -859,18 +862,12 @@ def _propagate_rk4(
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a matrix, or of each matrix of a stack (..., m, m) such as
-    the blocks of :class:`_Components`, by the same scaled Taylor series
-    applied to a stack of identities by X -> a X, in substeps sized for the
-    stack's largest ||a||_2 (:func:`_spectral_norm`), with one tail test
-    over the whole stack: it is one row."""
-    bound = np.array([_spectral_norm(a)])
-    n_sub = int(_n_substeps(1.0, bound[0]))
-    step, row = np.array([1.0 / n_sub]), np.zeros(1, dtype=int)
-    u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), (1,) + a.shape).copy()
-    for _ in range(n_sub):
-        u, _ = _taylor_substep(lambda x, _rows: a @ x, u, row, step, bound, TrajectoryError)
-    return u[0]
+    """exp of each matrix of a stack (rows, ..., m, m), such as the blocks of
+    :class:`_Components`, row by row (:func:`_propagate_exact` of X -> a[b] X
+    on identities): a row's substeps and tail test are its own."""
+    u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+    bound, rows = _spectral_norm(a), np.arange(len(a))
+    return _propagate_exact(lambda x, r: a[r] @ x, u, rows, 1.0, bound, TrajectoryError)[0]
 
 
 def integrate_lindblad(
@@ -881,23 +878,7 @@ def integrate_lindblad(
     support: LindbladSupport | None = None,
 ) -> LindbladResult:
     """rho(t_final): rho0 evolved under the master equation up to
-    ``config.t_final``; a stack of one row (:func:`integrate_lindblad_stack`).
-
-    With ``config.dt=None`` the state is propagated exactly.  With an
-    explicit dt, classical fixed-step RK4 takes :func:`step_count` steps; a
-    step beyond RK4's stability region for this generator is rejected up
-    front.  Either way the state is Hermitized ((rho + rho^dag)/2) on entry
-    and after every (sub)step, and a trace drift beyond 1e-5 at t_final
-    raises :class:`IntegrationError`.  A rho0 that is not a finite density
-    matrix, a rho0 or jump whose dimension is not H's, or a non-Hermitian H
-    raises ValueError.
-
-    Both methods evolve rho packed on ``support``, the entries it can
-    reach (:class:`LindbladSupport`), built here from H, the jumps and rho0
-    when not given.  A support does not depend on the rates, so one built
-    for H, for these jumps or more and for rho0's nonzeros or more serves
-    every job of a sweep; one that does not fit them raises ValueError.
-    """
+    ``config.t_final``; a stack of one row (:func:`integrate_lindblad_stack`)."""
     rates = [[ch.rate for ch in noise.channels]]
     return next(integrate_lindblad_stack(rho0, h, noise.channels, rates, config, support))
 
@@ -910,34 +891,29 @@ def integrate_lindblad_stack(
     config: IntegrationConfig,
     support: LindbladSupport | None = None,
 ) -> Iterator[LindbladResult]:
-    """rho(t_final) for each row of ``rates``, (rows, channels), one
-    :class:`LindbladResult` per row in order, from one stacked run: row b
-    holds the jumps at the rates ``rates[b]``, and every row shares rho0,
-    H, ``config`` and the support, built from the jumps when not given.
-    Each row is what :func:`integrate_lindblad` gives for its rates alone,
-    to the last bit and in as many generator applications: a row keeps its
-    own generator bound, substeps and Taylor stop.
+    """rho(t_final) for each row b of ``rates`` (rows, channels), the jumps at
+    ``rates[b]``: one :class:`LindbladResult` per row in order, from one
+    stacked run, each row what :func:`integrate_lindblad` gives for its
+    rates alone, in as many generator applications.  ``config.dt=None``
+    propagates exactly, an explicit dt by RK4 of :func:`step_count` steps;
+    the state is Hermitized on entry and after every (sub)step, and a trace
+    drift beyond 1e-5 at t_final raises :class:`IntegrationError`.  rho is
+    evolved packed on ``support`` (:class:`LindbladSupport`), built here
+    when not given; one built for H, for these jumps or more and for rho0's
+    nonzeros or more serves every rate.
 
-    Before any propagation, a ``rates`` that is not (rows >= 1, channels),
-    or a rate that is not finite and >= 0, raises ValueError naming the row
-    and the channel; rho0, H and the fit of the support are checked once
-    for the stack, and the RK4 stability limit for every row.  Rows are
-    propagated in blocks of at most _BLOCK_BYTES of packed state, each
-    block's results yielded before the next block starts, so memory does
-    not grow with the number of rows.  A numerical failure of one row
-    raises :class:`IntegrationError` with that row's index as its ``row``.
+    Before any propagation a ``rates`` that is not (rows >= 1, channels), or
+    a rate that is not finite and >= 0, raises ValueError naming the row
+    and the channel, as do a rho0 that is not a finite density matrix, a
+    dimension that is not H's, a non-Hermitian H and a support that does
+    not fit, checked once; an RK4 step beyond any row's stability region
+    raises IntegrationError.  Rows advance in blocks of at most _BLOCK_BYTES
+    of packed state, each block yielded before the next starts, and a
+    numerical failure names its row as the error's ``row``.
     """
     rho = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho)
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 2 or rates.shape[0] < 1 or rates.shape[1] != len(channels):
-        raise ValueError(f"rates must be (rows >= 1, {len(channels)} channels), got {rates.shape}")
-    bad = np.argwhere(~(np.isfinite(rates) & (rates >= 0)))
-    if bad.size:
-        b, c = bad[0]
-        raise ValueError(
-            f"row {b}: jump {channels[c].label!r} has rate {rates[b, c]}; need finite and >= 0"
-        )
+    rates = _check_rates(rates, channels)
     if support is None:
         support = LindbladSupport(h, channels, rho)
     gen = _Generator(h, channels, rates, support)
@@ -962,7 +938,9 @@ def integrate_lindblad_stack(
         v = np.tile(v0, (len(rows), 1))
         applications = np.zeros(len(rows), dtype=int)
         if config.t_final > 0 and config.dt is None:
-            v, applications = _propagate_exact(gen, v, rows, config.t_final)
+            v, applications = _propagate_exact(
+                gen.rhs, v, rows, config.t_final, gen.bound[rows], IntegrationError, gen.hermitize
+            )
         elif config.t_final > 0:
             v = _propagate_rk4(gen, v, rows, sizes)
             applications += 4 * len(sizes)
@@ -980,49 +958,84 @@ def mc_trajectories(
     observables: Sequence[np.ndarray],
     config: TrajectoryConfig,
 ) -> McResult:
-    """Quantum-jump Monte Carlo estimate of final-time expectation values.
+    """Quantum-jump Monte Carlo estimates at t_final: a stack of one row
+    (:func:`mc_trajectories_stack`)."""
+    channels, rates = noise.channels, [[ch.rate for ch in noise.channels]]
+    return next(mc_trajectories_stack(psi0, h, channels, rates, t_final, observables, [config]))
 
-    Returns the trajectory mean and standard error (sample stddev / sqrt(n))
-    of <psi|O|psi> at t_final for each observable, and how many trajectories
-    jumped and how many jumps they made.
 
-    Every trajectory follows the same deterministic flow between jumps.
-    u_step = exp(G dt) and its powers u_step^(2^b), by repeated squaring,
-    are formed on G's components.  The no-jump path is computed once, by
-    doubling (columns [2^b, 2^(b+1)) are u_step^(2^b) times columns
-    [0, 2^b)), and places every first jump; each later stretch up to the
-    next jump or t_final costs O(log n_steps) products with the powers.
-    The trajectories that jump, in ascending index order, are split into
-    blocks of at most _BLOCK_BYTES of state, and a block's trajectories
-    advance together as the columns of one matrix, in rounds of one jump
-    each.  One generator,
-    ``default_rng(config.seed)``, first draws all n_traj thresholds at once;
-    then draws round-major within bounded blocks, blocks in index order: per
-    round, every live column's channel, then every live column's next
-    threshold.  The channel weights rate_k ||L_k psi||^2 of a block are one
-    product with a matrix of rate_k |L_k|^2 rows.  A
-    column with a zero total jump rate, a no-jump norm that grows by more
+def mc_trajectories_stack(
+    psi0: np.ndarray,
+    h: np.ndarray,
+    channels: Sequence[NoiseChannel],
+    rates: Sequence[Sequence[float]] | np.ndarray,
+    t_final: float,
+    observables: Sequence[np.ndarray],
+    configs: Sequence[TrajectoryConfig],
+) -> Iterator[McResult]:
+    """For each row b of ``rates`` (rows, channels), the jumps at ``rates[b]``
+    and ``configs[b]``: the trajectory mean and standard error (sample
+    stddev / sqrt(n)) of <psi|O|psi> at t_final for each observable, and the
+    jumpers and jumps, yielded row by row, each what :func:`mc_trajectories`
+    gives for its rates alone.
+
+    Before any propagation the rates are checked as in
+    :func:`integrate_lindblad_stack`, every step count is capped, and psi0,
+    H and the observables are checked once (ValueError for a dimension that
+    is not H's, a non-finite psi0 or observable, a non-Hermitian H or
+    observable).  A zero total jump rate, a no-jump norm growing by more
     than 1e-12 (relative) between steps or across one power, or a
     renormalization off by more than 1e-10, in any column, raises
-    :class:`TrajectoryError`.  A psi0, jump or observable whose dimension
-    is not H's, a non-finite psi0 or observable, or a non-Hermitian H or
-    observable, raises ValueError.
+    :class:`TrajectoryError` with the row's index as its ``row``.
     """
     _check_t_final(t_final)
-    n_steps = step_count(config.dt, t_final)
+    rates = _check_rates(rates, channels)
+    if len(configs) != len(rates):
+        raise ValueError(f"need a config per row of rates: {len(configs)} for {len(rates)}")
+    n_steps = np.array([step_count(config.dt, t_final) for config in configs])
     psi0 = np.asarray(psi0, dtype=complex)
     if not np.isfinite(psi0).all():
         raise ValueError("psi0 has non-finite entries")
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {nrm!r} is not 1")
-    g = _no_jump_generator(h, noise, TrajectoryError)
+    g, diag = _no_jump_diagonals(h, channels, rates, TrajectoryError)
     if psi0.shape != g.shape[:1]:
         raise ValueError(f"dimension mismatch: psi0 {psi0.shape}, H {g.shape}")
     for i, obs in enumerate(observables):
         if np.shape(obs) != g.shape:
             raise ValueError(f"dimension mismatch: observable {i} {np.shape(obs)}, H {g.shape}")
         require_hermitian(np.asarray(obs), what=f"observable {i}")
+    if t_final == 0:
+        rates = np.zeros_like(rates)  # no step is taken, so nothing jumps
+    dt = t_final / n_steps
+    u_step = _Components.of(g, diag, _component_index(_component_labels(g))).map(
+        lambda a: _expm(a * dt.reshape((-1,) + (1,) * (a.ndim - 1)))
+    )
+    for b, config in enumerate(configs):
+        try:
+            result = _trajectories(
+                psi0, u_step.row(b), channels, rates[b], int(n_steps[b]), observables, config
+            )
+        except TrajectoryError as exc:
+            exc.row = b
+            raise
+        yield result
+
+
+def _trajectories(
+    psi0: np.ndarray,
+    u_step: _Components,
+    channels: Sequence[NoiseChannel],
+    rates: np.ndarray,
+    n_steps: int,
+    observables: Sequence[np.ndarray],
+    config: TrajectoryConfig,
+) -> McResult:
+    """One row of :func:`mc_trajectories_stack`: ``config.n_traj`` trajectories
+    over n_steps steps of the one-row ``u_step``.  The jumpers, in index
+    order, advance in blocks of at most _BLOCK_BYTES of state as the columns
+    of one matrix, in rounds of one jump each."""
     n_traj = config.n_traj
 
     def reduce_values(values: np.ndarray, jumpers: int = 0, jumps: int = 0) -> McResult:
@@ -1038,12 +1051,6 @@ def mc_trajectories(
         psi = psi / np.sqrt(_norms2(psi))
         return np.array([np.vecdot(psi, obs @ psi, axis=0).real for obs in observables])
 
-    if t_final == 0:
-        return reduce_values(np.tile(values_of(psi0[:, None]), (1, n_traj)))
-
-    dt = t_final / n_steps
-    u_step = _Components.of(g).map(lambda a: _expm(a * dt))
-    del g
     # u_step^(2^b) for b = 0 .. floor(log2 n_steps), by repeated squaring
     powers = [u_step]
     while 2 ** len(powers) <= n_steps:
@@ -1057,7 +1064,7 @@ def mc_trajectories(
         stop = min(2 ** (b + 1), n_steps + 1)
         states0[:, 2**b : stop] = power.apply(states0[:, : stop - 2**b])
     values = np.tile(values_of(states0[:, -1:]), (1, n_traj))
-    if not noise.channels:
+    if not rates.any():
         return reduce_values(values)
     norms2 = _norms2(states0)
     if np.any(norms2[1:] > norms2[:-1] * (1 + 1e-12)):
@@ -1073,7 +1080,7 @@ def mc_trajectories(
     counts = np.searchsorted(ascending, thresholds, side="right")
     jumpers = np.nonzero(counts > 0)[0]
 
-    decay_rows = _decay_rows(noise.channels, len(psi0))
+    decay_rows = _decay_rows(channels, rates, len(psi0))
 
     # Each round, every live column jumps from the state at its crossing step
     # and follows its no-jump stretch by binary lifting over the powers: the
@@ -1087,7 +1094,7 @@ def mc_trajectories(
         step = n_steps - counts[live] + 1
         psi = states0[:, step]
         while live.size:
-            phi, n2 = _jump_columns(rng, psi, noise.channels, decay_rows)
+            phi, n2 = _jump_columns(rng, psi, channels, decay_rows)
             threshold = rng.random(live.size)
             for b in reversed(range(len(powers))):
                 fits = np.nonzero(step + 2**b <= n_steps)[0]
@@ -1109,12 +1116,12 @@ def mc_trajectories(
     return reduce_values(values, len(jumpers), total_jumps)
 
 
-def _decay_rows(channels: Sequence[NoiseChannel], dim: int) -> np.ndarray:
-    """rows[k, cols_k] = rate_k |vals_k|^2, so that rows @ |psi|^2 holds every
-    rate_k ||L_k psi||^2."""
+def _decay_rows(channels: Sequence[NoiseChannel], rates: np.ndarray, dim: int) -> np.ndarray:
+    """rows[k, cols_k] = rates[k] |vals_k|^2, so that rows @ |psi|^2 holds
+    every channel weight rate_k ||L_k psi||^2 of a block in one product."""
     rows = np.zeros((len(channels), dim))
     for k, ch in enumerate(channels):
-        rows[k, ch.cols] = ch.rate * np.abs(ch.vals) ** 2
+        rows[k, ch.cols] = rates[k] * np.abs(ch.vals) ** 2
     return rows
 
 

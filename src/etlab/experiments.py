@@ -17,16 +17,18 @@ Two experiment families reproduce the headline open-system comparisons:
   probability at the end of the swap.
 
 A sweep job is a scenario, built once per process for its key, plus the
-rate that gamma sets on its noisy sites.  A sweep runs in tasks: the
-Lindblad jobs of one scenario key are one task, one stacked run with a row
-of rates per job (:func:`~etlab.dynamics.integrate_lindblad_stack`), each
-row equal to the job run alone; a Monte Carlo job is a task of its own.
-Tasks run in grid order, serially, or over a process pool of at most one
+rate that gamma sets on its noisy sites.  A sweep runs in tasks, one per
+scenario key: the key's jobs as one stacked run of either engine
+(:func:`~etlab.dynamics.integrate_lindblad_stack`,
+:func:`~etlab.dynamics.mc_trajectories_stack`) with a row of rates per job,
+each row equal to the job run alone.  Tasks run in order of first
+appearance on the grid, serially, or over a process pool of at most one
 worker per task when ``max_workers`` > 1.  The master seed is Monte
 Carlo's only: each MC job's seed is derived from (master seed, scenario
 index, grid index), so merged results do not depend on worker count or
-scheduling order; a Lindblad sweep draws no random numbers.  A sweep with
-fixed steps checks every step count (:func:`check_step_counts`) first.
+scheduling order; a Lindblad sweep draws no random numbers.  A sweep checks
+every step and trajectory count against its cap (:func:`check_budget`)
+first.
 """
 
 from __future__ import annotations
@@ -45,13 +47,12 @@ from .dynamics import (
     IntegrationConfig,
     LindbladSupport,
     NoiseChannel,
-    NoiseModel,
     NumericsError,
     TrajectoryConfig,
     _check_integers,
     default_timestep,
     integrate_lindblad_stack,
-    mc_trajectories,
+    mc_trajectories_stack,
     site_channels,
     step_count,
 )
@@ -79,7 +80,7 @@ __all__ = [
     "fig1b_scenarios",
     "run_scenario",
     "sweep_specs",
-    "check_step_counts",
+    "check_budget",
     "run_sweep",
     "fig1a_sweep",
     "fig1b_sweep",
@@ -192,11 +193,10 @@ class _Scenario:
     sites: tuple[NoiseChannel, ...]  # each noisy site's jump, at unit rate
     fixed: tuple[NoiseChannel, ...] = ()  # channels whose rate is not gamma's
 
-    def noise(self, rate: float) -> NoiseModel:
-        """A single job's channels: every site at ``rate``, then the fixed
-        ones; at rate 0 the sites are left out."""
-        sites = tuple(replace(ch, rate=rate) for ch in self.sites) if rate > 0 else ()
-        return NoiseModel(sites + self.fixed)
+    def rates(self, rate: float) -> list[float]:
+        """A job's row of rates over ``sites + fixed``, for either engine:
+        every site at ``rate``, 0 included, then the fixed rates."""
+        return [rate] * len(self.sites) + [ch.rate for ch in self.fixed]
 
     @functools.cached_property
     def support(self) -> LindbladSupport:
@@ -278,8 +278,7 @@ def _job_step(spec: ScenarioSpec, method: str, dt: float | None) -> float | None
     :func:`default_timestep` of its largest rate (exact Lindblad propagation
     has none)."""
     if dt is None and method == "mc":
-        rates = [spec.site_rate] + [ch.rate for ch in _scenario(spec).fixed]
-        dt = default_timestep(spec.omega, max(rates))
+        dt = default_timestep(spec.omega, max(_scenario(spec).rates(spec.site_rate)))
     return dt
 
 
@@ -293,27 +292,6 @@ def _context(spec: ScenarioSpec) -> str:
     return f"{spec.family}/{spec.label} at gamma/omega={spec.gamma / spec.omega:.4g}"
 
 
-def _lindblad_probabilities(specs: tuple[ScenarioSpec, ...], dt: float | None) -> list[float]:
-    """The success probabilities of Lindblad jobs that share one scenario
-    key, in order, from one stacked run with a row of rates per job (every
-    site at the job's rate, 0 included); a numerical failure names its own
-    job's scenario and grid point."""
-    s = _scenario(specs[0])
-    config = IntegrationConfig(dt=dt, t_final=s.duration)
-    rho0, channels = pure_density(s.psi0), s.sites + s.fixed
-    rates = [[sp.site_rate] * len(s.sites) + [ch.rate for ch in s.fixed] for sp in specs]
-    rows = integrate_lindblad_stack(rho0, s.hamiltonian, channels, rates, config, s.support)
-    probabilities = []
-    try:
-        for spec, result in zip(specs, rows):
-            prob = float(np.einsum("ij,ji->", result.final, s.observable).real)
-            probabilities.append(_finalize_probability(prob, _context(spec)))
-    except NumericsError as exc:
-        spec = specs[exc.row or 0]
-        raise type(exc)(f"{_context(spec)}: {exc}", exc.row) from exc
-    return probabilities
-
-
 def run_scenario(
     spec: ScenarioSpec,
     method: str = "lindblad",
@@ -325,20 +303,10 @@ def run_scenario(
 
     ``dt=None`` propagates the Lindblad equation exactly and places Monte
     Carlo jumps on :func:`default_timestep`; an explicit dt is the RK4 step
-    or the jump-placement step.  A Lindblad job is a stack of one row.
+    or the jump-placement step.  A job is a task of one row.
     """
-    if method == "lindblad":
-        return _lindblad_probabilities((spec,), dt)[0], 0.0
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}; use 'lindblad' or 'mc'")
-    s = _scenario(spec)
-    config = TrajectoryConfig(n_traj=n_traj, seed=seed, dt=_job_step(spec, method, dt))
-    noise = s.noise(spec.site_rate)
-    try:
-        result = mc_trajectories(s.psi0, s.hamiltonian, noise, s.duration, [s.observable], config)
-    except NumericsError as exc:
-        raise type(exc)(f"{_context(spec)}: {exc}") from exc
-    return _finalize_probability(float(result.means[0]), _context(spec)), float(result.stderrs[0])
+    [row] = _run_task(((spec,), method, n_traj, (seed,), dt))
+    return row.probability, row.stderr
 
 
 def _job_seed(master: int, scenario_index: int, point_index: int) -> int:
@@ -347,17 +315,37 @@ def _job_seed(master: int, scenario_index: int, point_index: int) -> int:
 
 
 def _run_task(task) -> list[SweepRow]:
-    """The rows of one sweep task: the Lindblad jobs of one scenario key as
-    one stacked run (no seed), or one Monte Carlo job with its seed."""
-    specs, method, n_traj, seed, dt = task
+    """The rows of one sweep task ``(specs, method, n_traj, seeds, dt)``: jobs
+    that share one scenario key, in order, as one stacked run of ``method``
+    with a row of rates per job (:meth:`_Scenario.rates`); ``seeds`` holds
+    each Monte Carlo job's seed, and Lindblad reads none.  A numerical
+    failure names its own job's scenario and grid point."""
+    specs, method, n_traj, seeds, dt = task
+    s = _scenario(specs[0])
+    channels, rates = s.sites + s.fixed, [s.rates(spec.site_rate) for spec in specs]
     if method == "lindblad":
-        results = [(p, 0.0) for p in _lindblad_probabilities(specs, dt)]
+        config = IntegrationConfig(dt=dt, t_final=s.duration)
+        rho0 = pure_density(s.psi0)
+        runs = integrate_lindblad_stack(rho0, s.hamiltonian, channels, rates, config, s.support)
+        scores = ((np.einsum("ij,ji->", r.final, s.observable).real, 0.0) for r in runs)
+    elif method == "mc":
+        steps = [_job_step(spec, method, dt) for spec in specs]
+        configs = [TrajectoryConfig(n_traj, seed, step) for seed, step in zip(seeds, steps)]
+        runs = mc_trajectories_stack(
+            s.psi0, s.hamiltonian, channels, rates, s.duration, [s.observable], configs
+        )
+        scores = ((r.means[0], r.stderrs[0]) for r in runs)
     else:
-        results = [run_scenario(specs[0], method, n_traj, seed, dt)]
-    return [
-        SweepRow(spec.gamma / spec.omega, spec.label, prob, stderr, method)
-        for spec, (prob, stderr) in zip(specs, results)
-    ]
+        raise ValueError(f"unknown method {method!r}; use 'lindblad' or 'mc'")
+    rows = []
+    try:
+        for spec, (prob, stderr) in zip(specs, scores):
+            prob = _finalize_probability(float(prob), _context(spec))
+            rows.append(SweepRow(spec.gamma / spec.omega, spec.label, prob, float(stderr), method))
+    except NumericsError as exc:
+        spec = specs[exc.row or 0]
+        raise type(exc)(f"{_context(spec)}: {exc}", exc.row) from exc
+    return rows
 
 
 def sweep_specs(
@@ -372,17 +360,19 @@ def sweep_specs(
     raise ValueError(f"unknown experiment {experiment!r}; use 'fig1a' or 'fig1b'")
 
 
-def check_step_counts(
-    specs_per_point: list[list[ScenarioSpec]], method: str, dt: float | None
+def check_budget(
+    specs_per_point: list[list[ScenarioSpec]], method: str, n_traj: int, dt: float | None
 ) -> None:
-    """Every job's step count (:func:`~etlab.dynamics.step_count`), so that
-    none runs when one is over the cap: a Monte Carlo job, or an RK4 one
-    with an explicit dt, whose step needs more than MAX_STEPS raises
-    StepCountError.  Exact Lindblad propagation takes no steps."""
-    if method == "mc" or dt is not None:
-        for specs in specs_per_point:
-            for spec in specs:
-                step_count(_job_step(spec, method, dt), _scenario(spec).duration)
+    """Every job's fixed steps, and a Monte Carlo job's config, before any
+    runs: a step over MAX_STEPS raises StepCountError, and an ``n_traj``
+    above MAX_TRAJECTORIES ValueError.  Exact Lindblad takes no steps."""
+    for specs in specs_per_point:
+        for spec in specs:
+            step = _job_step(spec, method, dt)
+            if step is not None:
+                step_count(step, _scenario(spec).duration)
+            if method == "mc":
+                TrajectoryConfig(n_traj=n_traj, seed=0, dt=step)
 
 
 def run_sweep(
@@ -394,20 +384,21 @@ def run_sweep(
     max_workers: int | None,
 ) -> SweepResult:
     """The rows of every job over the grid, sorted by (scenario, gamma/omega),
-    run as tasks in grid order: one per Lindblad scenario key, one per
-    Monte Carlo job.  Only an MC job takes a seed, :func:`_job_seed` of
-    ``seed`` and its grid position; a Lindblad sweep derives none."""
+    run as one task per scenario key (:func:`_run_task`).  Only a Monte
+    Carlo job takes a seed, :func:`_job_seed` of ``seed`` and its grid
+    position; a Lindblad sweep derives none."""
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    check_step_counts(specs_per_point, method, dt)
-    keys, tasks = {}, []
+    check_budget(specs_per_point, method, n_traj, dt)
+    keys = {}
     for pi, specs in enumerate(specs_per_point):
         for si, spec in enumerate(specs):
-            if method == "lindblad":
-                keys.setdefault(_key(spec), []).append(spec)
-            else:
-                tasks.append(((spec,), method, n_traj, _job_seed(seed, si, pi), dt))
-    tasks += [(tuple(specs), method, n_traj, None, dt) for specs in keys.values()]
+            keys.setdefault(_key(spec), []).append((spec, (si, pi)))
+    tasks = []
+    for jobs in keys.values():
+        specs, at = zip(*jobs)
+        seeds = None if method == "lindblad" else tuple(_job_seed(seed, *p) for p in at)
+        tasks.append((specs, method, n_traj, seeds, dt))
     if max_workers is not None and max_workers > 1 and len(tasks) > 1:
         # a fork pool starts all its workers at the first submit, used or not
         with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:

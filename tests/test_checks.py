@@ -20,7 +20,7 @@ _NAME = re.compile(r"(qcore|codes|eth|dynamics|experiments|cli)\.[a-z0-9]+(-[a-z
 
 def test_registry_shape():
     names = [name for name, _ in checks.CHECKS]
-    assert len(names) == 24
+    assert len(names) == 25
     assert len(set(names)) == len(names)
     for name, fn in checks.CHECKS:
         assert _NAME.fullmatch(name), name

@@ -381,6 +381,23 @@ class TestConfigValidation:
         # checked before --out is created: a rejected sweep leaves no directory
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("experiment", ["fig1a", "fig1b"])
+    def test_traj_above_cap_exit_1_before_any_job(
+        self, tmp_path, capsys, monkeypatch, experiment
+    ):
+        # 10^12 trajectories ended in numpy's _ArrayMemoryError traceback
+        # (7.28 TiB of thresholds and values)
+        def task(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(experiments, "_run_task", task)
+        args = ["--method", "mc", "--gamma-points", "1", "--traj", "1000000000000"]
+        assert run_cli(["sweep", experiment, *args, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --traj: n_traj must be in [1, ")
+        assert "got 1000000000000" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "argv, named",
         [

@@ -15,6 +15,7 @@ from scipy.linalg import expm
 
 from etlab.dynamics import (
     MAX_STEPS,
+    MAX_TRAJECTORIES,
     IntegrationConfig,
     IntegrationError,
     LindbladSupport,
@@ -29,16 +30,19 @@ from etlab.dynamics import (
     integrate_lindblad_stack,
     lindblad_rhs,
     mc_trajectories,
+    mc_trajectories_stack,
     site_channels,
     step_count,
 )
 from etlab.dynamics import (
     _TAYLOR_THETA,
+    _component_index,
+    _component_labels,
     _Components,
     _Generator,
     _expm,
     _n_substeps,
-    _no_jump_generator,
+    _no_jump_diagonals,
     _spectral_norm,
 )
 from etlab.qcore import SIGMA_MINUS, SIGMA_PLUS, basis_state, embed_single, normalize, pure_density
@@ -104,16 +108,17 @@ class TestNoiseModel:
     def test_decay_operator_equals_dense_formula(self):
         # monomial jumps skip the dense product; the sum K must keep its bits.
         # With H = 0 the no-jump generator is exactly -K/2.
-        from etlab.experiments import _scenario, fig1a_scenarios, fig1b_scenarios
+        from etlab.experiments import fig1a_scenarios, fig1b_scenarios
 
         for spec in fig1a_scenarios(0.3, 1.0) + fig1b_scenarios(0.05, 1.0):
-            noise = _scenario(spec).noise(spec.site_rate)
+            noise = _job_noise(spec)
             dim = noise.channels[0].dim
             dense = np.zeros((dim, dim), dtype=complex)
             for ch in noise.channels:
                 dense += ch.rate * (ch.matrix.conj().T @ ch.matrix)
-            g = _no_jump_generator(np.zeros((dim, dim)), noise, IntegrationError)
-            assert np.array_equal(-2 * g, dense), spec.label
+            h = np.zeros((dim, dim))
+            _, diag = _no_jump_diagonals(h, *_stack_input(noise), IntegrationError)
+            assert np.array_equal(np.diag(-2 * diag[0]), dense), spec.label
 
     def test_site_channels(self):
         chans = site_channels(3, SX, 0.5, "X")
@@ -451,13 +456,30 @@ def _random_monomial_case():
     return h, noise, rho0
 
 
+def _job_noise(spec):
+    """The noise of the sweep job ``spec`` run alone: its scenario's channels
+    at their rates in the job's rate row, those at rate 0 left out."""
+    from etlab.experiments import _scenario
+
+    s = _scenario(spec)
+    rates = s.rates(spec.site_rate)
+    return NoiseModel(tuple(replace(ch, rate=r) for ch, r in zip(s.sites + s.fixed, rates) if r))
+
+
 def _job(family, label, gamma):
     """A sweep job's cached scenario and its noise at gamma (omega = 1)."""
     from etlab.experiments import _scenario, fig1a_scenarios, fig1b_scenarios
 
     scenarios = fig1a_scenarios if family == "fig1a" else fig1b_scenarios
     spec = next(s for s in scenarios(gamma, 1.0) if s.label == label)
-    return _scenario(spec), _scenario(spec).noise(spec.site_rate)
+    return _scenario(spec), _job_noise(spec)
+
+
+def _dense_generator(h, noise):
+    """G = -iH - K/2 as a d x d matrix."""
+    g, diag = _no_jump_diagonals(h, *_stack_input(noise), IntegrationError)
+    g[np.diag_indices(len(g))] = diag[0]
+    return g
 
 
 def _stack_input(*noises):
@@ -619,19 +641,25 @@ def _hidden_blocks(seed):
     return a[perm][:, perm], parts
 
 
+def _one_row(a):
+    """A square matrix by the components of its own pattern, a stack of one
+    row."""
+    return _Components.of(a, np.diagonal(a)[None], _component_index(_component_labels(a)))
+
+
 class TestComponents:
     """G held by the connected components of its nonzero pattern."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_hidden_blocks_recovered_exactly(self, seed):
         a, parts = _hidden_blocks(seed)
-        comps = _Components.of(a)
+        comps = _one_row(a)
         found = {tuple(row) for idx, _ in comps.stacks for row in idx}
         assert found == parts
         assert sorted(len(p) for p in parts) == [2, 3, 8, 40]
         for idx, blocks in comps.stacks:
-            assert np.array_equal(blocks, a[idx[:, :, None], idx[:, None, :]])
-        assert np.array_equal(comps.diag, np.diagonal(a))
+            assert np.array_equal(blocks[0], a[idx[:, :, None], idx[:, None, :]])
+        assert np.array_equal(comps.diag[0], np.diagonal(a))
 
     def test_apply_matches_matrix_product(self):
         rng = np.random.default_rng(5)
@@ -643,11 +671,11 @@ class TestComponents:
         columns = rng.standard_normal((d, 7)) + 1j * rng.standard_normal((d, 7))
         for g in (a, dense, diagonal):
             for x in (vector, columns):
-                out = _Components.of(g).apply(x)
+                out = _one_row(g).apply(x)
                 assert out.shape == x.shape
                 assert np.max(np.abs(out - g @ x)) <= 1e-13 * np.max(np.abs(g @ x))
-        assert [idx.shape for idx, _ in _Components.of(dense).stacks] == [(1, d)]
-        assert _Components.of(diagonal).stacks == []
+        assert [idx.shape for idx, _ in _one_row(dense).stacks] == [(1, d)]
+        assert _one_row(diagonal).stacks == []
 
     @pytest.mark.parametrize(
         "family, label",
@@ -657,7 +685,7 @@ class TestComponents:
     def test_bound_equals_dense_svd_formula(self, family, label):
         s, noise = _job(family, label, gamma=0.05)
         h = s.hamiltonian
-        g = _no_jump_generator(h, noise, IntegrationError)
+        g = _dense_generator(h, noise)
         jumps = sum(ch.rate * np.max(np.abs(ch.vals)) ** 2 for ch in noise.channels)
         expected = 2.0 * np.linalg.norm(g, 2) + jumps
         assert _full_generator(h, noise).bound == pytest.approx(expected, rel=1e-12, abs=0)
@@ -803,9 +831,7 @@ class TestLindbladStack:
                 rho0, s.hamiltonian, *_stack_input(*noises), cfg, s.support
             )
             for spec, row in zip(specs, rows, strict=True):
-                alone = integrate_lindblad(
-                    rho0, s.hamiltonian, s.noise(spec.site_rate), cfg, s.support
-                )
+                alone = integrate_lindblad(rho0, s.hamiltonian, _job_noise(spec), cfg, s.support)
                 assert np.array_equal(row.final, alone.final), (spec.label, spec.gamma)
                 assert row.applications == alone.applications, (spec.label, spec.gamma)
 
@@ -821,9 +847,9 @@ class TestLindbladStack:
         blocks = []
         propagate = dyn._propagate_exact
 
-        def recording(gen, v, rows, t_final):
+        def recording(apply, x, rows, *args):
             blocks.append(rows.tolist())
-            return propagate(gen, v, rows, t_final)
+            return propagate(apply, x, rows, *args)
 
         monkeypatch.setattr(dyn, "_propagate_exact", recording)
         monkeypatch.setattr(dyn, "_BLOCK_BYTES", 2 * 16 * s.support.size)
@@ -831,7 +857,7 @@ class TestLindbladStack:
         rows = list(integrate_lindblad_stack(rho0, s.hamiltonian, channels, rates, cfg, s.support))
         assert blocks == [[0, 1], [2, 3], [4]]
         for spec, row in zip(specs, rows, strict=True):
-            alone = integrate_lindblad(rho0, s.hamiltonian, s.noise(spec.site_rate), cfg, s.support)
+            alone = integrate_lindblad(rho0, s.hamiltonian, _job_noise(spec), cfg, s.support)
             assert np.array_equal(row.final, alone.final), spec.gamma
             assert row.applications == alone.applications, spec.gamma
 
@@ -890,19 +916,19 @@ class TestOneStepPropagator:
     )
     def test_matches_scipy_on_scenarios(self, family, label):
         s, noise = _job(family, label, gamma=0.05)
-        g = _no_jump_generator(s.hamiltonian, noise, TrajectoryError)
+        g = _dense_generator(s.hamiltonian, noise)
         t = s.duration
         for dt in (default_timestep(1.0, noise.max_rate()), t / 128):
             a = g * (t / max(1, round(t / dt)))
-            assert np.max(np.abs(_expm(a) - expm(a))) <= 1e-14
+            assert np.max(np.abs(_expm(a[None])[0] - expm(a))) <= 1e-14
 
     def test_several_substeps_match_scipy(self):
         rng = np.random.default_rng(41)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         a *= 20.0 / np.linalg.norm(a, 2)
-        assert _n_substeps(1.0, _spectral_norm(a)) >= 2
+        assert _n_substeps(1.0, _spectral_norm(a[None])[0]) >= 2
         expected = expm(a)
-        assert np.max(np.abs(_expm(a) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(_expm(a[None])[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_term_cap_raises(self, monkeypatch):
         import etlab.dynamics as dyn
@@ -914,6 +940,170 @@ class TestOneStepPropagator:
                 basis_state(1, 0), SZ, noise, 1.0, [P0],
                 TrajectoryConfig(n_traj=10, seed=0, dt=0.1),
             )
+
+
+def _mc_stack(family, grid=None, n_traj=300):
+    """Each scenario key of a Monte Carlo sweep over ``grid`` (the default
+    grid), with ``n_traj`` trajectories a job on the default step: its
+    scenario, its jobs' specs, and the stack input (channels, rates,
+    configs), each job with its sweep seed."""
+    from etlab import experiments as ex
+
+    stacks = []
+    for s, specs, noises in _stacks(family, grid):
+        seeds = [ex._job_seed(ex.DEFAULT_SEED, 0, b) for b in range(len(specs))]
+        steps = [ex._job_step(spec, "mc", None) for spec in specs]
+        configs = [TrajectoryConfig(n_traj, seed, dt) for seed, dt in zip(seeds, steps)]
+        stacks.append((s, specs, (*_stack_input(*noises), configs)))
+    return stacks
+
+
+class TestMcStack:
+    """Every rate of a scenario key as one stacked Monte Carlo run."""
+
+    @pytest.mark.parametrize("family", ["fig1a", "fig1b"])
+    def test_rows_equal_one_rate_runs(self, family):
+        # each row keeps its own u_step bound, substeps and tail test, its
+        # seed and its step, so it is its job run alone, to the last bit; a
+        # gamma = 0 row holds the site channels at rate 0 and equals the run
+        # without them
+        jumpers = 0
+        for s, specs, (channels, rates, configs) in _mc_stack(family, n_traj=200):
+            obs = [s.observable]
+            rows = mc_trajectories_stack(
+                s.psi0, s.hamiltonian, channels, rates, s.duration, obs, configs
+            )
+            for spec, config, row in zip(specs, configs, rows, strict=True):
+                noise = _job_noise(spec)
+                alone = mc_trajectories(s.psi0, s.hamiltonian, noise, s.duration, obs, config)
+                assert np.array_equal(row.means, alone.means), (spec.label, spec.gamma)
+                assert np.array_equal(row.stderrs, alone.stderrs), (spec.label, spec.gamma)
+                assert (row.jumpers, row.jumps) == (alone.jumpers, alone.jumps), spec.label
+                jumpers += row.jumpers
+        assert jumpers > 0
+
+    def test_all_zero_row_draws_nothing(self, monkeypatch):
+        # fig1a at gamma = 0 has every rate 0: its rows are deterministic,
+        # with stderr exactly 0, and never create a generator, while the
+        # rows beside them in the stack draw as they would alone
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def recording(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        for s, specs, (channels, rates, configs) in _mc_stack("fig1a", [0.0, 0.05]):
+            rows = list(mc_trajectories_stack(
+                s.psi0, s.hamiltonian, channels, rates, s.duration, [s.observable], configs
+            ))
+            for spec, config, row in zip(specs, configs, rows, strict=True):
+                drew = config.seed in seeds
+                if spec.gamma == 0:
+                    assert not drew and not rates[specs.index(spec)].any()
+                    assert row.stderrs[0] == 0.0 and (row.jumpers, row.jumps) == (0, 0)
+                else:
+                    assert drew and row.stderrs[0] > 0, spec.label
+
+    @staticmethod
+    def _unpropagated(monkeypatch):
+        """fig1b eth-5's stack input at gamma = 0.05, with the exponential and
+        the trajectories replaced by ones that fail: a rejected rate array
+        must stop the run before any propagation."""
+        import etlab.dynamics as dyn
+
+        def propagate(*args):
+            raise AssertionError("a row was propagated")
+
+        monkeypatch.setattr(dyn, "_expm", propagate)
+        monkeypatch.setattr(dyn, "_trajectories", propagate)
+        [(s, _, stack)] = [x for x in _mc_stack("fig1b", [0.05]) if x[1][0].label == "eth-5"]
+        return s, *stack
+
+    def test_rate_array_of_other_shape_rejected(self, monkeypatch):
+        s, channels, rates, configs = self._unpropagated(monkeypatch)
+        assert rates.shape == (1, 7)
+        cases = [np.zeros((0, 7)), rates[0], rates[:, :-1], np.hstack([rates, rates]), rates[None]]
+        for bad in cases:
+            message = f"rates must be (rows >= 1, 7 channels), got {bad.shape}"
+            stack = mc_trajectories_stack(
+                s.psi0, s.hamiltonian, channels, bad, s.duration, [s.observable], configs
+            )
+            with pytest.raises(ValueError, match=re.escape(message)):
+                next(stack)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-300, -1.0])
+    def test_non_finite_or_negative_rate_rejected(self, monkeypatch, value):
+        # the Lindblad stack's check, naming the first bad rate's row and
+        # channel
+        s, channels, rates, configs = self._unpropagated(monkeypatch)
+        rates = np.tile(rates, (3, 1))
+        rates[2, 5] = value
+        rates[2, 6] = np.nan
+        message = f"row 2: jump 'target-up' has rate {value}; need finite and >= 0"
+        stack = mc_trajectories_stack(
+            s.psi0, s.hamiltonian, channels, rates, s.duration, [s.observable], configs * 3
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(stack)
+
+    def test_config_per_row_required(self, monkeypatch):
+        s, channels, rates, configs = self._unpropagated(monkeypatch)
+        stack = mc_trajectories_stack(
+            s.psi0, s.hamiltonian, channels, rates, s.duration, [s.observable], configs * 2
+        )
+        with pytest.raises(ValueError, match="need a config per row of rates: 2 for 1"):
+            next(stack)
+
+    @pytest.mark.parametrize("n_rows", [1, 6])
+    def test_hamiltonian_and_observable_checked_once(self, monkeypatch, n_rows):
+        # the checks that do not depend on the rates run once per stack,
+        # however many rows it has, and so does the component search
+        import etlab.dynamics as dyn
+
+        calls = {"require_hermitian": 0, "_component_labels": 0}
+        for name in calls:
+            original = getattr(dyn, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(dyn, name, counted)
+        grid = [0.0, 1e-3, 0.01, 0.02, 0.05, 0.1][:n_rows]
+        [(s, _, (channels, rates, configs))] = [
+            x for x in _mc_stack("fig1b", grid, n_traj=20) if x[1][0].label == "eth-5"
+        ]
+        rows = mc_trajectories_stack(
+            s.psi0, s.hamiltonian, channels, rates, s.duration, [s.observable], configs
+        )
+        assert len(list(rows)) == n_rows
+        assert calls == {"require_hermitian": 2, "_component_labels": 1}
+
+    def test_failure_names_its_row(self, monkeypatch):
+        # the norm check of the third row's u_step fails: the stack raises
+        # with that row's index, after yielding the rows before it
+        import etlab.dynamics as dyn
+
+        expm = dyn._expm
+
+        def growing(a):
+            u = expm(a)
+            u[2] *= 1.001
+            return u
+
+        monkeypatch.setattr(dyn, "_expm", growing)
+        [(s, _, (channels, rates, configs))] = [
+            x for x in _mc_stack("fig1b", [0.0, 0.01, 0.05], n_traj=20) if x[1][0].label == "eth-5"
+        ]
+        rows = mc_trajectories_stack(
+            s.psi0, s.hamiltonian, channels, rates, s.duration, [s.observable], configs
+        )
+        assert len([next(rows), next(rows)]) == 2
+        with pytest.raises(TrajectoryError, match="no-jump norm increased") as info:
+            next(rows)
+        assert info.value.row == 2
 
 
 def _reference_values(psi0, h, noise, t_final, obs, cfg):
@@ -1245,12 +1435,13 @@ class TestMcTrajectories:
         import etlab.dynamics as dyn
 
         # H couples |0> and |1> into one component, and |2> and |3> are
-        # singletons; the doctored propagator acts on each stack by its shape
+        # singletons; the doctored propagator acts on each stack of one row
+        # by its shape
         h = np.zeros((4, 4))
         h[0, 1] = h[1, 0] = 1.0
-        swap = np.array([[[0, 0.99], [0.99, 0]]], dtype=complex)
-        diag = np.array([1.0, 1.0, 0.9, 1.001], dtype=complex).reshape(4, 1, 1)
-        monkeypatch.setattr(dyn, "_expm", lambda a: swap if a.shape == (1, 2, 2) else diag)
+        swap = np.array([[[[0, 0.99], [0.99, 0]]]], dtype=complex)
+        diag = np.array([1.0, 1.0, 0.9, 1.001], dtype=complex).reshape(1, 4, 1, 1)
+        monkeypatch.setattr(dyn, "_expm", lambda a: swap if a.shape == (1, 1, 2, 2) else diag)
         to_2, to_3 = np.zeros((4, 4)), np.zeros((4, 4))
         to_2[2, 0] = to_3[3, 1] = 1.0
         noise = NoiseModel(
@@ -1373,5 +1564,9 @@ class TestMcTrajectories:
         with pytest.raises(ValueError):
             TrajectoryConfig(n_traj=10, seed=-1, dt=0.1)
         TrajectoryConfig(n_traj=np.int64(10), seed=np.uint64(2**63), dt=0.1)  # numpy ints pass
+        TrajectoryConfig(n_traj=MAX_TRAJECTORIES, seed=0, dt=0.1)
+        message = rf"n_traj must be in \[1, {MAX_TRAJECTORIES}\], got {MAX_TRAJECTORIES + 1}"
+        with pytest.raises(ValueError, match=message):
+            TrajectoryConfig(n_traj=MAX_TRAJECTORIES + 1, seed=0, dt=0.1)
         with pytest.raises(ValueError):
             IntegrationConfig(dt=-0.1, t_final=1.0)

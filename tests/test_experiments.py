@@ -137,9 +137,11 @@ class TestGrid:
         assert grid[-1] == pytest.approx(1e-1)
 
 
-def _noise(spec):
-    """The noise of the sweep job ``spec``: its scenario's channels at its rate."""
-    return _scenario(spec).noise(spec.site_rate)
+def _rates(spec):
+    """The channels of the sweep job ``spec`` and its row of rates over them,
+    as either engine takes them."""
+    s = _scenario(spec)
+    return s.sites + s.fixed, s.rates(spec.site_rate)
 
 
 class TestScenarios:
@@ -157,19 +159,20 @@ class TestScenarios:
     def test_reduced_rate_scenario(self):
         spec = next(s for s in fig1a_scenarios(0.5, 1.0) if s.label == "single-reduced")
         assert spec.site_rate == pytest.approx(0.03 * 0.5)
-        assert _noise(spec).channels[0].rate == spec.site_rate
+        assert _rates(spec)[1] == [spec.site_rate]
 
     def test_fig1b_target_noise_always_present(self):
+        # at gamma = 0 the sites hold rate 0 and the target keeps its own
         spec = next(s for s in fig1b_scenarios(0.0, 1.0) if s.label == "eth-5")
-        noise = _noise(spec)
-        assert [c.label for c in noise.channels] == ["target-up", "target-down"]
-        assert [c.rate for c in noise.channels] == [1e-4, 2e-4]
+        channels, rates = _rates(spec)
+        assert [c.label for c in channels[5:]] == ["target-up", "target-down"]
+        assert rates == [0.0] * 5 + [1e-4, 2e-4]
 
     def test_fig1b_controller_damping_per_qubit(self):
         spec = next(s for s in fig1b_scenarios(0.07, 1.0) if s.label == "plain-5")
-        damp = [c for c in _noise(spec).channels if c.label.startswith("damp")]
+        damp = [r for c, r in zip(*_rates(spec)) if c.label.startswith("damp")]
         assert len(damp) == 5
-        assert all(c.rate == pytest.approx(0.07) for c in damp)
+        assert all(r == pytest.approx(0.07) for r in damp)
 
     @pytest.mark.parametrize("family", ["fig1a", "fig1b"])
     def test_gamma_independent_parts_built_once(self, family):
@@ -178,11 +181,11 @@ class TestScenarios:
         # rates; an ETH scenario shares all but H with its plain twin; a jump
         # holds its nonzeros only, at most d of each of rows, cols and vals
         def job(spec):
-            return _scenario(spec), _noise(spec)
+            return _scenario(spec), *_rates(spec)
 
         def arrays(job):
-            s, noise = job
-            jumps = [x for c in noise.channels for x in (c.rows, c.cols, c.vals)]
+            s, channels, _ = job
+            jumps = [x for c in channels for x in (c.rows, c.cols, c.vals)]
             assert all(x.size <= len(s.psi0) for x in jumps)
             return [s.hamiltonian, s.psi0, s.observable] + jumps
 
@@ -195,10 +198,10 @@ class TestScenarios:
             assert all(x is y and not x.flags.writeable for x, y in pairs)
             twin = job(replace(spec, gamma=0.01, use_eth=False))
             assert all(x is y for x, y in zip(arrays(a)[1:], arrays(twin)[1:], strict=True))
-            sites = len(a[1].channels) - fixed
-            for (_, noise), g in ((a, 0.01), (b, 0.05)):
-                assert [c.rate for c in noise.channels[:sites]] == [g * spec.rate_factor] * sites
-            assert zero[1].channels == a[1].channels[sites:]  # the fixed ones
+            sites = len(a[1]) - fixed
+            for (_, _, rates), g in ((a, 0.01), (b, 0.05), (zero, 0.0)):
+                assert rates[:sites] == [g * spec.rate_factor] * sites
+            assert zero[2][sites:] == a[2][sites:]  # the fixed ones
             doubled = _scenario(replace(spec, omega=2.0))
             assert np.array_equal(doubled.hamiltonian, 2.0 * a[0].hamiltonian)
 
@@ -427,9 +430,29 @@ class TestSweeps:
         assert str(info.value).startswith(message)
         assert info.value.row == 3
 
+    def test_stacked_mc_failure_names_its_row(self, monkeypatch):
+        # a Monte Carlo key runs its rows as one stack too: a failure in the
+        # fourth row of the bare qubit's key is single-reduced at 0.01
+        import etlab.dynamics as dyn
+
+        trajectories, calls = dyn._trajectories, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise dyn.TrajectoryError("renormalization failed")
+            return trajectories(*args)
+
+        monkeypatch.setattr(dyn, "_trajectories", failing)
+        with pytest.raises(dyn.TrajectoryError) as info:
+            fig1a_sweep([0.0, 0.01, 0.05], 1.0, method="mc", n_traj=20, max_workers=1)
+        message = "fig1a/single-reduced at gamma/omega=0.01: renormalization failed"
+        assert str(info.value) == message
+        assert info.value.row == 3
+
     def test_pool_no_larger_than_job_count(self, monkeypatch):
         # a fork pool starts every worker it is allowed at the first submit;
-        # a Lindblad sweep runs one task per scenario key, 3 for fig1a (the
+        # a sweep runs one task per scenario key, 3 for fig1a (the
         # reduced-rate qubit shares the bare one's key), whatever the grid
         sizes = []
 
@@ -449,15 +472,17 @@ class TestSweeps:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
         fig1a_sweep([0.0], 1.0, method="lindblad", max_workers=64)
         fig1a_sweep([0.0, 0.01, 0.05], 1.0, method="lindblad", max_workers=2)
-        assert sizes == [3, 2]
+        # a Monte Carlo sweep too: 5 keys for fig1b, however many grid points
+        fig1b_sweep([0.0, 0.01, 0.05], 1.0, method="mc", n_traj=10, max_workers=64)
+        assert sizes == [3, 2, 5]
 
     def test_cheapest_csv_contracts(self, tmp_path):
         # the CSV bytes of the default fig1a sweep, with and without recovery
         # (the latter scores the bare observable, not recover_adjoint's), of
         # the default fig1a MC sweep (every fig1a G is diagonal, so its
-        # one-step propagator is exp of 1 x 1 stacks), of the reduced fig1b
-        # MC sweep (`etlab sweep fig1b --method mc --gamma-points 3 --traj
-        # 2000 --seed 7`, block stacks), of the default fig1b Lindblad
+        # one-step propagator is exp of 1 x 1 stacks), of the default and the
+        # reduced fig1b MC sweeps (`etlab sweep fig1b` and `--gamma-points 3
+        # --traj 2000 --seed 7`, block stacks), of the default fig1b Lindblad
         # sweep and of RK4 sweeps of fig1a (`etlab sweep fig1a --dt 0.01`
         # and `--gamma-points 3 --dt 0.01`) and of fig1b (`etlab sweep fig1b
         # --method lindblad --dt 0.05` and `--gamma-points 3 --dt 0.05`,
@@ -482,6 +507,11 @@ class TestSweeps:
             ),
             (
                 "fig1b-mc",
+                fig1b_sweep(default_gamma_grid(), 1.0, max_workers=1),
+                "1bf30fbf833acfaf1d122bedd8ef1ec1f1ef172565ffa713c6cf2be36daad72e",
+            ),
+            (
+                "fig1b-mc-reduced",
                 fig1b_sweep(default_gamma_grid(3), 1.0, n_traj=2000, seed=7, max_workers=1),
                 "227258609a15da980f0d1177f467bc06a97e485efa983b1ab9c451e3292474a3",
             ),
