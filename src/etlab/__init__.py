@@ -18,7 +18,6 @@ from .codes import (
 from .dynamics import (
     IntegrationConfig,
     NoiseChannel,
-    NoiseModel,
     TrajectoryConfig,
     integrate_lindblad,
     integrate_lindblad_stack,

@@ -13,18 +13,14 @@ invariant call its check.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import codes, eth, experiments, output
 from .dynamics import (
     IntegrationConfig,
     NoiseChannel,
-    NoiseModel,
     TrajectoryConfig,
     integrate_lindblad,
-    integrate_lindblad_stack,
     mc_trajectories,
     site_channels,
 )
@@ -269,19 +265,19 @@ def check_eth_hermiticity() -> str:
     return f"max |H - H^dag| = {worst:.1e}"
 
 
-def _chain(rho0, h, noise, dt: float, n_steps: int, stride: int, support=None) -> list:
+def _chain(rho0, h, channels, rates, dt: float, n_steps: int, stride: int, support=None) -> list:
     """rho0 and the states after every ``stride`` RK4 steps of dt and after
     all ``n_steps``: a chain of runs, each from the last one's final state."""
     states = [rho0]
     for done in range(0, n_steps, stride):
         cfg = IntegrationConfig(dt=dt, t_final=min(stride, n_steps - done) * dt)
-        states.append(integrate_lindblad(states[-1], h, noise, cfg, support).final)
+        states.append(integrate_lindblad(states[-1], h, channels, rates, cfg, support).final)
     return states
 
 
 def check_analytic_xnoise() -> str:
-    noise = NoiseModel((NoiseChannel.from_matrix(PAULI_MATS["X"], 1.0, "X"),))
-    states = _chain(pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise, 1e-3, 1000, 100)
+    x = [NoiseChannel.from_matrix(PAULI_MATS["X"], "X")]
+    states = _chain(pure_density(basis_state(1, 0)), np.zeros((2, 2)), x, [1.0], 1e-3, 1000, 100)
     times = 0.1 * np.arange(len(states))
     worst = max(abs(rho[0, 0].real - (1 + np.exp(-2 * t)) / 2) for rho, t in zip(states, times))
     _require(worst <= 1e-6, f"analytic mismatch {worst:.3e}")
@@ -289,13 +285,13 @@ def check_analytic_xnoise() -> str:
 
 
 def check_rk4_order() -> str:
-    noise = NoiseModel(tuple(site_channels(2, PAULI_MATS["X"], 1.0, "X")))
+    channels = site_channels(2, PAULI_MATS["X"], "X")
     rho0 = pure_density(basis_state(2, 0))
     exact = ((1 + np.exp(-2)) / 2) ** 2
 
     def run(dt):
         cfg = IntegrationConfig(dt=dt, t_final=1.0)
-        return integrate_lindblad(rho0, np.zeros((4, 4)), noise, cfg).final[0, 0].real
+        return integrate_lindblad(rho0, np.zeros((4, 4)), channels, [1.0] * 2, cfg).final[0, 0].real
 
     e1 = abs(run(0.05) - exact)
     e2 = abs(run(0.025) - exact)
@@ -311,12 +307,12 @@ def check_exact_propagation() -> str:
     omega, gamma, t = 1.3, 0.4, 2.0
     sx = PAULI_MATS["X"]
     h = 0.5 * omega * (np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx))
-    noise = NoiseModel(tuple(site_channels(2, sx, gamma, "X")))
+    channels = site_channels(2, sx, "X")
     rho0 = pure_density(basis_state(2, 0))
 
     def run(dt):
         cfg = IntegrationConfig(dt=dt, t_final=t)
-        return integrate_lindblad(rho0, h, noise, cfg).final
+        return integrate_lindblad(rho0, h, channels, [gamma] * 2, cfg).final
 
     exact = run(None)
     z = np.exp(-2 * gamma * t) * np.cos(omega * t)
@@ -334,11 +330,10 @@ def check_lindblad_positivity() -> str:
     ]
     for spec in cases:
         s = experiments._scenario(spec)
-        rates = s.rates(spec.site_rate)
-        noise = NoiseModel(tuple(replace(ch, rate=r) for ch, r in zip(s.sites + s.fixed, rates)))
         n_steps = 256 if spec.family == "fig1b" else 1000
         states = _chain(
-            pure_density(s.psi0), s.hamiltonian, noise, s.duration / n_steps, n_steps, 50, s.support
+            pure_density(s.psi0), s.hamiltonian, s.sites + s.fixed, s.rates(spec.site_rate),
+            s.duration / n_steps, n_steps, 50, s.support,
         )
         for rho in states:
             wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
@@ -348,16 +343,10 @@ def check_lindblad_positivity() -> str:
 
 
 def check_trajectory_norms() -> str:
-    noise = NoiseModel((NoiseChannel.from_matrix(PAULI_MATS["X"], 0.5, "X"),))
-    h = np.diag([1.0, -1.0]).astype(complex)
-    res = mc_trajectories(
-        normalize(np.array([1.0, 1.0])),
-        h,
-        noise,
-        2.0,
-        [np.diag([1.0, 0.0]).astype(complex)],
-        TrajectoryConfig(n_traj=200, seed=5, dt=1e-3),
-    )
+    h, p0 = np.diag([1.0, -1.0]).astype(complex), np.diag([1.0, 0.0]).astype(complex)
+    x = [NoiseChannel.from_matrix(PAULI_MATS["X"], "X")]
+    cfg = TrajectoryConfig(n_traj=200, seed=5, dt=1e-3)
+    res = mc_trajectories(normalize(np.array([1.0, 1.0])), h, x, [0.5], 2.0, [p0], cfg)
     # the norm checks guard the jump path only if some trajectory jumped
     _require(res.jumpers > 0, "no trajectory jumped")
     _require(res.jumps >= res.jumpers, f"{res.jumps} jumps by {res.jumpers} jumpers")
@@ -476,10 +465,9 @@ def check_relabeling_invariance() -> str:
             errorset = codes.error_set(c, codes.DESIGNED_KINDS[name])
             plain = build[family](c, errorset, 1.0, True, None)
             for s in (plain, build[family](c, errorset, 1.0, True, plain)):
-                row = [list(rates) + [ch.rate for ch in s.fixed]]
                 cfg = IntegrationConfig(t_final=s.duration)
-                rho0, channels = pure_density(s.psi0), s.sites + s.fixed
-                [res] = integrate_lindblad_stack(rho0, s.hamiltonian, channels, row, cfg)
+                rho0, row = pure_density(s.psi0), [*rates, *s.fixed_rates]
+                res = integrate_lindblad(rho0, s.hamiltonian, s.sites + s.fixed, row, cfg)
                 probabilities.append(np.einsum("ij,ji->", res.final, s.observable).real)
         for label, p, q in zip(("plain", "eth"), probabilities[:2], probabilities[2:]):
             _require(abs(p - q) <= 1e-13, f"{family}/{name} {label}: |dp| = {abs(p - q):.3e}")

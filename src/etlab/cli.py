@@ -200,7 +200,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         experiments.check_budget(specs, method, args.traj, args.dt)
     except StepCountError as exc:
-        # by default only Monte Carlo has a step, set by the largest rate
+        # by default Monte Carlo's step and exact Lindblad's substeps follow the largest rate
         flag = "--gamma-max" if args.dt is None else "--dt"
         raise ConfigError(f"{flag}: {exc}") from exc
     except ValueError as exc:

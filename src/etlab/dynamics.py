@@ -66,12 +66,12 @@ states, held flat, and rows drop out as their series stop.
 step, as one stacked series per component size, then runs each row's
 trajectories alone.
 
-Both methods see the noise through one representation: a
-:class:`NoiseChannel` holds its monomial jump (as is a Pauli letter or
-raising/lowering on one site) as its nonzeros only, so L psi, L rho L^dag
-and the diagonal L^dag L are gathers and scatters and no d x d jump matrix
-is formed.  H is checked Hermitian, each jump against H's dimension, and
-the no-jump generator is formed, and rejected when non-finite, in one place.
+Both methods see the noise sum_k rate_k D[L_k] in one form: a rate is an
+entry of that rate array, and a :class:`NoiseChannel` is its monomial jump
+L_k only (as is a Pauli letter or raising/lowering on one site), held as
+its nonzeros, so L psi, L rho L^dag and the diagonal L^dag L are gathers
+and scatters and no d x d jump matrix is formed.  The rates, H (Hermitian),
+each jump's dimension and the no-jump generator (finite) are checked once.
 
 A Monte Carlo run draws every random number from one generator,
 ``default_rng(seed)``: first every trajectory's jump threshold in one call,
@@ -82,7 +82,8 @@ reproducible for a fixed seed; a run with no positive rate draws nothing.
 
 Both engines take :func:`step_count` fixed steps of a given dt, and reject
 a dt that needs more than :data:`MAX_STEPS` before allocating anything; a
-Monte Carlo run takes at most :data:`MAX_TRAJECTORIES` trajectories.
+Monte Carlo run takes at most :data:`MAX_TRAJECTORIES` trajectories, and
+:func:`min_substeps` lets a caller cap exact substeps from the rates alone.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ __all__ = [
     "IntegrationError",
     "TrajectoryError",
     "NoiseChannel",
-    "NoiseModel",
     "IntegrationConfig",
     "TrajectoryConfig",
     "LindbladResult",
@@ -111,6 +111,7 @@ __all__ = [
     "site_channels",
     "default_timestep",
     "step_count",
+    "min_substeps",
     "lindblad_rhs",
     "integrate_lindblad",
     "integrate_lindblad_stack",
@@ -121,8 +122,8 @@ __all__ = [
 
 class NumericsError(RuntimeError):
     """A simulation produced numerically inconsistent results.  ``row`` is
-    the row of a stacked Lindblad run (:func:`integrate_lindblad_stack`)
-    that failed, None when the failure is not one row's."""
+    the row of a stacked run that failed (:func:`integrate_lindblad_stack`,
+    :func:`mc_trajectories_stack`), None when the failure is not one row's."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
@@ -139,24 +140,22 @@ class TrajectoryError(NumericsError):
 
 @dataclass(frozen=True, eq=False)
 class NoiseChannel:
-    """One channel rate D[L] on a ``dim``-dimensional space.  The jump L is
-    monomial, at most one nonzero per row and column as is a Pauli letter or
-    a raising/lowering operator on one site, and is held as its nonzeros:
+    """The jump L of one channel D[L] on a ``dim``-dimensional space; its rate
+    is an entry of the rate array that an engine takes.  L is monomial, at
+    most one nonzero per row and column as is a Pauli letter or a
+    raising/lowering operator on one site, and is held as its nonzeros:
     numpy arrays with L[rows[i], cols[i]] = vals[i], cols ascending, checked
-    on construction in O(nnz log nnz) along with a finite rate >= 0.  A dense
-    matrix enters through :meth:`from_matrix`, an operator on one qubit of a
-    register through :meth:`on_site`."""
+    on construction in O(nnz log nnz).  A dense matrix enters through
+    :meth:`from_matrix`, an operator on one qubit of a register through
+    :meth:`on_site`."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     dim: int
-    rate: float
     label: str = ""
 
     def __post_init__(self):
-        if not (np.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
         if not np.isfinite(self.vals).all():
             raise ValueError(f"jump {self.label!r} has non-finite entries")
         # sorted flat rows keep the given shape only if it is 1-D; np.unique
@@ -173,7 +172,7 @@ class NoiseChannel:
             )
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, rate: float, label: str = "") -> NoiseChannel:
+    def from_matrix(cls, m: np.ndarray, label: str = "") -> NoiseChannel:
         """The channel of a dense square matrix; one that is not square, finite
         and monomial raises ValueError naming ``label``."""
         m = np.asarray(m, dtype=complex)
@@ -181,15 +180,15 @@ class NoiseChannel:
             raise ValueError(f"jump {label!r} must be a square matrix, got shape {m.shape}")
         # column-major, so cols ascend; NaN and inf are nonzero and reach the checks
         cols, rows = np.nonzero(m.T)
-        return cls(rows, cols, m[rows, cols], len(m), rate, label)
+        return cls(rows, cols, m[rows, cols], len(m), label)
 
     @classmethod
-    def on_site(cls, n: int, site: int, op: np.ndarray, rate: float, label: str) -> NoiseChannel:
+    def on_site(cls, n: int, site: int, op: np.ndarray, label: str) -> NoiseChannel:
         """The monomial 2x2 ``op`` on one qubit of an n-qubit register, qubit 0
         the most significant bit, by bit arithmetic: column c of L holds op's
         nonzero in column b, b the site's bit of c, at row c with that bit
         replaced by the nonzero's row."""
-        single = cls.from_matrix(op, rate, label)
+        single = cls.from_matrix(op, label)
         if single.dim != 2 or not 0 <= site < n:
             raise ValueError(f"jump {label!r} needs a 2x2 op and a site in [0, {n}), got {site}")
         shift = n - 1 - site
@@ -197,7 +196,7 @@ class NoiseChannel:
         cols = cols[np.isin((cols >> shift) & 1, single.cols)]
         k = np.searchsorted(single.cols, (cols >> shift) & 1)
         rows = cols ^ ((single.cols[k] ^ single.rows[k]) << shift)
-        return cls(rows, cols, single.vals[k], 1 << n, rate, label)
+        return cls(rows, cols, single.vals[k], 1 << n, label)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -207,28 +206,13 @@ class NoiseChannel:
         return m
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Independent Lindblad channels sum_k rate_k D[L_k]."""
-
-    channels: tuple[NoiseChannel, ...] = ()
-
-    def __post_init__(self):
-        dims = {ch.dim for ch in self.channels}
-        if len(dims) > 1:
-            raise ValueError(f"jump operators disagree on dimension: {sorted(dims)}")
-
-    def max_rate(self) -> float:
-        return max((ch.rate for ch in self.channels), default=0.0)
-
-
 def site_channels(
-    n: int, op: np.ndarray, rate: float, label: str, sites: Iterable[int] | None = None
+    n: int, op: np.ndarray, label: str, sites: Iterable[int] | None = None
 ) -> list[NoiseChannel]:
-    """One channel per site applying a monomial 2x2 jump operator at the given
-    rate, labelled ``label`` and the site."""
+    """One channel per site applying a monomial 2x2 jump operator, labelled
+    ``label`` and the site."""
     chosen = range(n) if sites is None else sites
-    return [NoiseChannel.on_site(n, q, op, rate, f"{label}{q}") for q in chosen]
+    return [NoiseChannel.on_site(n, q, op, f"{label}{q}") for q in chosen]
 
 
 def _check_t_final(t_final: float) -> None:
@@ -247,7 +231,8 @@ def _check_integers(config, *names: str) -> None:
 
 # the most fixed steps one run may take: 25 times the most that any check,
 # test or default sweep takes (4000), and few enough that the Monte Carlo
-# backbone at the cap, d x MAX_STEPS complex numbers, is 410 MB at d = 256
+# backbone at the cap, d x MAX_STEPS complex numbers, is 410 MB at d = 256;
+# a sweep caps exact substeps at it too, where a test takes at most 15
 MAX_STEPS = 100_000
 # the most trajectories one Monte Carlo run may take: 6.7 times the most any
 # check takes (150,000); thresholds, crossing steps and values take about 40
@@ -256,7 +241,7 @@ MAX_TRAJECTORIES = 1_000_000
 
 
 class StepCountError(ValueError):
-    """A step dt that would take more than :data:`MAX_STEPS` steps."""
+    """A run that would take more than :data:`MAX_STEPS` steps or substeps."""
 
 
 def step_count(dt: float, t_final: float) -> int:
@@ -336,24 +321,27 @@ def default_timestep(omega: float, max_rate: float) -> float:
     return scale / 2000.0
 
 
-def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """-i[H, rho] + sum_k rate_k (L rho L^dag - (L^dag L rho + rho L^dag L)/2).
+def lindblad_rhs(
+    rho: np.ndarray, h: np.ndarray, channels: Sequence[NoiseChannel], rates: Sequence[float]
+) -> np.ndarray:
+    """-i[H, rho] + sum_k rate_k (L_k rho L_k^dag - (L_k^dag L_k rho + rho L_k^dag L_k)/2),
+    ``rates`` one row, a rate per channel.
 
     Reference implementation of the generator; the integrator applies the
     same map through the precomputed fast path.
     """
+    [rates] = _check_rates([rates], channels)
     rho = np.asarray(rho, dtype=complex)
     h = np.asarray(h, dtype=complex)
     if rho.shape != h.shape:
         raise ValueError(f"dimension mismatch: rho {rho.shape}, H {h.shape}")
+    _check_jump_dims(h.shape, channels)
     out = -1j * (h @ rho - rho @ h)
-    for ch in noise.channels:
+    for ch, rate in zip(channels, rates):
         l = ch.matrix
-        if l.shape != rho.shape:
-            raise ValueError(f"dimension mismatch: rho {rho.shape}, jump {l.shape}")
         ld = l.conj().T
         ll = ld @ l
-        out += ch.rate * (l @ rho @ ld - 0.5 * (ll @ rho + rho @ ll))
+        out += rate * (l @ rho @ ld - 0.5 * (ll @ rho + rho @ ll))
     return out
 
 
@@ -405,6 +393,14 @@ def _check_rates(rates, channels: Sequence[NoiseChannel]) -> np.ndarray:
             f"row {b}: jump {channels[c].label!r} has rate {rates[b, c]}; need finite and >= 0"
         )
     return rates
+
+
+def _jump_bound(channels: Sequence[NoiseChannel], rates: np.ndarray, start) -> np.ndarray:
+    """start + sum_k rates[:, k] ||L_k||_2^2 for each row of checked ``rates``,
+    in channel order; a monomial L_k has ||L_k||_2 = max |vals|."""
+    for c, ch in enumerate(channels):
+        start = start + rates[:, c] * np.max(np.abs(ch.vals), initial=0.0) ** 2
+    return start
 
 
 def _spectral_norm(a: np.ndarray) -> np.ndarray:
@@ -556,8 +552,8 @@ class LindbladSupport:
     of H's off-diagonal pattern (K is diagonal), and the columns likewise,
     so the reachable entries are a union of component-pair blocks Ca x Cb:
     the blocks closed from rho0's nonzeros under every channel's monomial
-    jump (:func:`_reachable_pairs`, with every channel at unit rate; a rate
-    of 0 reaches a subset).  A rho0 of all ones reaches every entry.
+    jump (:func:`_reachable_pairs`, whatever its rate; a rate of 0 reaches a
+    subset).  A rho0 of all ones reaches every entry.
 
     ``labels`` and ``index`` are H's components (:func:`_component_labels`,
     :func:`_component_index`).  A state on the support is packed as the
@@ -569,7 +565,7 @@ class LindbladSupport:
     its reachable columns, grouped by component size and width as (stack,
     components, packed positions (n, m, w)).  Each channel's sandwich
     L rho L^dag is a flat gather and scatter on packed positions with
-    unit-rate weights, found in ``jumps`` by the channel's nonzeros.
+    rate-free weights, found in ``jumps`` by the channel's nonzeros.
     """
 
     def __init__(self, h: np.ndarray, channels: Sequence[NoiseChannel], rho0: np.ndarray):
@@ -639,16 +635,15 @@ class _Generator:
     rates ``rates[b]`` (rows, channels).  rhs(x) = G rho + rho G^dag +
     jumps for each row's Hermitian rho, packed on the support.  H is checked
     once, finite, Hermitian and within the support's components, and so is
-    each channel's unit-rate sandwich (ValueError if they do not fit); per
+    each channel's sandwich on the support (ValueError if they do not fit); per
     row are G_b = -iH - K_b/2 (``g``, on the support's components), the jump
     weights and ``bound``.  A stack's states are held flat, entry i of its
     b-th row at b s + i (s = support.size), so that every gather and scatter
     is one 1-D index; the offsets and per-row parts are kept until the rows
     change (:meth:`_parts`).
 
-    ``bound[b]`` = 2 ||G_b||_2 + sum_k rate_bk ||L_k||_2^2 bounds row b's
-    generator norm as a map on rho with the Frobenius norm; a monomial L_k
-    has ||L_k||_2 = max |vals|.
+    ``bound[b]`` = 2 ||G_b||_2 + sum_k rate_bk ||L_k||_2^2 (:func:`_jump_bound`)
+    bounds row b's generator norm as a map on rho with the Frobenius norm.
     """
 
     def __init__(
@@ -674,9 +669,7 @@ class _Generator:
                 raise ValueError(f"jump {ch.label!r} is not one of the support's channels")
             self.sandwiches.append(found)
         self.all_rows = np.arange(len(rates))
-        self.bound = 2.0 * self.g.norm()
-        for c, ch in enumerate(channels):
-            self.bound += self.rates[:, c] * np.max(np.abs(ch.vals), initial=0.0) ** 2
+        self.bound = _jump_bound(channels, rates, 2.0 * self.g.norm())
         self._key = None
 
     def _parts(self, rows: np.ndarray):
@@ -829,6 +822,14 @@ def _n_substeps(t: float, bound):
     return np.maximum(1, np.ceil(t * np.asarray(bound) / _TAYLOR_THETA).astype(int))
 
 
+def min_substeps(channels: Sequence[NoiseChannel], rates, t_final: float) -> np.ndarray:
+    """The fewest exact substeps to t_final of each row of ``rates`` (rows,
+    channels), from the rates alone: :func:`_n_substeps` of the jump part of
+    :class:`_Generator`'s bound, which 2 ||G||_2 only raises."""
+    rates = _check_rates(rates, channels)
+    return _n_substeps(t_final, _jump_bound(channels, rates, np.zeros(len(rates))))
+
+
 def _propagate_exact(
     apply, x: np.ndarray, rows: np.ndarray, t: float, bound: np.ndarray, error, finish=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -873,14 +874,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def integrate_lindblad(
     rho0: np.ndarray,
     h: np.ndarray,
-    noise: NoiseModel,
+    channels: Sequence[NoiseChannel],
+    rates: Sequence[float],
     config: IntegrationConfig,
     support: LindbladSupport | None = None,
 ) -> LindbladResult:
     """rho(t_final): rho0 evolved under the master equation up to
-    ``config.t_final``; a stack of one row (:func:`integrate_lindblad_stack`)."""
-    rates = [[ch.rate for ch in noise.channels]]
-    return next(integrate_lindblad_stack(rho0, h, noise.channels, rates, config, support))
+    ``config.t_final``, the jumps at ``rates``, one row; a stack of one row
+    (:func:`integrate_lindblad_stack`)."""
+    return next(integrate_lindblad_stack(rho0, h, channels, [rates], config, support))
 
 
 def integrate_lindblad_stack(
@@ -953,15 +955,15 @@ def integrate_lindblad_stack(
 def mc_trajectories(
     psi0: np.ndarray,
     h: np.ndarray,
-    noise: NoiseModel,
+    channels: Sequence[NoiseChannel],
+    rates: Sequence[float],
     t_final: float,
     observables: Sequence[np.ndarray],
     config: TrajectoryConfig,
 ) -> McResult:
-    """Quantum-jump Monte Carlo estimates at t_final: a stack of one row
-    (:func:`mc_trajectories_stack`)."""
-    channels, rates = noise.channels, [[ch.rate for ch in noise.channels]]
-    return next(mc_trajectories_stack(psi0, h, channels, rates, t_final, observables, [config]))
+    """Quantum-jump Monte Carlo estimates at t_final, the jumps at ``rates``,
+    one row: a stack of one row (:func:`mc_trajectories_stack`)."""
+    return next(mc_trajectories_stack(psi0, h, channels, [rates], t_final, observables, [config]))
 
 
 def mc_trajectories_stack(
@@ -1080,7 +1082,11 @@ def _trajectories(
     counts = np.searchsorted(ascending, thresholds, side="right")
     jumpers = np.nonzero(counts > 0)[0]
 
-    decay_rows = _decay_rows(channels, rates, len(psi0))
+    # decay_rows @ |psi|^2 holds every channel weight rate_k ||L_k psi||^2 of
+    # a block in one product
+    decay_rows = np.zeros((len(channels), len(psi0)))
+    for k, ch in enumerate(channels):
+        decay_rows[k, ch.cols] = rates[k] * np.abs(ch.vals) ** 2
 
     # Each round, every live column jumps from the state at its crossing step
     # and follows its no-jump stretch by binary lifting over the powers: the
@@ -1114,15 +1120,6 @@ def _trajectories(
             live, step = live[~done], step[~done] + 1
             psi = u_step.apply(phi[:, ~done])
     return reduce_values(values, len(jumpers), total_jumps)
-
-
-def _decay_rows(channels: Sequence[NoiseChannel], rates: np.ndarray, dim: int) -> np.ndarray:
-    """rows[k, cols_k] = rates[k] |vals_k|^2, so that rows @ |psi|^2 holds
-    every channel weight rate_k ||L_k psi||^2 of a block in one product."""
-    rows = np.zeros((len(channels), dim))
-    for k, ch in enumerate(channels):
-        rows[k, ch.cols] = rates[k] * np.abs(ch.vals) ** 2
-    return rows
 
 
 def _norms2(psi: np.ndarray) -> np.ndarray:

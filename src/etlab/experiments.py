@@ -27,8 +27,8 @@ worker per task when ``max_workers`` > 1.  The master seed is Monte
 Carlo's only: each MC job's seed is derived from (master seed, scenario
 index, grid index), so merged results do not depend on worker count or
 scheduling order; a Lindblad sweep draws no random numbers.  A sweep checks
-every step and trajectory count against its cap (:func:`check_budget`)
-first.
+every step, substep and trajectory count against its cap first
+(:func:`check_budget`).
 """
 
 from __future__ import annotations
@@ -44,15 +44,18 @@ import numpy as np
 
 from . import codes, eth
 from .dynamics import (
+    MAX_STEPS,
     IntegrationConfig,
     LindbladSupport,
     NoiseChannel,
     NumericsError,
+    StepCountError,
     TrajectoryConfig,
     _check_integers,
     default_timestep,
     integrate_lindblad_stack,
     mc_trajectories_stack,
+    min_substeps,
     site_channels,
     step_count,
 )
@@ -116,8 +119,8 @@ class ScenarioSpec:
     apply_recovery: bool = True  # fig1a success metric option
 
     def __post_init__(self):
-        # a NaN or negative rate would fail the site channels' own rate check,
-        # but a job attaches them only when gamma * rate_factor > 0
+        # the engines check a job's rates only when it runs, naming no
+        # scenario; a bad one fails here, when the spec is built
         for name in ("gamma", "rate_factor"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -190,13 +193,14 @@ class _Scenario:
     psi0: np.ndarray
     duration: float
     observable: np.ndarray  # success probability = Tr(rho_final @ observable)
-    sites: tuple[NoiseChannel, ...]  # each noisy site's jump, at unit rate
-    fixed: tuple[NoiseChannel, ...] = ()  # channels whose rate is not gamma's
+    sites: tuple[NoiseChannel, ...]  # each noisy site's jump, at gamma's rate
+    fixed: tuple[NoiseChannel, ...] = ()  # jumps whose rate is not gamma's
+    fixed_rates: tuple[float, ...] = ()  # their rates, one per channel of fixed
 
     def rates(self, rate: float) -> list[float]:
         """A job's row of rates over ``sites + fixed``, for either engine:
         every site at ``rate``, 0 included, then the fixed rates."""
-        return [rate] * len(self.sites) + [ch.rate for ch in self.fixed]
+        return [rate] * len(self.sites) + list(self.fixed_rates)
 
     @functools.cached_property
     def support(self) -> LindbladSupport:
@@ -218,7 +222,7 @@ def _fig1a_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
     observable = pure_density(psi0)
     if code is not None and apply_recovery:
         observable = codes.recover_adjoint(code, errorset, observable)
-    sites = tuple(site_channels(n, PAULI_MATS["X"], 1.0, "X"))
+    sites = tuple(site_channels(n, PAULI_MATS["X"], "X"))
     return _Scenario(h, psi0, np.pi / omega, observable, sites)
 
 
@@ -235,13 +239,11 @@ def _fig1b_scenario(code, errorset, omega, apply_recovery, plain) -> _Scenario:
         psi0 = np.kron(code.codeword1, basis_state(1, 0))
     n = n_ctrl + 1
     excited = embed_single(n, n_ctrl, np.diag([0.0, 1.0]).astype(complex))
-    sites = tuple(site_channels(n, SIGMA_MINUS, 1.0, "damp", range(n_ctrl)))
-    target = (
-        (SIGMA_PLUS, TARGET_EXCITATION_RATE, "target-up"),
-        (SIGMA_MINUS, TARGET_DAMPING_RATE, "target-down"),
-    )
-    fixed = tuple(NoiseChannel.on_site(n, n_ctrl, op, r * omega, lb) for op, r, lb in target)
-    return _Scenario(h, psi0, np.pi / (2 * omega), excited, sites, fixed)
+    sites = tuple(site_channels(n, SIGMA_MINUS, "damp", range(n_ctrl)))
+    target = ((SIGMA_PLUS, "target-up"), (SIGMA_MINUS, "target-down"))
+    fixed = tuple(NoiseChannel.on_site(n, n_ctrl, op, label) for op, label in target)
+    rates = (TARGET_EXCITATION_RATE * omega, TARGET_DAMPING_RATE * omega)
+    return _Scenario(h, psi0, np.pi / (2 * omega), excited, sites, fixed, rates)
 
 
 @functools.cache
@@ -362,17 +364,35 @@ def sweep_specs(
 
 def check_budget(
     specs_per_point: list[list[ScenarioSpec]], method: str, n_traj: int, dt: float | None
-) -> None:
-    """Every job's fixed steps, and a Monte Carlo job's config, before any
-    runs: a step over MAX_STEPS raises StepCountError, and an ``n_traj``
-    above MAX_TRAJECTORIES ValueError.  Exact Lindblad takes no steps."""
-    for specs in specs_per_point:
+) -> list[tuple]:
+    """Each scenario key's specs and their (scenario, grid) indices, keys in
+    order of first appearance, once every job's fixed steps or exact
+    Lindblad substeps (from below, by :func:`~etlab.dynamics.min_substeps`
+    of the key's rates) and Monte Carlo config are checked before any runs:
+    more than MAX_STEPS raises StepCountError, an ``n_traj`` above
+    MAX_TRAJECTORIES ValueError."""
+    keys = {}
+    for pi, specs in enumerate(specs_per_point):
+        for si, spec in enumerate(specs):
+            keys.setdefault(_key(spec), []).append((spec, (si, pi)))
+    jobs = [tuple(zip(*key_jobs)) for key_jobs in keys.values()]
+    for specs, _ in jobs:
+        s = _scenario(specs[0])
         for spec in specs:
             step = _job_step(spec, method, dt)
             if step is not None:
-                step_count(step, _scenario(spec).duration)
+                step_count(step, s.duration)
             if method == "mc":
                 TrajectoryConfig(n_traj=n_traj, seed=0, dt=step)
+        if method == "lindblad" and dt is None:
+            rates = [s.rates(spec.site_rate) for spec in specs]
+            for spec, count in zip(specs, min_substeps(s.sites + s.fixed, rates, s.duration)):
+                if count > MAX_STEPS:
+                    raise StepCountError(
+                        f"{_context(spec)}: exact propagation takes at least {count} substeps, "
+                        f"more than the cap of {MAX_STEPS}"
+                    )
+    return jobs
 
 
 def run_sweep(
@@ -389,14 +409,8 @@ def run_sweep(
     position; a Lindblad sweep derives none."""
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    check_budget(specs_per_point, method, n_traj, dt)
-    keys = {}
-    for pi, specs in enumerate(specs_per_point):
-        for si, spec in enumerate(specs):
-            keys.setdefault(_key(spec), []).append((spec, (si, pi)))
     tasks = []
-    for jobs in keys.values():
-        specs, at = zip(*jobs)
+    for specs, at in check_budget(specs_per_point, method, n_traj, dt):
         seeds = None if method == "lindblad" else tuple(_job_seed(seed, *p) for p in at)
         tasks.append((specs, method, n_traj, seeds, dt))
     if max_workers is not None and max_workers > 1 and len(tasks) > 1:
@@ -456,7 +470,7 @@ def suggested_mc_sample(spec: ScenarioSpec) -> int:
     lam = len(s.sites) * spec.site_rate * s.duration
     if spec.family == "fig1b":
         lam *= 0.5
-    p_fixed = sum(ch.rate for ch in s.fixed) * s.duration
+    p_fixed = sum(s.fixed_rates) * s.duration
     p_event = 0.4 * lam * lam + p_fixed if spec.use_eth else max(0.5 * lam, p_fixed)
     if p_event <= 0:
         return 2000

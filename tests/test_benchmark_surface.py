@@ -14,9 +14,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from etlab import cli
+from etlab import cli, dynamics
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,6 +56,24 @@ def test_traced_layers_exist():
         if not hasattr(importlib.import_module(f"etlab.{mod}"), fn)
     ]
     assert not missing
+
+
+def test_tracer_binds_propagator_arguments():
+    # the tracer tags each propagator span by binding its arguments by name,
+    # H as ``h`` and Monte Carlo's config as ``config``: a renamed parameter
+    # would otherwise show only as a failed traced benchmark run
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    x = [dynamics.NoiseChannel.from_matrix(np.array([[0, 1], [1, 0]]), "X")]
+    h, psi0 = np.diag([1.0, -1.0]), np.array([1.0, 0.0])
+    lindblad = tracer.wrap("dynamics.integrate_lindblad", dynamics.integrate_lindblad)
+    mc = tracer.wrap("dynamics.mc_trajectories", dynamics.mc_trajectories)
+    lindblad(np.outer(psi0, psi0), h, x, [0.5], dynamics.IntegrationConfig(t_final=1.0))
+    mc(psi0, h, x, [0.5], 1.0, [np.eye(2)], dynamics.TrajectoryConfig(n_traj=7, seed=0, dt=0.1))
+    assert [(span[0], span[4]) for span in tracer.spans] == [
+        ("dynamics.integrate_lindblad", (2, 0)),
+        ("dynamics.mc_trajectories", (2, 7)),
+    ]
 
 
 def test_workload_attributes_and_keywords_exist():

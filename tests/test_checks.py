@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from etlab import checks
-from etlab.dynamics import NoiseChannel, NoiseModel
+from etlab.dynamics import NoiseChannel
 from etlab.qcore import PAULI_MATS, basis_state, pure_density
 
 _NAME = re.compile(r"(qcore|codes|eth|dynamics|experiments|cli)\.[a-z0-9]+(-[a-z0-9]+)*")
@@ -41,15 +41,15 @@ def test_chain_scores_rho0_and_lands_on_record_points(monkeypatch):
     runs = []
     integrate = checks.integrate_lindblad
 
-    def recording(rho0, h, noise, cfg, support=None):
-        res = integrate(rho0, h, noise, cfg, support)
+    def recording(rho0, h, channels, rates, cfg, support=None):
+        res = integrate(rho0, h, channels, rates, cfg, support)
         runs.append((rho0, round(cfg.t_final / cfg.dt), res.final))
         return res
 
     monkeypatch.setattr(checks, "integrate_lindblad", recording)
     rho0 = pure_density(basis_state(1, 0))
-    noise = NoiseModel((NoiseChannel.from_matrix(PAULI_MATS["X"], 1.0, "X"),))
-    states = checks._chain(rho0, np.zeros((2, 2)), noise, 0.01, 256, 50)
+    x = [NoiseChannel.from_matrix(PAULI_MATS["X"], "X")]
+    states = checks._chain(rho0, np.zeros((2, 2)), x, [1.0], 0.01, 256, 50)
     assert states[0] is rho0
     assert [steps for _, steps, _ in runs] == [50] * 5 + [6]
     assert np.cumsum([steps for _, steps, _ in runs]).tolist() == [50, 100, 150, 200, 250, 256]
@@ -59,9 +59,9 @@ def test_chain_scores_rho0_and_lands_on_record_points(monkeypatch):
     calls = []
     chain = checks._chain
 
-    def spy(rho0, h, noise, dt, n_steps, stride, support=None):
+    def spy(rho0, h, channels, rates, dt, n_steps, stride, support=None):
         calls.append((round(n_steps * dt, 12), n_steps, stride))
-        return chain(rho0, h, noise, dt, n_steps, stride, support)
+        return chain(rho0, h, channels, rates, dt, n_steps, stride, support)
 
     monkeypatch.setattr(checks, "_chain", spy)
     checks.check_analytic_xnoise()

@@ -382,6 +382,25 @@ class TestConfigValidation:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("experiment", ["fig1a", "fig1b"])
+    def test_exact_substeps_above_cap_exit_1_before_any_job(
+        self, tmp_path, capsys, monkeypatch, experiment
+    ):
+        # exact propagation takes ceil(t * bound / 4) substeps and the bound
+        # grows with gamma: fig1a at gamma/omega = 1e4 took 14 s, and 1e5
+        # ran past a 45 s timeout
+        def task(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(experiments, "_run_task", task)
+        args = ["--method", "lindblad", "--gamma-min", "1e5", "--gamma-max", "1e5"]
+        argv = ["sweep", experiment, *args, "--gamma-points", "1", "--out", str(tmp_path / "r")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --gamma-max: {experiment}/") and "gamma/omega=1e+05" in err
+        assert "exact propagation takes at least" in err and "more than the cap of 100000" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("experiment", ["fig1a", "fig1b"])
     def test_traj_above_cap_exit_1_before_any_job(
         self, tmp_path, capsys, monkeypatch, experiment
     ):

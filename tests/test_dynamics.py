@@ -7,7 +7,6 @@ P0(t) = (1 + exp(-2 gamma t))/2, and independent qubits multiply.
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from etlab.dynamics import (
     IntegrationError,
     LindbladSupport,
     NoiseChannel,
-    NoiseModel,
     NumericsError,
     StepCountError,
     TrajectoryConfig,
@@ -31,6 +29,7 @@ from etlab.dynamics import (
     lindblad_rhs,
     mc_trajectories,
     mc_trajectories_stack,
+    min_substeps,
     site_channels,
     step_count,
 )
@@ -55,27 +54,56 @@ P0 = np.diag([1.0, 0.0]).astype(complex)
 
 def _triple(rows, cols, label):
     """A channel on two levels built from its nonzeros directly, all ones."""
-    return NoiseChannel(np.array(rows), np.array(cols), np.ones(len(cols)), 2, 0.5, label)
+    return NoiseChannel(np.array(rows), np.array(cols), np.ones(len(cols)), 2, label)
+
+
+def _noise(*parts):
+    """One run's channels and its row of rates: each part is a channel, or a
+    list of channels, and the rate they share."""
+    channels, rates = [], []
+    for chs, rate in parts:
+        chs = [chs] if isinstance(chs, NoiseChannel) else list(chs)
+        channels += chs
+        rates += [rate] * len(chs)
+    return channels, rates
+
+
+def _one_row_runs(rate):
+    """Each one-row entry point on X noise at ``rate``: the reference
+    generator, exact Lindblad, and Monte Carlo."""
+    x, rho = _noise((NoiseChannel.from_matrix(SX, "X"), rate)), pure_density(basis_state(1, 0))
+    return [
+        lambda: lindblad_rhs(rho, SZ, *x),
+        lambda: integrate_lindblad(rho, SZ, *x, IntegrationConfig(t_final=1.0)),
+        lambda: mc_trajectories(
+            basis_state(1, 0), SZ, *x, 1.0, [P0], TrajectoryConfig(n_traj=2, seed=0, dt=0.1)
+        ),
+    ]
 
 
 class TestNoiseModel:
+    """Channels that are their jumps only, and one row of rates beside them."""
+
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseChannel.from_matrix(SX, -0.1, "bad")
+        # a channel holds no rate: a one-row run's rates meet the stacks' check
+        for run in _one_row_runs(-0.1):
+            with pytest.raises(ValueError, match=r"row 0: jump 'X' has rate -0.1; need finite"):
+                run()
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: NoiseChannel.from_matrix(SX, float("nan"), "nan"),
-            lambda: NoiseChannel.from_matrix(SX, float("inf"), "inf"),
+            # a channel holds no rate: these reach the rate row's check
+            lambda: _one_row_runs(float("nan"))[1](),
+            lambda: _one_row_runs(float("inf"))[2](),
             lambda: IntegrationConfig(dt=float("nan"), t_final=1.0),
             lambda: IntegrationConfig(dt=0.1, t_final=float("inf")),
             lambda: TrajectoryConfig(n_traj=1, seed=0, dt=float("nan")),
             lambda: IntegrationConfig(t_final=float("nan")),
             # a NaN entry used to drop out of the monomial scan, so MC
             # returned an estimate for a channel that exact Lindblad rejected
-            lambda: NoiseChannel.from_matrix(np.array([[0, 1], [np.nan, 0]]), 0.5, "nan-jump"),
-            lambda: NoiseChannel.from_matrix(np.array([[0, 1], [np.inf, 0]]), 0.5, "inf-jump"),
+            lambda: NoiseChannel.from_matrix(np.array([[0, 1], [np.nan, 0]]), "nan-jump"),
+            lambda: NoiseChannel.from_matrix(np.array([[0, 1], [np.inf, 0]]), "inf-jump"),
             # a non-integer seed or count used to pass validation and then
             # fail inside the engine with a bare TypeError
             lambda: TrajectoryConfig(n_traj=1, seed=1.5, dt=0.1),
@@ -91,19 +119,19 @@ class TestNoiseModel:
 
     def test_channels_compare_by_identity(self):
         # field equality over numpy arrays raised "truth value ... ambiguous"
-        a = site_channels(2, SX, 1.0, "X")[0]
-        b = site_channels(2, SX, 1.0, "X")[0]
+        a = site_channels(2, SX, "X")[0]
+        b = site_channels(2, SX, "X")[0]
         assert a == a and a != b
-        assert NoiseModel((a,)) == NoiseModel((a,))
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseModel(
-                (
-                    NoiseChannel.from_matrix(SX, 1.0, "a"),
-                    NoiseChannel.from_matrix(np.eye(4), 1.0, "b"),
-                )
-            )
+        # jumps that disagree on dimension: every one is checked against H,
+        # not only the first
+        noise = _noise(
+            (NoiseChannel.from_matrix(SX, "a"), 1.0), (NoiseChannel.from_matrix(np.eye(4), "b"), 1.0)
+        )
+        for method in ("exact", "rk4", "mc"):
+            with pytest.raises(ValueError, match=r"mismatch: H \(2, 2\), jump 'b' \(4, 4\)"):
+                _run(method, basis_state(1, 0), SZ, noise)
 
     def test_decay_operator_equals_dense_formula(self):
         # monomial jumps skip the dense product; the sum K must keep its bits.
@@ -111,17 +139,17 @@ class TestNoiseModel:
         from etlab.experiments import fig1a_scenarios, fig1b_scenarios
 
         for spec in fig1a_scenarios(0.3, 1.0) + fig1b_scenarios(0.05, 1.0):
-            noise = _job_noise(spec)
-            dim = noise.channels[0].dim
+            channels, rates = _job_noise(spec)
+            dim = channels[0].dim
             dense = np.zeros((dim, dim), dtype=complex)
-            for ch in noise.channels:
-                dense += ch.rate * (ch.matrix.conj().T @ ch.matrix)
+            for ch, rate in zip(channels, rates):
+                dense += rate * (ch.matrix.conj().T @ ch.matrix)
             h = np.zeros((dim, dim))
-            _, diag = _no_jump_diagonals(h, *_stack_input(noise), IntegrationError)
+            _, diag = _no_jump_diagonals(h, channels, np.array([rates]), IntegrationError)
             assert np.array_equal(np.diag(-2 * diag[0]), dense), spec.label
 
     def test_site_channels(self):
-        chans = site_channels(3, SX, 0.5, "X")
+        chans = site_channels(3, SX, "X")
         assert [c.label for c in chans] == ["X0", "X1", "X2"]
         assert all(c.matrix.shape == (8, 8) for c in chans)
 
@@ -133,17 +161,17 @@ class TestNoiseModel:
     def test_site_channels_match_kron_embedding(self, op):
         # the bit-arithmetic lift against the Kronecker product it replaces
         for n in range(1, 9):
-            for q, ch in enumerate(site_channels(n, op, 0.5, "s")):
+            for q, ch in enumerate(site_channels(n, op, "s")):
                 assert np.array_equal(ch.matrix, embed_single(n, q, op)), (n, q)
 
     @pytest.mark.parametrize(
         "make, msg",
         [
-            (lambda: NoiseChannel.from_matrix(np.ones((2, 2)), 0.5, "ones"), "'ones' is not mono"),
-            (lambda: NoiseChannel.from_matrix(np.ones((2, 3)), 0.5, "wide"), "'wide' must be a sq"),
-            (lambda: NoiseChannel.from_matrix(np.ones(4), 0.5, "flat"), "'flat' must be a sq"),
-            (lambda: site_channels(2, np.eye(4), 0.5, "big"), "'big0' needs a 2x2 op"),
-            (lambda: site_channels(2, SX, 0.5, "far", [2]), "'far2' needs .* site in \\[0, 2\\)"),
+            (lambda: NoiseChannel.from_matrix(np.ones((2, 2)), "ones"), "'ones' is not mono"),
+            (lambda: NoiseChannel.from_matrix(np.ones((2, 3)), "wide"), "'wide' must be a sq"),
+            (lambda: NoiseChannel.from_matrix(np.ones(4), "flat"), "'flat' must be a sq"),
+            (lambda: site_channels(2, np.eye(4), "big"), "'big0' needs a 2x2 op"),
+            (lambda: site_channels(2, SX, "far", [2]), "'far2' needs .* site in \\[0, 2\\)"),
             (lambda: _triple([0, 0], [0, 1], "rows"), "'rows' is not monomial"),
             (lambda: _triple([0, 1], [1, 0], "cols"), "'cols' is not monomial"),
             (lambda: _triple([0, 2], [0, 1], "range"), "'range' is not monomial"),
@@ -181,28 +209,28 @@ class TestStepCount:
             IntegrationConfig(dt=dt, t_final=1.0)
         with pytest.raises(StepCountError, match=msg):
             mc_trajectories(
-                basis_state(1, 0), SZ, NoiseModel(), 1.0, [P0],
+                basis_state(1, 0), SZ, *_noise(), 1.0, [P0],
                 TrajectoryConfig(n_traj=2, seed=0, dt=dt),
             )
 
 
 class TestLindbladRhs:
     def test_maximally_mixed_fixed_point(self):
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
-        out = lindblad_rhs(np.eye(2, dtype=complex) / 2, np.zeros((2, 2)), noise)
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), 1.0))
+        out = lindblad_rhs(np.eye(2, dtype=complex) / 2, np.zeros((2, 2)), *noise)
         assert np.max(np.abs(out)) < 1e-14
 
     def test_ground_state_under_x_noise(self):
         # hand computation: gamma (|1><1| - |0><0|)
         gamma = 0.7
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, gamma, "X"),))
-        out = lindblad_rhs(pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise)
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), gamma))
+        out = lindblad_rhs(pure_density(basis_state(1, 0)), np.zeros((2, 2)), *noise)
         assert np.allclose(out, gamma * np.diag([-1.0, 1.0]), atol=1e-14)
 
     def test_empty_noise_is_commutator(self):
         rho = pure_density(normalize(np.array([1.0, 1j])))
         h = 0.3 * SZ
-        out = lindblad_rhs(rho, h, NoiseModel())
+        out = lindblad_rhs(rho, h, *_noise())
         assert np.allclose(out, -1j * (h @ rho - rho @ h), atol=1e-14)
 
     def test_hermitian_traceless(self):
@@ -212,14 +240,14 @@ class TestLindbladRhs:
         rho /= np.trace(rho)
         h = rng.standard_normal((4, 4))
         h = (h + h.T).astype(complex)
-        noise = NoiseModel(tuple(site_channels(2, SIGMA_MINUS, 0.4, "d")))
-        out = lindblad_rhs(rho, h, noise)
+        noise = _noise((site_channels(2, SIGMA_MINUS, "d"), 0.4))
+        out = lindblad_rhs(rho, h, *noise)
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            lindblad_rhs(np.eye(2) / 2, np.zeros((4, 4)), NoiseModel())
+            lindblad_rhs(np.eye(2) / 2, np.zeros((4, 4)), *_noise())
 
     def test_fast_generator_matches_reference(self):
         # the integrator's gather/scatter path must equal the textbook formula
@@ -229,13 +257,13 @@ class TestLindbladRhs:
         rho /= np.trace(rho)
         h = rng.standard_normal((8, 8))
         h = (h + h.T).astype(complex)
-        noise = NoiseModel(
-            tuple(site_channels(3, SX, 0.3, "X"))
-            + tuple(site_channels(3, SIGMA_MINUS, 0.2, "d"))
-            + (NoiseChannel.from_matrix(_random_monomial(8, seed=7), 0.05, "random"),)
+        noise = _noise(
+            (site_channels(3, SX, "X"), 0.3),
+            (site_channels(3, SIGMA_MINUS, "d"), 0.2),
+            (NoiseChannel.from_matrix(_random_monomial(8, seed=7), "random"), 0.05),
         )
         gen = _full_generator(h, noise)
-        assert np.max(np.abs(gen.rhs(rho) - lindblad_rhs(rho, h, noise))) < 1e-12
+        assert np.max(np.abs(gen.rhs(rho) - lindblad_rhs(rho, h, *noise))) < 1e-12
 
     @pytest.mark.parametrize("case", ["monomial-d8", "fig1b-eth-7"])
     def test_generator_keeps_hermitian_exactly(self, case):
@@ -248,10 +276,10 @@ class TestLindbladRhs:
             rng = np.random.default_rng(29)
             h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             h = h + h.conj().T
-            noise = NoiseModel(
-                tuple(site_channels(3, SY, 0.37, "Y"))
-                + tuple(site_channels(3, SIGMA_MINUS, 0.21, "d"))
-                + tuple(site_channels(3, SIGMA_PLUS, 0.013, "u"))
+            noise = _noise(
+                (site_channels(3, SY, "Y"), 0.37),
+                (site_channels(3, SIGMA_MINUS, "d"), 0.21),
+                (site_channels(3, SIGMA_PLUS, "u"), 0.013),
             )
         else:
             s, noise = _job("fig1b", "eth-7", gamma=0.05)
@@ -262,7 +290,7 @@ class TestLindbladRhs:
         rho = a + a.conj().T
         out = _full_generator(h, noise).rhs(rho)
         assert np.array_equal(out, out.conj().T)
-        assert np.max(np.abs(out - lindblad_rhs(rho, h, noise))) < 1e-12 * np.max(np.abs(out))
+        assert np.max(np.abs(out - lindblad_rhs(rho, h, *noise))) < 1e-12 * np.max(np.abs(out))
 
 
 class TestIntegrateLindblad:
@@ -270,47 +298,45 @@ class TestIntegrateLindblad:
         omega = 1.0
         psi = normalize(np.array([1.0, 1.0]))
         cfg = IntegrationConfig(dt=np.pi / 2000, t_final=np.pi / omega)
-        res = integrate_lindblad(pure_density(psi), omega * SZ, NoiseModel(), cfg)
+        res = integrate_lindblad(pure_density(psi), omega * SZ, *_noise(), cfg)
         assert np.max(np.abs(res.final - pure_density(psi))) < 1e-8
 
     def test_zero_duration(self):
         rho = pure_density(basis_state(1, 1))
         cfg = IntegrationConfig(dt=0.1, t_final=0.0)
-        res = integrate_lindblad(rho, SZ, NoiseModel(), cfg)
+        res = integrate_lindblad(rho, SZ, *_noise(), cfg)
         assert np.array_equal(res.final, rho)
         assert res.applications == 0
 
     def test_trace_stays_put(self):
         # ten runs of 20 steps, each from the last one's final state
-        noise = NoiseModel(tuple(site_channels(2, SIGMA_MINUS, 0.5, "d")))
+        noise = _noise((site_channels(2, SIGMA_MINUS, "d"), 0.5))
         cfg = IntegrationConfig(dt=0.01, t_final=0.2)
         rho = pure_density(basis_state(2, 3))
         for _ in range(10):
-            rho = integrate_lindblad(rho, np.zeros((4, 4)), noise, cfg).final
+            rho = integrate_lindblad(rho, np.zeros((4, 4)), *noise, cfg).final
             assert abs(np.trace(rho).real - 1) < 1e-7
 
     def test_positivity(self):
         # fifteen runs of 100 steps, each from the last one's final state
-        noise = NoiseModel(
-            (
-                NoiseChannel.from_matrix(SX, 1.0, "X"),
-                NoiseChannel.from_matrix(SIGMA_MINUS, 0.3, "d"),
-            )
+        noise = _noise(
+            (NoiseChannel.from_matrix(SX, "X"), 1.0),
+            (NoiseChannel.from_matrix(SIGMA_MINUS, "d"), 0.3),
         )
         cfg = IntegrationConfig(dt=1e-3, t_final=0.1)
         rho = pure_density(normalize(np.array([1, 1j])))
         for _ in range(15):
-            rho = integrate_lindblad(rho, SZ, noise, cfg).final
+            rho = integrate_lindblad(rho, SZ, *noise, cfg).final
             assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -1e-7
 
     def test_chained_rk4_equals_one_run(self):
         # ten stretches of t/10 take the same 100 steps of 0.01 as one run of
         # t, up to the rounding of each stretch's resized last step
         h, noise, rho0 = _random_monomial_case()
-        one = integrate_lindblad(rho0, h, noise, IntegrationConfig(dt=0.01, t_final=1.0))
+        one = integrate_lindblad(rho0, h, *noise, IntegrationConfig(dt=0.01, t_final=1.0))
         rho = rho0
         for _ in range(10):
-            res = integrate_lindblad(rho, h, noise, IntegrationConfig(dt=0.01, t_final=0.1))
+            res = integrate_lindblad(rho, h, *noise, IntegrationConfig(dt=0.01, t_final=0.1))
             assert res.applications == 4 * 10
             rho = res.final
         assert one.applications == 4 * 100
@@ -318,15 +344,15 @@ class TestIntegrateLindblad:
 
     def test_trace_drift_signals_failure(self):
         # absurdly large dt blows up the integration
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, 50.0, "X"),))
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), 50.0))
         cfg = IntegrationConfig(dt=0.5, t_final=5.0)
         with pytest.raises(IntegrationError, match="smaller dt"):
-            integrate_lindblad(pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise, cfg)
+            integrate_lindblad(pure_density(basis_state(1, 0)), np.zeros((2, 2)), *noise, cfg)
 
     def test_invalid_initial_state_rejected(self):
         cfg = IntegrationConfig(dt=0.01, t_final=1.0)
         with pytest.raises(ValueError):
-            integrate_lindblad(np.eye(2, dtype=complex), SZ, NoiseModel(), cfg)
+            integrate_lindblad(np.eye(2, dtype=complex), SZ, *_noise(), cfg)
 
     @pytest.mark.parametrize("dt", [None, 0.01])
     @pytest.mark.parametrize("rho0", [np.ones((2, 3)) / 3, np.full(2, 0.5)], ids=["2x3", "1-D"])
@@ -334,7 +360,7 @@ class TestIntegrateLindblad:
         # used to fail with numpy's bare broadcast or diag error
         msg = rf"density matrix must be a square matrix, got shape {re.escape(str(rho0.shape))}"
         with pytest.raises(ValueError, match=msg):
-            integrate_lindblad(rho0, SZ, NoiseModel(), IntegrationConfig(dt=dt, t_final=1.0))
+            integrate_lindblad(rho0, SZ, *_noise(), IntegrationConfig(dt=dt, t_final=1.0))
 
     def test_unstable_step_rejected_before_stepping(self):
         # dt=10 over one period is a single resized step of pi; RK4 would
@@ -342,13 +368,13 @@ class TestIntegrateLindblad:
         cfg = IntegrationConfig(dt=10.0, t_final=np.pi)
         psi = normalize(np.array([1.0, 1.0]))
         with pytest.raises(IntegrationError, match=r"RK4 step 3\.142 .*smaller dt"):
-            integrate_lindblad(pure_density(psi), SZ, NoiseModel(), cfg)
+            integrate_lindblad(pure_density(psi), SZ, *_noise(), cfg)
 
     @pytest.mark.parametrize("dt, steps", [(0.01, 100), (0.3, 3)])
     def test_rk4_reports_four_applications_per_step(self, dt, steps):
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), 1.0))
         cfg = IntegrationConfig(dt=dt, t_final=1.0)
-        res = integrate_lindblad(pure_density(basis_state(1, 0)), SZ, noise, cfg)
+        res = integrate_lindblad(pure_density(basis_state(1, 0)), SZ, *noise, cfg)
         assert res.applications == 4 * steps
 
     @pytest.mark.parametrize("dt", [None, 0.01])
@@ -356,7 +382,7 @@ class TestIntegrateLindblad:
         h = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(IntegrationError, match="non-finite"):
             integrate_lindblad(
-                pure_density(basis_state(1, 0)), h, NoiseModel(),
+                pure_density(basis_state(1, 0)), h, *_noise(),
                 IntegrationConfig(dt=dt, t_final=1.0),
             )
 
@@ -365,9 +391,9 @@ def _run(method, psi0, h, noise):
     """Evolve the pure state psi0 to t=1 by exact or RK4 Lindblad, or by MC."""
     if method == "mc":
         cfg = TrajectoryConfig(n_traj=200, seed=5, dt=0.01)
-        return mc_trajectories(psi0, h, noise, 1.0, [np.eye(len(psi0))], cfg)
+        return mc_trajectories(psi0, h, *noise, 1.0, [np.eye(len(psi0))], cfg)
     dt = None if method == "exact" else 0.01
-    return integrate_lindblad(pure_density(psi0), h, noise, IntegrationConfig(dt=dt, t_final=1.0))
+    return integrate_lindblad(pure_density(psi0), h, *noise, IntegrationConfig(dt=dt, t_final=1.0))
 
 
 _METHODS = pytest.mark.parametrize("method", ["exact", "rk4", "mc"])
@@ -380,7 +406,7 @@ _METHODS = pytest.mark.parametrize("method", ["exact", "rk4", "mc"])
 def test_jump_dimension_mismatch_rejected(method, n_h, n_jump):
     # a one-qubit jump with a two-qubit H used to run silently (P00 = 0.5677
     # from either Lindblad method); the reverse raised a bare IndexError
-    noise = NoiseModel(tuple(site_channels(n_jump, SX, 1.0, "X", [0])))
+    noise = _noise((site_channels(n_jump, SX, "X", [0]), 1.0))
     d_h, d_l = 2**n_h, 2**n_jump
     msg = rf"dimension mismatch: H \({d_h}, {d_h}\), jump 'X0' \({d_l}, {d_l}\)"
     with pytest.raises(ValueError, match=msg):
@@ -391,7 +417,7 @@ def test_jump_dimension_mismatch_rejected(method, n_h, n_jump):
 def test_state_dimension_mismatch_rejected(method):
     state = r"psi0 \(2,\)" if method == "mc" else r"rho \(2, 2\)"
     with pytest.raises(ValueError, match=rf"dimension mismatch: {state}, H \(4, 4\)"):
-        _run(method, basis_state(1, 0), np.zeros((4, 4)), NoiseModel())
+        _run(method, basis_state(1, 0), np.zeros((4, 4)), _noise())
 
 
 @_METHODS
@@ -400,7 +426,7 @@ def test_nonfinite_hamiltonian_raises(method, bad):
     # MC used to return mean and stderr NaN without a word
     h = np.array([[bad, 0], [0, 1]], dtype=complex)
     with pytest.raises(NumericsError, match="non-finite"):
-        _run(method, basis_state(1, 0), h, NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),)))
+        _run(method, basis_state(1, 0), h, _noise((NoiseChannel.from_matrix(SX, "X"), 0.5)))
 
 
 @_METHODS
@@ -410,7 +436,7 @@ def test_non_hermitian_hamiltonian_rejected(method):
     # product X + X^dag only for H = H^dag: rhs(|+><+|) was
     # [[0, -0.5i], [0.5i, 0]], where lindblad_rhs gives [[-0.5i, 0], [0, 0.5i]]
     with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
-        _run(method, normalize(np.array([1.0, 1.0])), SIGMA_MINUS, NoiseModel())
+        _run(method, normalize(np.array([1.0, 1.0])), SIGMA_MINUS, _noise())
 
 
 @_METHODS
@@ -419,7 +445,7 @@ def test_nonfinite_state_rejected(method):
     # stderr 0, and Lindblad failed later with a misleading Taylor error
     what = "psi0" if method == "mc" else "density matrix"
     with pytest.raises(ValueError, match=f"{what} has non-finite entries"):
-        _run(method, np.full(2, np.nan), SZ, NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),)))
+        _run(method, np.full(2, np.nan), SZ, _noise((NoiseChannel.from_matrix(SX, "X"), 0.5)))
 
 
 def _liouvillian(h, noise):
@@ -427,7 +453,7 @@ def _liouvillian(h, noise):
     column per matrix unit, from the reference :func:`lindblad_rhs`."""
     d = h.shape[0]
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return np.array([lindblad_rhs(e, h, noise).reshape(-1) for e in units]).T
+    return np.array([lindblad_rhs(e, h, *noise).reshape(-1) for e in units]).T
 
 
 def _random_monomial(dim, seed):
@@ -446,9 +472,9 @@ def _random_monomial_case():
     rng = np.random.default_rng(19)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = h + h.conj().T
-    noise = NoiseModel(
-        (NoiseChannel.from_matrix(_random_monomial(4, seed=20), 0.3, "random"),)
-        + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
+    noise = _noise(
+        (NoiseChannel.from_matrix(_random_monomial(4, seed=20), "random"), 0.3),
+        (site_channels(2, SIGMA_MINUS, "d"), 0.5),
     )
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho0 = a @ a.conj().T
@@ -458,12 +484,12 @@ def _random_monomial_case():
 
 def _job_noise(spec):
     """The noise of the sweep job ``spec`` run alone: its scenario's channels
-    at their rates in the job's rate row, those at rate 0 left out."""
+    and their rates in the job's rate row, those at rate 0 left out."""
     from etlab.experiments import _scenario
 
     s = _scenario(spec)
-    rates = s.rates(spec.site_rate)
-    return NoiseModel(tuple(replace(ch, rate=r) for ch, r in zip(s.sites + s.fixed, rates) if r))
+    kept = [(ch, r) for ch, r in zip(s.sites + s.fixed, s.rates(spec.site_rate)) if r]
+    return [ch for ch, _ in kept], [r for _, r in kept]
 
 
 def _job(family, label, gamma):
@@ -477,23 +503,17 @@ def _job(family, label, gamma):
 
 def _dense_generator(h, noise):
     """G = -iH - K/2 as a d x d matrix."""
-    g, diag = _no_jump_diagonals(h, *_stack_input(noise), IntegrationError)
+    channels, rates = noise
+    g, diag = _no_jump_diagonals(h, channels, np.array([rates]), IntegrationError)
     g[np.diag_indices(len(g))] = diag[0]
     return g
 
 
-def _stack_input(*noises):
-    """The stacked-run input of noise models that hold the same jumps in the
-    same order: the channels, once, and a row of their rates per model."""
-    channels = noises[0].channels
-    for noise in noises:
-        assert [ch.label for ch in noise.channels] == [ch.label for ch in channels]
-    return channels, np.array([[ch.rate for ch in noise.channels] for noise in noises])
-
-
 def _full_generator(h, noise):
     """The generator on every entry of rho, a stack of one row."""
-    return _Generator(h, *_stack_input(noise), LindbladSupport(h, noise.channels, np.ones(h.shape)))
+    channels, rates = noise
+    support = LindbladSupport(h, channels, np.ones(h.shape))
+    return _Generator(h, channels, np.array([rates], dtype=float), support)
 
 
 def _liouvillian_propagator(h, noise, t):
@@ -501,19 +521,19 @@ def _liouvillian_propagator(h, noise, t):
     of the integrator: vec(A rho B) = (A kron B^T) vec(rho)."""
     eye = np.eye(h.shape[0])
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for ch in noise.channels:
+    for ch, rate in zip(*noise):
         l = ch.matrix
         ll = l.conj().T @ l
-        sup += ch.rate * (np.kron(l, l.conj()) - 0.5 * np.kron(ll, eye) - 0.5 * np.kron(eye, ll.T))
+        sup += rate * (np.kron(l, l.conj()) - 0.5 * np.kron(ll, eye) - 0.5 * np.kron(eye, ll.T))
     return expm(t * sup)
 
 
 class TestExactPropagation:
     def test_analytic_x_noise(self):
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), 1.0))
         for t in (0.3, 1.0, 4.0):
             res = integrate_lindblad(
-                pure_density(basis_state(1, 0)), np.zeros((2, 2)), noise,
+                pure_density(basis_state(1, 0)), np.zeros((2, 2)), *noise,
                 IntegrationConfig(t_final=t),
             )
             assert abs(res.final[0, 0].real - (1 + np.exp(-2 * t)) / 2) <= 1e-12
@@ -525,7 +545,7 @@ class TestExactPropagation:
             s, noise = _job("fig1a", label, gamma=0.0)
             t = 0.37 * s.duration
             res = integrate_lindblad(
-                pure_density(s.psi0), s.hamiltonian, noise, IntegrationConfig(t_final=t)
+                pure_density(s.psi0), s.hamiltonian, *noise, IntegrationConfig(t_final=t)
             )
             expected = pure_density(evolve_unitary(s.hamiltonian, t, s.psi0))
             assert np.max(np.abs(res.final - expected)) <= 1e-12
@@ -536,14 +556,14 @@ class TestExactPropagation:
 
         def final(dt):
             cfg = IntegrationConfig(dt=dt, t_final=s.duration)
-            return integrate_lindblad(pure_density(s.psi0), s.hamiltonian, noise, cfg).final
+            return integrate_lindblad(pure_density(s.psi0), s.hamiltonian, *noise, cfg).final
 
         assert np.max(np.abs(final(None) - final(s.duration / 1024))) <= 1e-9
 
     def test_random_monomial_jump_matches_liouvillian_exponential(self):
         h, noise, rho0 = _random_monomial_case()
         t = 1.7
-        res = integrate_lindblad(rho0, h, noise, IntegrationConfig(t_final=t))
+        res = integrate_lindblad(rho0, h, *noise, IntegrationConfig(t_final=t))
         expected = (_liouvillian_propagator(h, noise, t) @ rho0.reshape(-1)).reshape(4, 4)
         assert np.max(np.abs(res.final - expected)) <= 1e-12
 
@@ -557,7 +577,7 @@ class TestExactPropagation:
         elif case == "strong-jump":
             # ||L||_2 = 4 far from 1: the jump term must be rate ||L||_2^2
             h = np.zeros((2, 2))
-            noise = NoiseModel((NoiseChannel.from_matrix([[0, 4.0], [0.5, 0]], 1.0, "strong"),))
+            noise = _noise((NoiseChannel.from_matrix([[0, 4.0], [0.5, 0]], "strong"), 1.0))
         else:
             s, noise = _job(*case.split("-", 1), gamma=0.05)
             h = s.hamiltonian
@@ -569,7 +589,7 @@ class TestExactPropagation:
         h, t = s.hamiltonian, s.duration
         assert np.ceil(t * _full_generator(h, noise).bound / _TAYLOR_THETA) >= 2
         rho0 = pure_density(s.psi0)
-        res = integrate_lindblad(rho0, h, noise, IntegrationConfig(t_final=t))
+        res = integrate_lindblad(rho0, h, *noise, IntegrationConfig(t_final=t))
         expected = (_liouvillian_propagator(h, noise, t) @ rho0.reshape(-1)).reshape(h.shape)
         assert np.max(np.abs(res.final - expected)) <= 1e-12
 
@@ -578,7 +598,7 @@ class TestExactPropagation:
         s, noise = _job("fig1b", "eth-7", gamma=0.05)
         rho0 = pure_density(s.psi0)
         cfg = IntegrationConfig(t_final=s.duration)
-        runs = [integrate_lindblad(rho0, s.hamiltonian, noise, cfg) for _ in "ab"]
+        runs = [integrate_lindblad(rho0, s.hamiltonian, *noise, cfg) for _ in "ab"]
         assert runs[0].applications == 27
         assert runs[0].applications == runs[1].applications
         assert np.array_equal(runs[0].final, runs[1].final)
@@ -595,13 +615,13 @@ class TestExactPropagation:
         assert not np.array_equal(rho0, rho0.conj().T)
         hermitized = 0.5 * (rho0 + rho0.conj().T)
         cfg = IntegrationConfig(dt=dt, t_final=s.duration)
-        final = integrate_lindblad(rho0, s.hamiltonian, noise, cfg).final
-        expected = integrate_lindblad(hermitized, s.hamiltonian, noise, cfg).final
+        final = integrate_lindblad(rho0, s.hamiltonian, *noise, cfg).final
+        expected = integrate_lindblad(hermitized, s.hamiltonian, *noise, cfg).final
         assert np.array_equal(final, expected)
 
     def test_zero_duration(self):
         rho = pure_density(basis_state(1, 1))
-        res = integrate_lindblad(rho, SZ, NoiseModel(), IntegrationConfig(t_final=0.0))
+        res = integrate_lindblad(rho, SZ, *_noise(), IntegrationConfig(t_final=0.0))
         assert np.array_equal(res.final, rho)
         assert res.applications == 0
 
@@ -609,10 +629,10 @@ class TestExactPropagation:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_TAYLOR_MAX_TERMS", 2)
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), 1.0))
         with pytest.raises(IntegrationError, match="did not converge in 2 terms"):
             integrate_lindblad(
-                pure_density(basis_state(1, 0)), SZ, noise, IntegrationConfig(t_final=1.0)
+                pure_density(basis_state(1, 0)), SZ, *noise, IntegrationConfig(t_final=1.0)
             )
 
 
@@ -686,7 +706,7 @@ class TestComponents:
         s, noise = _job(family, label, gamma=0.05)
         h = s.hamiltonian
         g = _dense_generator(h, noise)
-        jumps = sum(ch.rate * np.max(np.abs(ch.vals)) ** 2 for ch in noise.channels)
+        jumps = sum(rate * np.max(np.abs(ch.vals)) ** 2 for ch, rate in zip(*noise))
         expected = 2.0 * np.linalg.norm(g, 2) + jumps
         assert _full_generator(h, noise).bound == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -720,7 +740,7 @@ class TestLindbladSupport:
         v = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
         rho = support.unpack(v)
         rho = rho + rho.conj().T
-        out = lindblad_rhs(rho, s.hamiltonian, noise).reshape(-1)
+        out = lindblad_rhs(rho, s.hamiltonian, *noise).reshape(-1)
         off = np.ones(out.size, dtype=bool)
         off[support.flat] = False
         assert np.any(out[support.flat]) and not np.any(out[off])
@@ -736,7 +756,7 @@ class TestLindbladSupport:
         # a closure that grows back towards d^2 shows here
         s, noise = _job(family, label, gamma=0.05)
         rho0, cfg = pure_density(s.psi0), IntegrationConfig(t_final=0.0)
-        res = integrate_lindblad(rho0, s.hamiltonian, noise, cfg)
+        res = integrate_lindblad(rho0, s.hamiltonian, *noise, cfg)
         assert res.support_size == _sweep_support(family, label).size == size
 
     @pytest.mark.parametrize("label", ["plain-5", "eth-7"])
@@ -746,9 +766,9 @@ class TestLindbladSupport:
         h = s.hamiltonian
         rho0 = pure_density(s.psi0)
         cfg = IntegrationConfig(t_final=s.duration)
-        packed = integrate_lindblad(rho0, h, noise, cfg)
-        every = LindbladSupport(h, noise.channels, np.ones(h.shape))
-        full = integrate_lindblad(rho0, h, noise, cfg, every)
+        packed = integrate_lindblad(rho0, h, *noise, cfg)
+        every = LindbladSupport(h, noise[0], np.ones(h.shape))
+        full = integrate_lindblad(rho0, h, *noise, cfg, every)
         assert full.support_size == h.size > packed.support_size
         assert packed.applications == full.applications
         assert np.max(np.abs(packed.final - full.final)) <= 1e-15
@@ -761,8 +781,8 @@ class TestLindbladSupport:
         h = s.hamiltonian
         rho0 = pure_density(s.psi0)
         cfg = IntegrationConfig(t_final=s.duration)
-        own = integrate_lindblad(rho0, h, noise, cfg)
-        shared = integrate_lindblad(rho0, h, noise, cfg, _sweep_support("fig1b", label))
+        own = integrate_lindblad(rho0, h, *noise, cfg)
+        shared = integrate_lindblad(rho0, h, *noise, cfg, _sweep_support("fig1b", label))
         assert own.support_size == 384 < shared.support_size
         assert own.applications == shared.applications
         assert np.max(np.abs(own.final - shared.final)) <= 1e-15
@@ -773,17 +793,17 @@ class TestLindbladSupport:
         pure = pure_density(basis_state(2, 0))
         cases = [
             # built without one of the jumps
-            (h, noise, LindbladSupport(h, noise.channels[1:], rho0), "jump 'random' is not one"),
+            (h, noise, LindbladSupport(h, noise[0][1:], rho0), "jump 'random' is not one"),
             # built for an H whose states are all apart
-            (h, noise, LindbladSupport(diagonal, noise.channels, rho0), "H couples states that"),
+            (h, noise, LindbladSupport(diagonal, noise[0], rho0), "H couples states that"),
             # built from another rho0
-            (diagonal, NoiseModel(), LindbladSupport(diagonal, (), pure), "entries outside the"),
+            (diagonal, _noise(), LindbladSupport(diagonal, (), pure), "entries outside the"),
             (h, noise, LindbladSupport(SZ, (), np.eye(2)), r"mismatch: H \(4, 4\), support"),
         ]
         cfg = IntegrationConfig(t_final=1.0)
         for h_case, noise_case, support, msg in cases:
             with pytest.raises(ValueError, match=msg):
-                integrate_lindblad(rho0, h_case, noise_case, cfg, support)
+                integrate_lindblad(rho0, h_case, *noise_case, cfg, support)
 
     def test_hermitize_by_transpose(self):
         support = _sweep_support("fig1b", "eth-7")
@@ -795,8 +815,9 @@ class TestLindbladSupport:
 
 def _stacks(family, grid=None):
     """Each scenario key of a sweep over ``grid`` (the default grid): its
-    scenario, its jobs' specs in grid order and their stacked rows' noise,
-    every site channel present, at rate 0 where gamma is 0."""
+    scenario, its jobs' specs in grid order and their stack input, the
+    channels and a row of rates per job, every site channel present, at rate
+    0 where gamma is 0."""
     from etlab import experiments as ex
 
     groups = {}
@@ -807,11 +828,8 @@ def _stacks(family, grid=None):
     stacks = []
     for specs in groups.values():
         s = ex._scenario(specs[0])
-        noises = [
-            NoiseModel(tuple(replace(ch, rate=sp.site_rate) for ch in s.sites) + s.fixed)
-            for sp in specs
-        ]
-        stacks.append((s, specs, noises))
+        rates = np.array([[sp.site_rate] * len(s.sites) + list(s.fixed_rates) for sp in specs])
+        stacks.append((s, specs, (s.sites + s.fixed, rates)))
     return stacks
 
 
@@ -825,13 +843,11 @@ class TestLindbladStack:
         # its job run alone, to the last bit and in as many applications; a
         # gamma = 0 row holds the site channels at rate 0 and equals the run
         # without them
-        for s, specs, noises in _stacks(family):
+        for s, specs, (channels, rates) in _stacks(family):
             rho0, cfg = pure_density(s.psi0), IntegrationConfig(dt=dt, t_final=s.duration)
-            rows = integrate_lindblad_stack(
-                rho0, s.hamiltonian, *_stack_input(*noises), cfg, s.support
-            )
+            rows = integrate_lindblad_stack(rho0, s.hamiltonian, channels, rates, cfg, s.support)
             for spec, row in zip(specs, rows, strict=True):
-                alone = integrate_lindblad(rho0, s.hamiltonian, _job_noise(spec), cfg, s.support)
+                alone = integrate_lindblad(rho0, s.hamiltonian, *_job_noise(spec), cfg, s.support)
                 assert np.array_equal(row.final, alone.final), (spec.label, spec.gamma)
                 assert row.applications == alone.applications, (spec.label, spec.gamma)
 
@@ -842,7 +858,9 @@ class TestLindbladStack:
         import etlab.dynamics as dyn
 
         grid = [0.0, 1e-3, 0.01, 0.05, 0.1]
-        [(s, specs, noises)] = [x for x in _stacks(family, grid) if x[1][0].label == label]
+        [(s, specs, (channels, rates))] = [
+            x for x in _stacks(family, grid) if x[1][0].label == label
+        ]
         rho0, cfg = pure_density(s.psi0), IntegrationConfig(t_final=s.duration)
         blocks = []
         propagate = dyn._propagate_exact
@@ -853,11 +871,10 @@ class TestLindbladStack:
 
         monkeypatch.setattr(dyn, "_propagate_exact", recording)
         monkeypatch.setattr(dyn, "_BLOCK_BYTES", 2 * 16 * s.support.size)
-        channels, rates = _stack_input(*noises)
         rows = list(integrate_lindblad_stack(rho0, s.hamiltonian, channels, rates, cfg, s.support))
         assert blocks == [[0, 1], [2, 3], [4]]
         for spec, row in zip(specs, rows, strict=True):
-            alone = integrate_lindblad(rho0, s.hamiltonian, _job_noise(spec), cfg, s.support)
+            alone = integrate_lindblad(rho0, s.hamiltonian, *_job_noise(spec), cfg, s.support)
             assert np.array_equal(row.final, alone.final), spec.gamma
             assert row.applications == alone.applications, spec.gamma
 
@@ -873,8 +890,8 @@ class TestLindbladStack:
 
         monkeypatch.setattr(dyn, "_propagate_exact", propagate)
         monkeypatch.setattr(dyn, "_propagate_rk4", propagate)
-        [(s, _, noises)] = [x for x in _stacks("fig1b", [0.05]) if x[1][0].label == "eth-5"]
-        return s, *_stack_input(*noises)
+        [(s, _, stack)] = [x for x in _stacks("fig1b", [0.05]) if x[1][0].label == "eth-5"]
+        return s, *stack
 
     @pytest.mark.parametrize("dt", [None, 0.01], ids=["exact", "rk4"])
     def test_rate_array_of_other_shape_rejected(self, monkeypatch, dt):
@@ -891,8 +908,8 @@ class TestLindbladStack:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-300, -1.0])
     def test_non_finite_or_negative_rate_rejected(self, monkeypatch, value):
-        # the check NoiseChannel makes of one rate, made of every rate in
-        # the array, naming the first bad one's row and channel
+        # every rate in the array is checked, naming the first bad one's row
+        # and channel
         s, channels, rates = self._unpropagated(monkeypatch)
         rates = np.tile(rates, (3, 1))
         rates[2, 5] = value
@@ -908,6 +925,33 @@ class TestLindbladStack:
                     next(stack)
 
 
+class TestMinSubsteps:
+    """The cap on exact substeps reads the rates alone."""
+
+    @pytest.mark.parametrize("family", ["fig1a", "fig1b"])
+    def test_never_above_a_runs_count(self, family):
+        # a floor above a run's own count would refuse a sweep that fits
+        grid = [0.0, 1e-3, 0.1, 3.0, 1e3, 1e5]
+        largest = 0
+        for s, specs, (channels, rates) in _stacks(family, grid):
+            floor = min_substeps(channels, rates, s.duration)
+            bound = _Generator(s.hamiltonian, channels, rates, s.support).bound
+            runs = _n_substeps(s.duration, bound)
+            assert floor.shape == (len(specs),) and np.all(floor <= runs), specs[0].label
+            largest = max(largest, floor.max())
+        # the grid reaches past the cap that a sweep applies
+        assert largest > MAX_STEPS
+
+    def test_jump_part_alone(self):
+        # ceil(t * sum_k rate_k max|vals_k|^2 / theta): sigma- scaled by 2
+        # on two sites at 1.0 and 0.5 give 4 * 1.5 per unit time
+        channels = site_channels(2, 2.0 * SIGMA_MINUS, "d")
+        floor = min_substeps(channels, [[1.0, 0.5], [0.0, 0.0], [2.0, 2.0]], 10.0)
+        assert floor.tolist() == [int(np.ceil(60.0 / _TAYLOR_THETA)), 1, 40]
+        with pytest.raises(ValueError, match="row 0: jump 'd1' has rate -1.0"):
+            min_substeps(channels, [[1.0, -1.0]], 1.0)
+
+
 class TestOneStepPropagator:
     """The scaled-Taylor exp(G dt) that MC steps with, against scipy's expm."""
 
@@ -918,7 +962,7 @@ class TestOneStepPropagator:
         s, noise = _job(family, label, gamma=0.05)
         g = _dense_generator(s.hamiltonian, noise)
         t = s.duration
-        for dt in (default_timestep(1.0, noise.max_rate()), t / 128):
+        for dt in (default_timestep(1.0, max(noise[1])), t / 128):
             a = g * (t / max(1, round(t / dt)))
             assert np.max(np.abs(_expm(a[None])[0] - expm(a))) <= 1e-14
 
@@ -934,10 +978,10 @@ class TestOneStepPropagator:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_TAYLOR_MAX_TERMS", 2)
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, 1.0, "X"),))
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), 1.0))
         with pytest.raises(TrajectoryError, match="did not converge in 2 terms"):
             mc_trajectories(
-                basis_state(1, 0), SZ, noise, 1.0, [P0],
+                basis_state(1, 0), SZ, *noise, 1.0, [P0],
                 TrajectoryConfig(n_traj=10, seed=0, dt=0.1),
             )
 
@@ -950,11 +994,11 @@ def _mc_stack(family, grid=None, n_traj=300):
     from etlab import experiments as ex
 
     stacks = []
-    for s, specs, noises in _stacks(family, grid):
+    for s, specs, stack in _stacks(family, grid):
         seeds = [ex._job_seed(ex.DEFAULT_SEED, 0, b) for b in range(len(specs))]
         steps = [ex._job_step(spec, "mc", None) for spec in specs]
         configs = [TrajectoryConfig(n_traj, seed, dt) for seed, dt in zip(seeds, steps)]
-        stacks.append((s, specs, (*_stack_input(*noises), configs)))
+        stacks.append((s, specs, (*stack, configs)))
     return stacks
 
 
@@ -975,7 +1019,7 @@ class TestMcStack:
             )
             for spec, config, row in zip(specs, configs, rows, strict=True):
                 noise = _job_noise(spec)
-                alone = mc_trajectories(s.psi0, s.hamiltonian, noise, s.duration, obs, config)
+                alone = mc_trajectories(s.psi0, s.hamiltonian, *noise, s.duration, obs, config)
                 assert np.array_equal(row.means, alone.means), (spec.label, spec.gamma)
                 assert np.array_equal(row.stderrs, alone.stderrs), (spec.label, spec.gamma)
                 assert (row.jumpers, row.jumps) == (alone.jumpers, alone.jumps), spec.label
@@ -1116,7 +1160,7 @@ def _reference_values(psi0, h, noise, t_final, obs, cfg):
     import etlab.dynamics as dyn
 
     n_steps = max(1, round(t_final / cfg.dt))
-    jumps = [(ch.matrix, ch.rate) for ch in noise.channels]
+    jumps = [(ch.matrix, rate) for ch, rate in zip(*noise)]
     decay = sum(rate * (l.conj().T @ l) for l, rate in jumps)
     u_step = expm((-1j * h - 0.5 * decay) * (t_final / n_steps))
 
@@ -1182,7 +1226,7 @@ class TestMcTrajectories:
         res = mc_trajectories(
             psi0,
             omega * SZ,
-            NoiseModel(),
+            *_noise(),
             1.3,
             [P0],
             TrajectoryConfig(n_traj=50, seed=1, dt=1e-3),
@@ -1205,11 +1249,11 @@ class TestMcTrajectories:
 
     def test_analytic_x_noise_within_three_stderr(self):
         gamma = 1.0
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, gamma, "X"),))
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), gamma))
         res = mc_trajectories(
             basis_state(1, 0),
             np.zeros((2, 2)),
-            noise,
+            *noise,
             1.0,
             [P0],
             TrajectoryConfig(n_traj=2000, seed=8, dt=5e-4),
@@ -1218,37 +1262,35 @@ class TestMcTrajectories:
         assert abs(res.means[0] - exact) <= 3 * res.stderrs[0]
 
     def test_same_seed_bitwise_identical(self):
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, 0.8, "X"),))
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), 0.8))
         cfg = TrajectoryConfig(n_traj=300, seed=42, dt=1e-3)
-        a = mc_trajectories(basis_state(1, 0), SZ, noise, 1.0, [P0], cfg)
-        b = mc_trajectories(basis_state(1, 0), SZ, noise, 1.0, [P0], cfg)
+        a = mc_trajectories(basis_state(1, 0), SZ, *noise, 1.0, [P0], cfg)
+        b = mc_trajectories(basis_state(1, 0), SZ, *noise, 1.0, [P0], cfg)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.stderrs, b.stderrs)
 
     def test_engines_agree(self):
         # same seeds -> same jump decisions -> near-identical estimates as a
         # plain one-trajectory-at-a-time stepper
-        noise = NoiseModel(
-            (
-                NoiseChannel.from_matrix(SX, 0.6, "X"),
-                NoiseChannel.from_matrix(SIGMA_MINUS, 0.4, "d"),
-            )
+        noise = _noise(
+            (NoiseChannel.from_matrix(SX, "X"), 0.6),
+            (NoiseChannel.from_matrix(SIGMA_MINUS, "d"), 0.4),
         )
         h = 0.8 * SZ
         psi0 = normalize(np.array([1.0, 1.0]))
         cfg = TrajectoryConfig(n_traj=800, seed=33, dt=2e-3)
-        a = mc_trajectories(psi0, h, noise, 1.5, [P0], cfg)
+        a = mc_trajectories(psi0, h, *noise, 1.5, [P0], cfg)
         mean, stderr = _reference_trajectories(psi0, h, noise, 1.5, P0, cfg)
         assert a.means[0] == pytest.approx(mean, abs=1e-9)
         assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
 
     def test_engines_agree_multiqubit_damping(self):
-        noise = NoiseModel(tuple(site_channels(2, SIGMA_MINUS, 0.7, "d")))
+        noise = _noise((site_channels(2, SIGMA_MINUS, "d"), 0.7))
         h = np.kron(SX, SX).astype(complex) * 0.5
         psi0 = basis_state(2, 3)
         cfg = TrajectoryConfig(n_traj=400, seed=77, dt=5e-3)
         obs = np.kron(P0, np.eye(2)).astype(complex)
-        a = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
+        a = mc_trajectories(psi0, h, *noise, 2.0, [obs], cfg)
         mean, stderr = _reference_trajectories(psi0, h, noise, 2.0, obs, cfg)
         assert a.means[0] == pytest.approx(mean, abs=1e-9)
         assert a.stderrs[0] == pytest.approx(stderr, abs=1e-9)
@@ -1259,25 +1301,23 @@ class TestMcTrajectories:
             # sigma- at 2.0 and sigma+ at 1.0 on each qubit: one of the two is
             # always active, so a trajectory jumps 4 to 8 times on average
             (
-                NoiseModel(
-                    tuple(site_channels(2, SIGMA_MINUS, 2.0, "d"))
-                    + tuple(site_channels(2, SIGMA_PLUS, 1.0, "u"))
-                ),
+                _noise((site_channels(2, SIGMA_MINUS, "d"), 2.0),
+                       (site_channels(2, SIGMA_PLUS, "u"), 1.0)),
                 np.kron(SX, SX).astype(complex) * 0.5,
                 2.0,
                 5e-3,
             ),
             # 127 steps: every bit of the ladder is set
-            (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.27, 1e-2),
+            (_noise((site_channels(2, SX, "X"), 0.6)), np.kron(SZ, SX), 1.27, 1e-2),
             # 128 steps: the top power spans the whole duration
-            (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.28, 1e-2),
+            (_noise((site_channels(2, SX, "X"), 0.6)), np.kron(SZ, SX), 1.28, 1e-2),
             # a single step: every jump lands on the final step
-            (NoiseModel(tuple(site_channels(2, SX, 0.6, "X"))), np.kron(SZ, SX), 1.0, 1.0),
+            (_noise((site_channels(2, SX, "X"), 0.6)), np.kron(SZ, SX), 1.0, 1.0),
             # a random permutation with entries of random phase and modulus
             (
-                NoiseModel(
-                    (NoiseChannel.from_matrix(_random_monomial(4, seed=23), 0.8, "random"),)
-                    + tuple(site_channels(2, SIGMA_MINUS, 0.5, "d"))
+                _noise(
+                    (NoiseChannel.from_matrix(_random_monomial(4, seed=23), "random"), 0.8),
+                    (site_channels(2, SIGMA_MINUS, "d"), 0.5),
                 ),
                 np.kron(SZ, SX),
                 1.5,
@@ -1292,7 +1332,7 @@ class TestMcTrajectories:
         # alone stays exactly 1/2 in every trajectory
         obs = np.kron(P0, P0).astype(complex)
         cfg = TrajectoryConfig(n_traj=300, seed=61, dt=dt)
-        a = mc_trajectories(psi0, h, noise, t_final, [obs], cfg)
+        a = mc_trajectories(psi0, h, *noise, t_final, [obs], cfg)
         mean, stderr = _reference_trajectories(psi0, h, noise, t_final, obs, cfg)
         assert a.stderrs[0] > 0
         assert a.means[0] == pytest.approx(mean, abs=1e-9)
@@ -1302,15 +1342,14 @@ class TestMcTrajectories:
         # monomial jumps whose entries are not of unit modulus, so the
         # channel weights rate |vals|^2 differ from rate |vals|
         skew = np.array([[0, 2.0], [0.5j, 0]])
-        noise = NoiseModel(
-            tuple(site_channels(2, skew, 0.7, "s"))
-            + tuple(site_channels(2, 0.3 * SIGMA_MINUS, 1.5, "d"))
+        noise = _noise(
+            (site_channels(2, skew, "s"), 0.7), (site_channels(2, 0.3 * SIGMA_MINUS, "d"), 1.5)
         )
         h = np.kron(SZ, SX)
         psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
         obs = np.kron(P0, np.eye(2)).astype(complex)
         cfg = TrajectoryConfig(n_traj=300, seed=62, dt=1e-2)
-        a = mc_trajectories(psi0, h, noise, 1.5, [obs], cfg)
+        a = mc_trajectories(psi0, h, *noise, 1.5, [obs], cfg)
         mean, stderr = _reference_trajectories(psi0, h, noise, 1.5, obs, cfg)
         assert a.jumps > a.jumpers > 0
         assert a.means[0] == pytest.approx(mean, abs=1e-9)
@@ -1322,7 +1361,7 @@ class TestMcTrajectories:
         s, noise = _job("fig1b", "eth-7", gamma=0.1)
         h, t, obs = s.hamiltonian, s.duration, s.observable
         cfg = TrajectoryConfig(n_traj=100, seed=71, dt=t / 128)
-        a = mc_trajectories(s.psi0, h, noise, t, [obs], cfg)
+        a = mc_trajectories(s.psi0, h, *noise, t, [obs], cfg)
         values, n_jumps = _reference_values(s.psi0, h, noise, t, obs, cfg)
         assert a.jumpers == np.count_nonzero(n_jumps) > 0
         assert a.jumps == n_jumps.sum()
@@ -1332,19 +1371,18 @@ class TestMcTrajectories:
     def test_jump_counts_match_reference_stepper(self):
         # the many-jumps case: both counts equal the reference stepper's, and
         # a second run reports the same counts
-        noise = NoiseModel(
-            tuple(site_channels(2, SIGMA_MINUS, 2.0, "d"))
-            + tuple(site_channels(2, SIGMA_PLUS, 1.0, "u"))
+        noise = _noise(
+            (site_channels(2, SIGMA_MINUS, "d"), 2.0), (site_channels(2, SIGMA_PLUS, "u"), 1.0)
         )
         h = np.kron(SX, SX).astype(complex) * 0.5
         psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
         obs = np.kron(P0, np.eye(2)).astype(complex)
         cfg = TrajectoryConfig(n_traj=300, seed=61, dt=5e-3)
-        a = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
+        a = mc_trajectories(psi0, h, *noise, 2.0, [obs], cfg)
         _, n_jumps = _reference_values(psi0, h, noise, 2.0, obs, cfg)
         assert a.jumpers == np.count_nonzero(n_jumps) > 0
         assert a.jumps == n_jumps.sum() > a.jumpers
-        b = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
+        b = mc_trajectories(psi0, h, *noise, 2.0, [obs], cfg)
         assert (b.jumpers, b.jumps) == (a.jumpers, a.jumps)
 
     def test_multi_block_order_matches_reference_stepper(self, monkeypatch):
@@ -1353,15 +1391,14 @@ class TestMcTrajectories:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_BLOCK_BYTES", 3 * 4 * 16)
-        noise = NoiseModel(
-            tuple(site_channels(2, SIGMA_MINUS, 2.0, "d"))
-            + tuple(site_channels(2, SIGMA_PLUS, 1.0, "u"))
+        noise = _noise(
+            (site_channels(2, SIGMA_MINUS, "d"), 2.0), (site_channels(2, SIGMA_PLUS, "u"), 1.0)
         )
         h = np.kron(SX, SX).astype(complex) * 0.5
         psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 1))
         obs = np.kron(P0, np.eye(2)).astype(complex)
         cfg = TrajectoryConfig(n_traj=300, seed=61, dt=5e-3)
-        a = mc_trajectories(psi0, h, noise, 2.0, [obs], cfg)
+        a = mc_trajectories(psi0, h, *noise, 2.0, [obs], cfg)
         values, n_jumps = _reference_values(psi0, h, noise, 2.0, obs, cfg)
         assert a.jumpers == np.count_nonzero(n_jumps) > 3
         assert a.jumps == n_jumps.sum()
@@ -1370,7 +1407,7 @@ class TestMcTrajectories:
 
     def test_no_channels_report_no_jumps(self):
         res = mc_trajectories(
-            basis_state(1, 0), SZ, NoiseModel(), 1.0, [P0],
+            basis_state(1, 0), SZ, *_noise(), 1.0, [P0],
             TrajectoryConfig(n_traj=20, seed=1, dt=1e-2),
         )
         assert (res.jumpers, res.jumps) == (0, 0)
@@ -1380,8 +1417,8 @@ class TestMcTrajectories:
         code = (
             "import sys; import numpy as np; from etlab.dynamics import *; "
             "sx = np.array([[0, 1], [1, 0]], dtype=complex); "
-            "noise = NoiseModel((NoiseChannel.from_matrix(sx, 1.0, 'X'),)); "
-            "res = mc_trajectories(np.array([1, 0], dtype=complex), np.zeros((2, 2)), noise, "
+            "x = [NoiseChannel.from_matrix(sx, 'X')]; "
+            "res = mc_trajectories(np.array([1, 0], dtype=complex), np.zeros((2, 2)), x, [1.0], "
             "1.0, [np.eye(2)], TrajectoryConfig(n_traj=50, seed=1, dt=0.01)); "
             "print(res.jumps > 0, 'numpy.ma' in sys.modules)"
         )
@@ -1391,11 +1428,11 @@ class TestMcTrajectories:
         assert out.split() == ["True", "False"]
 
     def test_norm_checks_pass(self):
-        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 0.6, "d"),))
+        noise = _noise((NoiseChannel.from_matrix(SIGMA_MINUS, "d"), 0.6))
         mc_trajectories(
             basis_state(1, 1),
             SZ,
-            noise,
+            *noise,
             2.0,
             [P0],
             TrajectoryConfig(n_traj=200, seed=3, dt=1e-3),
@@ -1405,10 +1442,10 @@ class TestMcTrajectories:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_expm", lambda a: 1.001 * expm(a))
-        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 0.6, "d"),))
+        noise = _noise((NoiseChannel.from_matrix(SIGMA_MINUS, "d"), 0.6))
         with pytest.raises(TrajectoryError, match="no-jump norm increased"):
             mc_trajectories(
-                basis_state(1, 1), SZ, noise, 2.0, [P0],
+                basis_state(1, 1), SZ, *noise, 2.0, [P0],
                 TrajectoryConfig(n_traj=20, seed=3, dt=1e-3),
             )
 
@@ -1419,10 +1456,10 @@ class TestMcTrajectories:
         import etlab.dynamics as dyn
 
         monkeypatch.setattr(dyn, "_expm", lambda a: np.array([0.99, 1.001]).reshape(2, 1, 1))
-        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_PLUS, 1.0, "u"),))
+        noise = _noise((NoiseChannel.from_matrix(SIGMA_PLUS, "u"), 1.0))
         with pytest.raises(TrajectoryError, match="no-jump norm increased between steps"):
             mc_trajectories(
-                basis_state(1, 0), SZ, noise, 1.0, [P0],
+                basis_state(1, 0), SZ, *noise, 1.0, [P0],
                 TrajectoryConfig(n_traj=200, seed=3, dt=1e-2),
             )
 
@@ -1444,8 +1481,8 @@ class TestMcTrajectories:
         monkeypatch.setattr(dyn, "_expm", lambda a: swap if a.shape == (1, 1, 2, 2) else diag)
         to_2, to_3 = np.zeros((4, 4)), np.zeros((4, 4))
         to_2[2, 0] = to_3[3, 1] = 1.0
-        noise = NoiseModel(
-            (NoiseChannel.from_matrix(to_2, 1.0, "a"), NoiseChannel.from_matrix(to_3, 1.0, "b"))
+        noise = _noise(
+            (NoiseChannel.from_matrix(to_2, "a"), 1.0), (NoiseChannel.from_matrix(to_3, "b"), 1.0)
         )
         thresholds = np.random.default_rng(14).random(8)
         norms2 = 0.99 ** (2 * np.arange(1, 21))
@@ -1453,16 +1490,16 @@ class TestMcTrajectories:
         assert [s % 2 for s in first] == [0, 0, 0, 0, 1]
         with pytest.raises(TrajectoryError, match="no-jump norm increased between steps"):
             mc_trajectories(
-                basis_state(2, 0), h, noise, 1.0, [np.eye(4)],
+                basis_state(2, 0), h, *noise, 1.0, [np.eye(4)],
                 TrajectoryConfig(n_traj=8, seed=14, dt=0.05),
             )
 
     @pytest.mark.parametrize("t_final", [-1.0, float("nan"), float("inf")])
     def test_bad_t_final_rejected(self, t_final):
-        noise = NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),))
+        noise = _noise((NoiseChannel.from_matrix(SX, "X"), 0.5))
         with pytest.raises(ValueError, match="t_final must be finite and nonnegative"):
             mc_trajectories(
-                basis_state(1, 0), SZ, noise, t_final, [P0],
+                basis_state(1, 0), SZ, *noise, t_final, [P0],
                 TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
             )
 
@@ -1470,7 +1507,7 @@ class TestMcTrajectories:
         # a NaN observable used to give a NaN mean without a word
         with pytest.raises(ValueError, match="observable 1 has non-finite entries"):
             mc_trajectories(
-                basis_state(1, 0), SZ, NoiseModel(), 1.0, [P0, np.full((2, 2), np.nan)],
+                basis_state(1, 0), SZ, *_noise(), 1.0, [P0, np.full((2, 2), np.nan)],
                 TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
             )
 
@@ -1479,7 +1516,7 @@ class TestMcTrajectories:
         # non-Hermitian one gave a number without a word
         with pytest.raises(ValueError, match="observable 1 is not Hermitian"):
             mc_trajectories(
-                normalize(np.array([1.0, 1.0])), SZ, NoiseModel(), 1.0, [P0, SIGMA_MINUS],
+                normalize(np.array([1.0, 1.0])), SZ, *_noise(), 1.0, [P0, SIGMA_MINUS],
                 TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
             )
 
@@ -1488,7 +1525,7 @@ class TestMcTrajectories:
         msg = r"Hamiltonian must be a square matrix, got shape \(2, 3\)"
         with pytest.raises(ValueError, match=msg):
             mc_trajectories(
-                basis_state(1, 0), np.zeros((2, 3)), NoiseModel(), 1.0, [P0],
+                basis_state(1, 0), np.zeros((2, 3)), *_noise(), 1.0, [P0],
                 TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
             )
 
@@ -1499,16 +1536,16 @@ class TestMcTrajectories:
             ValueError, match=r"dimension mismatch: observable 1 \(4, 4\), H \(2, 2\)"
         ):
             mc_trajectories(
-                basis_state(1, 0), SZ, NoiseModel((NoiseChannel.from_matrix(SX, 0.5, "X"),)), 1.0,
+                basis_state(1, 0), SZ, *_noise((NoiseChannel.from_matrix(SX, "X"), 0.5)), 1.0,
                 [P0, np.eye(4)], TrajectoryConfig(n_traj=2, seed=0, dt=0.1),
             )
 
     def test_damping_reaches_ground(self):
-        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 2.0, "d"),))
+        noise = _noise((NoiseChannel.from_matrix(SIGMA_MINUS, "d"), 2.0))
         res = mc_trajectories(
             basis_state(1, 1),
             np.zeros((2, 2)),
-            noise,
+            *noise,
             4.0,
             [P0],
             TrajectoryConfig(n_traj=500, seed=10, dt=1e-3),
@@ -1518,9 +1555,9 @@ class TestMcTrajectories:
     def test_zero_total_jump_rate_signals(self, monkeypatch):
         # jump operator annihilates the only populated level while a fake
         # decay term still drags the norm down
-        noise = NoiseModel((NoiseChannel.from_matrix(SIGMA_MINUS, 1.0, "d"),))
+        noise = _noise((NoiseChannel.from_matrix(SIGMA_MINUS, "d"), 1.0))
         h = np.zeros((2, 2), dtype=complex)
-        gen = [(noise.channels[0].matrix, 1.0)]
+        gen = [(noise[0][0].matrix, 1.0)]
         psi = basis_state(1, 0)  # sigma_minus annihilates |0>
         weights = np.array([rate * np.linalg.norm(l @ psi) ** 2 for l, rate in gen])
         assert weights.sum() == 0  # precondition for the guard
@@ -1533,18 +1570,18 @@ class TestMcTrajectories:
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: FakeRng())
         with pytest.raises(TrajectoryError, match="zero rate"):
-            mc_trajectories(psi, h, noise, 0.5, [P0], TrajectoryConfig(n_traj=1, seed=0, dt=0.1))
+            mc_trajectories(psi, h, *noise, 0.5, [P0], TrajectoryConfig(n_traj=1, seed=0, dt=0.1))
 
     def test_mc_agrees_with_lindblad_two_qubit(self):
-        noise = NoiseModel(tuple(site_channels(2, SX, 0.6, "X")))
+        noise = _noise((site_channels(2, SX, "X"), 0.6))
         h = np.kron(SZ, np.eye(2)).astype(complex)
         psi0 = np.kron(normalize(np.array([1.0, 1.0])), basis_state(1, 0))
         obs = pure_density(psi0)
         cfg_l = IntegrationConfig(dt=1e-3, t_final=1.0)
-        lres = integrate_lindblad(pure_density(psi0), h, noise, cfg_l)
+        lres = integrate_lindblad(pure_density(psi0), h, *noise, cfg_l)
         p_l = np.trace(lres.final @ obs).real
         mres = mc_trajectories(
-            psi0, h, noise, 1.0, [obs], TrajectoryConfig(n_traj=3000, seed=21, dt=1e-3)
+            psi0, h, *noise, 1.0, [obs], TrajectoryConfig(n_traj=3000, seed=21, dt=1e-3)
         )
         assert abs(mres.means[0] - p_l) <= 4 * mres.stderrs[0]
 
