@@ -3,8 +3,11 @@ and the ideal recovery channel.
 
 Error-space geometry and recovery work on one sector basis
 W = [V0 | E_1 V0 | ... | E_m V0] of an orthonormal code-space basis V0 and
-its images under the errors, applied as signed permutations
-(:func:`~etlab.qcore.pauli_action`), never as dense matrices.
+its images under the errors, applied as signed permutations, never as dense
+matrices.  Each error set has one table of them, built once per process
+(:func:`~etlab.qcore._pauli_table`), and W is one gather from it.  Recovery
+works at the sectors' rank K = (m + 1) k: the projector I - W W^dag onto
+the rest of the space is applied through products with W, never formed.
 
 An error set is a plain tuple of Pauli strings (:func:`error_set` builds
 the weight-1 ones); every function here and in :mod:`etlab.eth` takes any
@@ -33,6 +36,7 @@ import numpy as np
 
 from .qcore import (
     PauliString,
+    _pauli_table,
     anticommutes,
     basis_state,
     pauli_action,
@@ -185,12 +189,18 @@ def _code_basis(code: StabilizerCode) -> np.ndarray:
 _OVERLAP_TOL = 1e-8
 
 
-def _sectors(basis: np.ndarray, errors: Sequence[PauliString]) -> np.ndarray:
-    """W = [V0 | E_1 V0 | ... | E_m V0] for a (d, k) code-space basis V0."""
-    return np.concatenate([basis] + [pauli_action(e, basis) for e in errors], axis=1)
+def _sectors(basis: np.ndarray, errors: Iterable[PauliString]) -> np.ndarray:
+    """W = [V0 | E_1 V0 | ... | E_m V0] for a (d, k) code-space basis V0: one
+    gather of V0's rows through the error set's table."""
+    d = basis.shape[0]
+    coef, src = _pauli_table(tuple(errors), d)
+    # images[:, j] = E_j V0; np.take gathers rows several times faster than
+    # fancy indexing at these sizes
+    images = coef.T[:, :, None] * np.take(basis, src.T, axis=0)
+    return np.concatenate([basis, images.reshape(d, -1)], axis=1)
 
 
-def _orthonormal_sectors(basis: np.ndarray, errors: Sequence[PauliString]) -> np.ndarray:
+def _orthonormal_sectors(basis: np.ndarray, errors: Iterable[PauliString]) -> np.ndarray:
     """W, checked to have mutually orthogonal (hence orthonormal) sectors."""
     w = _sectors(basis, errors)
     overlap = _max_overlap(w, basis.shape[1])
@@ -218,6 +228,14 @@ def error_spaces_orthogonal(
     return _max_overlap(_sectors(_code_basis(code), errors), 2)
 
 
+def _outside(w: np.ndarray, a: np.ndarray, aw: np.ndarray) -> np.ndarray:
+    """P a P for P = I - W W^dag, given aw = a W: x - W (W^dag x) with
+    x = a - aw W^dag.  For W of rank K that is 4 d^2 K work, where forming
+    P and applying it costs 2 d^3."""
+    x = a - aw @ w.conj().T
+    return x - w @ (w.conj().T @ x)
+
+
 def recover(
     code: StabilizerCode,
     errors: Iterable[PauliString],
@@ -232,16 +250,15 @@ def recover(
 
     With V_j = E_j V0, E_j P_j = E_j^2 V0 V_j^dag and E_j^2 is a phase, so
     sector j contributes V0 (V_j^dag rho V_j) V0^dag, and
-    P_rest = I - W W^dag.
+    P_rest = I - W W^dag.  One product rho W feeds both the sector blocks
+    and P_rest rho P_rest, which is applied at W's rank (:func:`_outside`).
     """
     v0 = _code_basis(code)
     w = _orthonormal_sectors(v0, errors)
     d, k = v0.shape
-    blocks = np.einsum(
-        "ask,asl->kl", w.conj().reshape(d, -1, k), (rho @ w).reshape(d, -1, k)
-    )
-    p_rest = np.eye(d) - w @ w.conj().T
-    return v0 @ blocks @ v0.conj().T + p_rest @ rho @ p_rest
+    rho_w = rho @ w
+    blocks = np.einsum("ask,asl->kl", w.conj().reshape(d, -1, k), rho_w.reshape(d, -1, k))
+    return v0 @ blocks @ v0.conj().T + _outside(w, rho, rho_w)
 
 
 def recover_adjoint(
@@ -253,12 +270,12 @@ def recover_adjoint(
 
     Used to fold ideal recovery into a measured observable, e.g. for
     trajectory simulations that never materialize the recovered state.
-    Sector j receives V_j (V0^dag B V0) V_j^dag.
+    Sector j receives V_j (V0^dag B V0) V_j^dag, and the rest
+    P_rest B P_rest as in :func:`recover`.
     """
     v0 = _code_basis(code)
     w = _orthonormal_sectors(v0, errors)
     d, k = v0.shape
     logical = v0.conj().T @ observable @ v0
     lifted = (w.reshape(d, -1, k) @ logical).reshape(d, -1)
-    p_rest = np.eye(d) - w @ w.conj().T
-    return lifted @ w.conj().T + p_rest @ observable @ p_rest
+    return lifted @ w.conj().T + _outside(w, observable, observable @ w)

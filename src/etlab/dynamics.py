@@ -88,7 +88,7 @@ Monte Carlo run takes at most :data:`MAX_TRAJECTORIES` trajectories, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -154,10 +154,14 @@ class NoiseChannel:
     vals: np.ndarray
     dim: int
     label: str = ""
+    # ||L||_2^2 = max |vals|^2 for a monomial L, taken once here for every
+    # substep bound (:func:`_jump_bound`)
+    norm_sq: np.float64 = field(init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.vals).all():
             raise ValueError(f"jump {self.label!r} has non-finite entries")
+        object.__setattr__(self, "norm_sq", np.max(np.abs(self.vals), initial=0.0) ** 2)
         # sorted flat rows keep the given shape only if it is 1-D; np.unique
         # would import numpy.ma, 10 ms in each new worker process
         rows, cols, dim = np.sort(self.rows, axis=None), self.cols, self.dim
@@ -397,9 +401,9 @@ def _check_rates(rates, channels: Sequence[NoiseChannel]) -> np.ndarray:
 
 def _jump_bound(channels: Sequence[NoiseChannel], rates: np.ndarray, start) -> np.ndarray:
     """start + sum_k rates[:, k] ||L_k||_2^2 for each row of checked ``rates``,
-    in channel order; a monomial L_k has ||L_k||_2 = max |vals|."""
+    in channel order, ||L_k||_2^2 read from the channel."""
     for c, ch in enumerate(channels):
-        start = start + rates[:, c] * np.max(np.abs(ch.vals), initial=0.0) ** 2
+        start = start + rates[:, c] * ch.norm_sq
     return start
 
 

@@ -9,8 +9,10 @@ sandwich E_i H0 E_i.
 
 Errors are never densified, not even in the CSS-7 report.  A Pauli error
 E is a signed permutation, row b of E v being coef[b] v[src[b]] with src
-an involution, so (E H0 E^dag)[b, c] = coef[b] conj(coef[c])
-H0[src[b], src[c]]: H0's nonzero block, rows and columns R, moves to rows
+an involution, read from its error set's table
+(:func:`~etlab.qcore._pauli_table`), so
+(E H0 E^dag)[b, c] = coef[b] conj(coef[c]) H0[src[b], src[c]]:
+H0's nonzero block, rows and columns R, moves to rows
 and columns src[R], scaled by the outer product of coef[src[R]] and its
 conjugate.  Every factor is +-1 or +-i, so the move is exact.  The support
 check V (V^dag H0 V) V^dag = H0, V the orthonormal code basis, forms only
@@ -37,7 +39,7 @@ import numpy as np
 from .codes import StabilizerCode, _code_basis, _orthonormal_sectors, _sectors
 from .qcore import (
     PauliString,
-    _signed_permutation,
+    _pauli_table,
     anticommutes,
     pauli_decompose,
     pauli_mul,
@@ -100,20 +102,23 @@ def deduplicate_errors(
 def _deduplicate(
     basis: np.ndarray, errors: Iterable[PauliString]
 ) -> tuple[list[PauliString], int]:
+    """deduplicate_errors for the code space spanned by the orthonormal
+    columns of basis.  E_j V0 = ph E_i V0 needs |<u_i|u_j>| = 1 for the
+    images u of V0's first column, so one Gram matrix of those images picks
+    the candidate pairs, and only they are compared in full."""
     errors = tuple(errors)
     d, k = basis.shape
     images = _sectors(basis, errors)[:, k:].reshape(d, -1, k)
-    reps: list[PauliString] = []
-    kept: list[np.ndarray] = []
-    for e, v in zip(errors, np.moveaxis(images, 1, 0)):
-        for u in kept:
-            ph = np.vdot(u[:, 0], v[:, 0])
-            if abs(abs(ph) - 1.0) < 1e-9 and np.allclose(v, ph * u, atol=1e-9):
-                break
-        else:
-            reps.append(e)
-            kept.append(v)
-    return reps, len(errors) - len(reps)
+    gram = images[:, :, 0].conj().T @ images[:, :, 0]  # gram[i, j] = <u_i|u_j>
+    candidate = np.abs(np.abs(gram) - 1.0) < 1e-9
+    kept: list[int] = []
+    for j in range(len(errors)):
+        if not any(
+            candidate[i, j] and np.allclose(images[:, j], gram[i, j] * images[:, i], atol=1e-9)
+            for i in kept
+        ):
+            kept.append(j)
+    return [errors[j] for j in kept], len(errors) - len(kept)
 
 
 def make_eth(
@@ -141,8 +146,9 @@ def _eth(basis: np.ndarray, h0: np.ndarray, errors: Iterable[PauliString]) -> np
     rows = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
     block = h0[np.ix_(rows, rows)]
     h = h0.copy()
-    for e in reps:  # E h0 E^dag as the block move the module docstring derives
-        coef, src = _signed_permutation(e)
+    # E h0 E^dag as the block move the module docstring derives, one per
+    # error; two errors may move the block onto the same rows, so no batching
+    for coef, src in zip(*_pauli_table(tuple(reps), len(basis))):
         dst = src[rows]
         h[np.ix_(dst, dst)] += np.outer(coef[dst], coef[dst].conj()) * block
     return h

@@ -305,8 +305,10 @@ def run_scenario(
 
     ``dt=None`` propagates the Lindblad equation exactly and places Monte
     Carlo jumps on :func:`default_timestep`; an explicit dt is the RK4 step
-    or the jump-placement step.  A job is a task of one row.
+    or the jump-placement step.  A job is a task of one row, checked by
+    :func:`check_budget` before it runs.
     """
+    check_budget([[spec]], method, n_traj, dt)
     [row] = _run_task(((spec,), method, n_traj, (seed,), dt))
     return row.probability, row.stderr
 

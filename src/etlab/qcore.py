@@ -13,7 +13,8 @@ index), so ``basis_state(3, "011")`` is the computational state |011>.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -134,34 +135,56 @@ def to_dense(p: PauliString) -> np.ndarray:
     return p.phase * reduce(np.kron, mats)
 
 
-def _signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """(coef, src) with row b of P v equal to coef[b] * v[src[b]].
+# letter -> bit of the x mask (X or Y) and of the z mask (Y or Z)
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+
+
+def _signed_permutations(
+    paulis: Sequence[PauliString], dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, src), each (m, dim), with row b of P_j v equal to
+    coef[j, b] * v[src[j, b]] for the j-th of the m strings.
 
     With bit masks x (X or Y letters) and z (Y or Z letters), qubit 0 the
     most significant bit, P|b> = phase i^{#Y} (-1)^{popcount(b & z)} |b ^ x>
     (Aaronson & Gottesman, PRA 70, 052328 (2004)), so src is b ^ x, an
-    involution, and every coef is +-1 or +-i.
+    involution, and every coef is +-1 or +-i.  All m rows come from the
+    strings' masks at once; a string that does not act on ``dim`` raises
+    ValueError.
     """
-    x = z = 0
-    for ch in p.letters:
-        x = (x << 1) | (ch in "XY")
-        z = (z << 1) | (ch in "YZ")
-    src = np.arange(1 << p.n) ^ x
-    base = p.phase * (1, 1j, -1, -1j)[p.letters.count("Y") % 4]
-    coef = np.where(np.bitwise_count(src & z) & 1, -base, base)
+    for p in paulis:
+        if 1 << p.n != dim:
+            raise ValueError(f"{p.n}-qubit Pauli cannot act on leading dimension {dim}")
+    x = np.array([int(p.letters.translate(_X_BITS), 2) for p in paulis], dtype=np.int64)
+    z = np.array([int(p.letters.translate(_Z_BITS), 2) for p in paulis], dtype=np.int64)
+    base = np.array(
+        [p.phase * (1, 1j, -1, -1j)[p.letters.count("Y") % 4] for p in paulis], dtype=complex
+    )[:, None]
+    src = np.arange(dim) ^ x[:, None]
+    coef = np.where(np.bitwise_count(src & z[:, None]) & 1, -base, base)
+    return coef, src
+
+
+@cache
+def _pauli_table(errors: tuple[PauliString, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_signed_permutations` of an error set, built once per process
+    and shared by every caller, so its arrays are read-only.  The key is a
+    pure value (frozen strings and an int); only error sets come here, a
+    handful per run, so the cache needs no bound."""
+    coef, src = _signed_permutations(errors, dim)
+    coef.flags.writeable = src.flags.writeable = False
     return coef, src
 
 
 def pauli_action(p: PauliString, v: np.ndarray) -> np.ndarray:
     """P @ v as a signed permutation of rows; v is (2^n,) or (2^n, k).
 
-    Every factor is +-1 or +-i (see :func:`_signed_permutation`), so the
-    result equals to_dense(p) @ v exactly.
+    Every factor is +-1 or +-i (see :func:`_signed_permutations`, of which
+    this is the one-row case), so the result equals to_dense(p) @ v exactly.
     """
     v = np.asarray(v)
-    if v.shape[0] != 1 << p.n:
-        raise ValueError(f"{p.n}-qubit Pauli cannot act on leading dimension {v.shape[0]}")
-    coef, src = _signed_permutation(p)
+    [coef], [src] = _signed_permutations((p,), v.shape[0])
     return coef.reshape((-1,) + (1,) * (v.ndim - 1)) * v[src]
 
 

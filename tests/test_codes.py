@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from etlab.codes import (
+    DESIGNED_KINDS,
     build_code,
     codewords_from_stabilizers,
     error_set,
@@ -250,6 +251,28 @@ class TestRecover:
                 for e in errs:
                     rho = pure_density(to_dense(e) @ psi)
                     assert fidelity(psi, recover(code, errs, rho)) > 1 - 1e-10
+
+    @pytest.mark.parametrize("name", ["bitflip3", "perfect5", "steane7"])
+    def test_equal_dense_projector_formula(self, name):
+        # the sectors' rank-K complement against P_rest = I - sum_j P_j, with
+        # P_j = V_j V_j^dag and V_j = E_j V0 from dense errors, on matrices
+        # that are neither Hermitian nor states
+        code = build_code(name)
+        errs = error_set(code, DESIGNED_KINDS[name])
+        v0 = np.stack([code.codeword0, code.codeword1], axis=1)
+        mats = [to_dense(e) for e in errs]
+        projs = [v @ v.conj().T for v in [v0] + [m @ v0 for m in mats]]
+        p_rest = np.eye(code.dim) - sum(projs)
+        rng = np.random.default_rng(41)
+        for _ in range(2):
+            a = rng.standard_normal((code.dim,) * 2) + 1j * rng.standard_normal((code.dim,) * 2)
+            forward = p_rest @ a @ p_rest + projs[0] @ a @ projs[0]
+            adjoint = p_rest @ a @ p_rest + projs[0] @ a @ projs[0]
+            for m, pj in zip(mats, projs[1:]):
+                forward += m @ pj @ a @ pj @ m.conj().T
+                adjoint += pj @ m.conj().T @ a @ m @ pj
+            assert np.max(np.abs(recover(code, errs, a) - forward)) < 1e-12
+            assert np.max(np.abs(recover_adjoint(code, errs, a) - adjoint)) < 1e-12
 
     def test_adjoint_duality(self, bitflip3):
         # Tr(R(rho) B) = Tr(rho R*(B)) for random rho, B

@@ -165,6 +165,15 @@ class TestNoiseModel:
                 assert np.array_equal(ch.matrix, embed_single(n, q, op)), (n, q)
 
     @pytest.mark.parametrize(
+        "op", [SX, SY, SIGMA_MINUS, np.array([[0, 2.0], [0.5j, 0]]), np.zeros((2, 2))],
+        ids=["X", "Y", "sigma-", "skew", "zero"],
+    )
+    def test_norm_taken_at_build(self, op):
+        # every substep bound reads ||L||_2^2 from the channel
+        for ch in (NoiseChannel.from_matrix(op, "m"), *site_channels(3, op, "s")):
+            assert np.isclose(ch.norm_sq, np.linalg.norm(ch.matrix, 2) ** 2, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
         "make, msg",
         [
             (lambda: NoiseChannel.from_matrix(np.ones((2, 2)), "ones"), "'ones' is not mono"),

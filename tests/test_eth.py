@@ -5,6 +5,8 @@ import pytest
 
 from etlab.codes import (
     DESIGNED_KINDS,
+    _code_basis,
+    _sectors,
     build_code,
     error_set,
     error_spaces_orthogonal,
@@ -27,9 +29,11 @@ from etlab.eth import (
 from etlab.qcore import (
     SIGMA_PLUS,
     PauliString,
+    _pauli_table,
     basis_state,
     evolve_unitary,
     normalize,
+    pauli_action,
     pure_density,
     to_dense,
 )
@@ -161,6 +165,45 @@ def test_error_set_as_tuple_list_or_iterator(perfect5, name):
         np.testing.assert_equal(call(perfect5, form(errs)), expected)
 
 
+@pytest.mark.parametrize("name", sorted(ERROR_SET_CALLS.keys() - {"extend_to_target"}))
+def test_wrong_size_error_rejected(perfect5, name):
+    errs = (*error_set(perfect5, "X"), PauliString("XX"))
+    with pytest.raises(ValueError, match=r"^[23]-qubit Pauli cannot act on leading dimension"):
+        ERROR_SET_CALLS[name](perfect5, errs)
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNED_KINDS))
+def test_sectors_equal_per_error_actions(name):
+    # W from one gather through the table, against one pauli_action per
+    # error, bit for bit, on the code basis and on the controlled ETH's
+    # code-plus-target basis
+    code = build_code(name)
+    errs = error_set(code, DESIGNED_KINDS[name])
+    v0 = _code_basis(code)
+    for basis, es in ((v0, errs), (np.kron(v0, np.eye(2)), extend_to_target(errs))):
+        expected = np.concatenate([basis] + [pauli_action(e, basis) for e in es], axis=1)
+        w = _sectors(basis, es)
+        assert w.shape == expected.shape and w.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNED_KINDS))
+def test_one_table_per_error_set(name):
+    # construction, verification and recovery on one error set share its
+    # table, in whichever form the set comes; the target-extended set has
+    # its own
+    code = build_code(name)
+    errs = error_set(code, DESIGNED_KINDS[name])
+    h0 = _h0(code)
+    _pauli_table.cache_clear()
+    h = make_eth(code, h0, errs)
+    verify_et(h, h0, code, list(errs))
+    recover(code, iter(errs), _random_state(code.dim))
+    recover_adjoint(code, errs, _random_state(code.dim))
+    assert _pauli_table.cache_info().currsize == 1
+    controlled_eth(code, errs, 0.9)
+    assert _pauli_table.cache_info().currsize == 2
+
+
 class TestMakeEth:
     def test_majority_sign_diagonal(self, bitflip3):
         # expected operator built directly: +1 on majority-zero strings
@@ -240,6 +283,28 @@ class TestDeduplicateErrors:
         reps, dropped = deduplicate_errors(bitflip3, errs)
         assert dropped == 1
         assert len(reps) == 1
+
+    @pytest.mark.parametrize(
+        "name, kinds, dropped",
+        [("bitflip3", "Z", 2), ("bitflip3", "XYZ", 2), ("perfect5", "XYZ", 0),
+         ("steane7", "XYZ", 0)],
+    )
+    def test_representatives_equal_pairwise_loop(self, name, kinds, dropped):
+        # the Gram-matrix candidates against comparing every error with every
+        # kept one; on bitflip3 Z acts alike on every qubit
+        code = build_code(name)
+        errs = error_set(code, kinds)
+        expected, kept = [], []
+        for e in errs:
+            v = np.stack([to_dense(e) @ code.codeword0, to_dense(e) @ code.codeword1], axis=1)
+            for u in kept:
+                ph = np.vdot(u[:, 0], v[:, 0])
+                if abs(abs(ph) - 1.0) < 1e-9 and np.allclose(v, ph * u, atol=1e-9):
+                    break
+            else:
+                expected.append(e)
+                kept.append(v)
+        assert deduplicate_errors(code, errs) == (expected, dropped)
 
 
 class TestVerifyEt:

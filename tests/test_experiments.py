@@ -402,6 +402,20 @@ class TestSweeps:
         with pytest.raises(StepCountError, match="more than the cap"):
             sweep(grid, 1.0, max_workers=1, **kwargs)
 
+    def test_run_scenario_checks_exact_substep_cap(self, monkeypatch):
+        # logical-plain at gamma/omega = 1e5 takes at least 235,620 exact
+        # substeps; a single job used to start propagating them
+        import etlab.dynamics as dyn
+
+        def propagate(*args, **kwargs):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(dyn, "_propagate_exact", propagate)
+        [spec] = [s for s in fig1a_scenarios(1e5, 1.0) if s.label == "logical-plain"]
+        msg = r"^fig1a/logical-plain at gamma/omega=1e\+05: exact propagation takes at least"
+        with pytest.raises(StepCountError, match=msg):
+            run_scenario(spec)
+
     def test_stacked_rk4_failure_names_its_row(self):
         # the bare qubit's key runs its six rows (single and single-reduced
         # at three gammas) as one stack; only single at gamma/omega = 30 has

@@ -12,6 +12,8 @@ import pytest
 
 from etlab.qcore import (
     PauliString,
+    _pauli_table,
+    _signed_permutations,
     anticommutes,
     basis_state,
     check_density_matrix,
@@ -159,6 +161,40 @@ class TestPauliAction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pauli_action(PauliString("XX"), np.ones(8))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_rows_equal_one_string_builder(self, n):
+        # each row of a table is its string's one-row table, and the signed
+        # permutation of the dense matrix: one nonzero per row, at src
+        rng = np.random.default_rng(200 + n)
+        d = 2**n
+        paulis = tuple(
+            PauliString("".join(rng.choice(list("IXYZ"), n)), phase)
+            for phase in (1, -1, 1j, -1j)
+            for _ in range(3)
+        )
+        coef, src = _signed_permutations(paulis, d)
+        assert coef.shape == src.shape == (len(paulis), d)
+        for p, c, s in zip(paulis, coef, src):
+            [c1], [s1] = _signed_permutations((p,), d)
+            assert c.tobytes() == c1.tobytes() and s.tobytes() == s1.tobytes()
+            m = to_dense(p)
+            assert np.array_equal(m[np.arange(d), s], c) and np.count_nonzero(m) == d
+        cached = _pauli_table(paulis, d)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, (coef, src)))
+
+    def test_table_is_read_only(self):
+        coef, src = _pauli_table((PauliString("XYZ"), PauliString("ZZI", -1j)), 8)
+        for a in (coef, src):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
+
+    def test_one_string_action_leaves_the_cache_alone(self):
+        _pauli_table.cache_clear()
+        v = np.arange(16, dtype=complex)
+        for letters in ("XYZI", "IIZZ", "YYYY"):
+            pauli_action(PauliString(letters), v)
+        assert _pauli_table.cache_info().currsize == 0
 
 
 def brute_force_decompose(a):
